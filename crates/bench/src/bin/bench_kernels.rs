@@ -6,11 +6,11 @@
 //! `BENCH_kernels.json` — a `meta` provenance block (default backend, CPU
 //! features) plus one record per measurement with `{kernel, backend,
 //! ns_per_iter, ns_per_symbol, ns_per_point, threads, speedup}` —
-//! to seed the perf trajectory. Backend-tier rows (`*_simd`, `*_f32`) time
-//! the ported kernels through the explicit AVX2 / reduced-precision tiers;
-//! `_simd` rows are checksum-gated against scalar and skipped on hosts
-//! without SIMD support. `ns_per_symbol` normalizes frame-scaling
-//! kernels (DFE, packet pipeline) by their payload symbol count and
+//! to seed the perf trajectory. Backend-tier rows (`*_simd`) time the
+//! ported kernels through the explicit AVX2 tier; they are checksum-gated
+//! against scalar and skipped on hosts without SIMD support.
+//! `ns_per_symbol` normalizes frame-scaling kernels (DFE, packet pipeline)
+//! by their payload symbol count and
 //! `ns_per_point` normalizes sweep entries by their grid-point count, so
 //! trajectories stay comparable if a PR changes the benchmark workload
 //! size; both are `null` where they do not apply. The full schema contract
@@ -32,7 +32,7 @@ use retroturbo_bench::banner;
 use retroturbo_coding::RsCode;
 use retroturbo_core::training::{OfflineTraining, OnlineTrainer};
 use retroturbo_core::{Equalizer, Modulator, PhyConfig, PreambleDetector, TagModel};
-use retroturbo_dsp::backend::{self, C32};
+use retroturbo_dsp::backend;
 use retroturbo_dsp::noise::NoiseSource;
 use retroturbo_dsp::{Backend, Signal, C64};
 use retroturbo_lcm::fingerprint::{relative_error, relative_error_with_energy};
@@ -91,7 +91,7 @@ fn time_pair_ns<A: FnMut(), B: FnMut()>(
 /// schema contract consumed by `tools/perf_smoke.py`.
 struct Record {
     kernel: &'static str,
-    /// Kernel backend tier this row ran on (`"scalar"`, `"simd"`, `"f32"`).
+    /// Kernel backend tier this row ran on (`"scalar"` or `"simd"`).
     backend: &'static str,
     ns_per_iter: f64,
     /// Per-payload-symbol normalization (`ns_per_iter / symbols`) for
@@ -139,8 +139,8 @@ fn main() {
     );
     // Pin the process-default backend to Scalar so every legacy row keeps
     // measuring exactly what it measured before the backend layer existed
-    // (and stays comparable across the committed baselines). The SIMD / F32
-    // rows below opt in per object via `with_backend`. A pre-set
+    // (and stays comparable across the committed baselines). The SIMD rows
+    // below opt in per object via `with_backend`. A pre-set
     // `RETROTURBO_BACKEND` (CI matrix legs) wins over this pin.
     let forced = if std::env::var("RETROTURBO_BACKEND").is_ok() {
         Backend::detect()
@@ -476,28 +476,6 @@ fn main() {
             speedup: p_s / p_v,
         });
     }
-    {
-        // F32 tier: reduced precision by design, so no bit gate here — its
-        // accuracy contract is the end-to-end BER-delta test in the sim
-        // crate. Speedup is against the scalar SoA kernel timed above.
-        let mut k32 = PanelKernel::from_panel(&pristine).with_backend(Backend::F32);
-        let mut out32 = vec![C64::default(); n_wave];
-        let p32 = time_ns(if quick { 1 } else { 3 }, reps, || {
-            k32.restore();
-            k32.simulate_into(&cmds, cfg.fs, &mut out32);
-            std::hint::black_box(&out32);
-        });
-        records.push(Record {
-            kernel: "panel_ode_f32",
-            backend: "f32",
-            ns_per_iter: p32,
-            ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
-            speedup: panel_soa / p32,
-        });
-    }
-
     // --- Preamble search: precomputed Gram vs per-offset lstsq ------------
     let detector = PreambleDetector::new(&cfg, &model);
     let spt = cfg.samples_per_slot();
@@ -580,40 +558,12 @@ fn main() {
             speedup: g_s / g_v,
         });
     }
-    {
-        // F32 fit: must still land on the same sample offset (a decision,
-        // not a bit pattern); the score itself may drift in low bits.
-        let det32 = PreambleDetector::new(&cfg, &model).with_backend(Backend::F32);
-        let a = detector.detect_in(&rx_sig, 0, search_to);
-        let b = det32.detect_in(&rx_sig, 0, search_to);
-        let same_offset = match (&a, &b) {
-            (Some(x), Some(y)) => x.offset == y.offset,
-            (None, None) => true,
-            _ => false,
-        };
-        if !same_offset {
-            diverged.push("gram_fit_f32_offset".into());
-        }
-        let g32 = time_ns(if quick { 1 } else { 3 }, reps, || {
-            std::hint::black_box(det32.detect_in(&rx_sig, 0, search_to));
-        });
-        records.push(Record {
-            kernel: "gram_fit_f32",
-            backend: "f32",
-            ns_per_iter: g32,
-            ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
-            speedup: pre_gram / g32,
-        });
-    }
-
     // --- Filter chain: FIR + biquad front end, per backend tier -----------
     // Direct `backend::*` calls with an explicit tier (the `Fir`/`Biquad`
     // wrappers dispatch on the pinned process default). The chain shape
     // mirrors the reader front end: one narrow FIR pass then one biquad
     // smoothing pass over the same frame; the decimator is timed separately
-    // below because the F32 tier has no decimate variant.
+    // below.
     {
         use retroturbo_dsp::filter::{Biquad, Fir};
         let fir = Fir::lowpass(4_000.0, cfg.fs, 63);
@@ -659,27 +609,6 @@ fn main() {
                 ns_per_point: None,
                 threads: 1,
                 speedup: chain_scalar / chain_simd,
-            });
-        }
-        {
-            let taps32 = fir.taps_f32();
-            let mut x32: Vec<C32> = Vec::new();
-            backend::narrow_c32(&wave, &mut x32);
-            let mut y32_fir = vec![C32::default(); n];
-            let mut y32_bq = vec![C32::default(); n];
-            let chain_f32 = time_ns(if quick { 2 } else { 5 }, reps, || {
-                backend::fir_filter_f32_into(&taps32, &x32, d, &mut y32_fir);
-                backend::biquad_filter_f32_into(&coeffs, &x32, &mut y32_bq);
-                std::hint::black_box((&y32_fir, &y32_bq));
-            });
-            records.push(Record {
-                kernel: "filter_chain_f32",
-                backend: "f32",
-                ns_per_iter: chain_f32,
-                ns_per_symbol: None,
-                ns_per_point: None,
-                threads: 1,
-                speedup: chain_scalar / chain_f32,
             });
         }
         // Boxcar decimator, factor 4: scalar vs SIMD, bit-gated.
@@ -811,31 +740,6 @@ fn main() {
             speedup: pk_s / pk_v,
         });
     }
-    {
-        // F32 tier: different waveform bits by design; the gate here is the
-        // decision level (the packet must still decode), with the measured
-        // BER-delta bound enforced by the sim crate's fig16a test.
-        let sim_32 = LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(3.0), 9)
-            .with_backend(Backend::F32);
-        let mut scr_32 = sim_32.make_scratch();
-        let o32 = sim_32.run_packet_with(&mut scr_32, &pkt_bits, 2);
-        if o32.detected != o_scalar.detected {
-            diverged.push("run_packet_f32_detect".into());
-        }
-        let pk_32 = time_ns(1, reps, || {
-            std::hint::black_box(sim_32.run_packet_with(&mut scr_32, &pkt_bits, 3));
-        });
-        records.push(Record {
-            kernel: "run_packet_f32",
-            backend: "f32",
-            ns_per_iter: pk_32,
-            ns_per_symbol: Some(pk_32 / pkt_syms),
-            ns_per_point: None,
-            threads: 1,
-            speedup: pkt_fused / pk_32,
-        });
-    }
-
     // --- Waveform synthesis: live render vs cached re-noise (§7.3) -------
     // The sweep engine's core trade: a cache hit replaces the whole
     // per-packet synthesis (panel ODE + channel + fresh AWGN) with a copy of

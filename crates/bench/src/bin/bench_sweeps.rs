@@ -1,8 +1,8 @@
 //! Machine-readable sweep-engine benchmark: times whole figure sweeps in
 //! three modes — the end-to-end scalar reference oracle, the fused
 //! pipeline without the render cache (the pre-engine driver), and the
-//! engine's cached re-noise path, plus the cached path through the Simd
-//! (bit-gated) and F32 (timing-only) backend tiers for field sweeps — and
+//! engine's cached re-noise path, plus the cached path through the
+//! bit-gated Simd backend tier for field sweeps — and
 //! writes `BENCH_sweeps.json`: a `meta` provenance block plus one record
 //! per `{sweep, mode, threads, points, ms_total, ns_per_point,
 //! speedup}` measurement. `speedup` is each sweep's baseline-mode time
@@ -190,11 +190,8 @@ fn run_profile(effort: Effort, records: &mut Vec<Record>, diverged: &mut Vec<Str
         }
         records.extend(recs);
 
-        // Backend tiers of the cached engine. The Simd tier claims
-        // bit-identity end to end, so its rows must serialise exactly like
-        // the scalar oracle's; the F32 tier renders different waveform bits
-        // by design (its accuracy bound is the sim crate's BER-delta test),
-        // so it contributes timing only.
+        // Simd tier of the cached engine. It claims bit-identity end to
+        // end, so its rows must serialise exactly like the scalar oracle's.
         if backend::simd_available() {
             let simd = field(FieldOracle::Fused, Backend::Simd);
             let (mut recs, simd_canon, _) = measure_sweep(
@@ -213,20 +210,6 @@ fn run_profile(effort: Effort, records: &mut Vec<Record>, diverged: &mut Vec<Str
             records.extend(recs);
         } else {
             eprintln!("# no SIMD support on this host: skipping {name}/engine_cached_simd");
-        }
-        {
-            let f32s = field(FieldOracle::Fused, Backend::F32);
-            let (mut recs, _, _) = measure_sweep(
-                name,
-                &[("engine_cached_f32", SweepEngine::new(seed))],
-                &f32s,
-                &grid,
-                reps,
-            );
-            for r in &mut recs {
-                r.speedup = scalar_ms / r.ms_total;
-            }
-            records.extend(recs);
         }
     }
 
@@ -277,7 +260,7 @@ fn main() {
     );
     // Pin the process default to Scalar (as `bench_kernels` does) so the
     // legacy rows stay comparable with pre-backend baselines; the explicit
-    // simd/f32 rows opt in via `with_backend`. A pre-set `RETROTURBO_BACKEND`
+    // simd rows opt in via `with_backend`. A pre-set `RETROTURBO_BACKEND`
     // (CI matrix legs) wins over the pin.
     let forced = if std::env::var("RETROTURBO_BACKEND").is_ok() {
         Backend::detect()

@@ -349,9 +349,7 @@ pub struct Equalizer {
     /// after the one-shot preamble correction; tracking follows it.
     track_block: Option<usize>,
     /// Kernel tier for the hot prediction/scoring loops. The Simd tier is
-    /// bit-identical to Scalar, and the decision kernels deliberately run
-    /// in f64 even under [`Backend::F32`] (DESIGN.md §13), so decisions are
-    /// backend-invariant.
+    /// bit-identical to Scalar, so decisions are backend-invariant.
     backend: Backend,
 }
 

@@ -19,11 +19,9 @@
 use crate::frame::Modulator;
 use crate::params::PhyConfig;
 use crate::synth::TagModel;
-use retroturbo_dsp::backend::C32;
 use retroturbo_dsp::linalg::{widely_linear_fit, WidelyLinearFit, WidelyLinearGram};
 use retroturbo_dsp::{Backend, Signal, C64};
 use retroturbo_telemetry as telemetry;
-use std::cell::RefCell;
 
 /// The fitted channel map `X ≈ α·Y + β·Y* + γ` and its inverse, used to
 /// correct received samples back into the reference frame.
@@ -83,18 +81,8 @@ pub struct PreambleDetector {
     /// Matches with a score above this are rejected (noise scores
     /// concentrate near 1 − 3/k; clean preambles near the noise floor).
     pub threshold: f64,
-    /// Kernel backend. `Scalar`/`Simd` are bit-identical; `F32` runs the
-    /// per-offset fit in reduced precision (detection is threshold-based,
-    /// so ULP-level score shifts do not move the decision; see DESIGN.md
-    /// §13 for the end-to-end BER gate).
+    /// Kernel backend. `Scalar`/`Simd` are bit-identical.
     backend: Backend,
-}
-
-std::thread_local! {
-    /// Scratch for the `F32` tier: the candidate window narrowed to f32,
-    /// reused across the offsets of a search. Thread-local (not a detector
-    /// field) so the detector stays `Sync` for the parallel packet loop.
-    static Y32_SCRATCH: RefCell<Vec<C32>> = const { RefCell::new(Vec::new()) };
 }
 
 impl PreambleDetector {
@@ -150,18 +138,10 @@ impl PreambleDetector {
     /// correction and the detection score. `None` if the window runs past
     /// the signal or is degenerate (zero variance).
     ///
-    /// Uses the Gram precomputed in [`Self::new`]; on the `Scalar` and
-    /// `Simd` tiers this is bit-identical to [`Self::fit_at_reference`]
-    /// (differential-tested). Under [`Backend::F32`] the fit runs in
-    /// reduced precision.
+    /// Uses the Gram precomputed in [`Self::new`]; on either tier this is
+    /// bit-identical to [`Self::fit_at_reference`] (differential-tested).
     pub fn fit_at(&self, rx: &Signal, offset: usize) -> Option<PreambleMatch> {
-        if self.backend == Backend::F32 {
-            self.fit_with(rx, offset, |x| {
-                Y32_SCRATCH.with(|y32| self.gram.fit_f32(x, &mut y32.borrow_mut()))
-            })
-        } else {
-            self.fit_with(rx, offset, |x| self.gram.fit_with(self.backend, x))
-        }
+        self.fit_with(rx, offset, |x| self.gram.fit_with(self.backend, x))
     }
 
     /// Oracle for [`Self::fit_at`]: re-solves the widely-linear fit from
@@ -454,30 +434,6 @@ mod tests {
         ns.add_awgn(sig.samples_mut(), 1.0);
         assert!(det.detect_in_reference(&sig, 0, sig.len()).is_none());
         assert!(det.detect_in(&sig, 0, sig.len()).is_none());
-    }
-
-    #[test]
-    fn f32_tier_finds_same_offset() {
-        // The reduced-precision tier is not bit-gated, but the detection
-        // decision (offset + threshold) must agree with f64 and the score
-        // must track to well under the threshold margin.
-        let det = PreambleDetector::new(&cfg(), &model());
-        let det32 = PreambleDetector::new(&cfg(), &model()).with_backend(Backend::F32);
-        let rx = make_rx(211, 1.1, 0.8, C64::new(0.1, 0.1), 0.05, 42);
-        let a = det.detect(&rx).expect("f64 missed");
-        let b = det32.detect(&rx).expect("f32 missed");
-        assert_eq!(a.offset, b.offset);
-        assert!(
-            (a.score - b.score).abs() < 1e-3,
-            "score drift {} vs {}",
-            a.score,
-            b.score
-        );
-        // Pure noise must still be rejected.
-        let mut sig = Signal::zeros(2000, cfg().fs);
-        let mut ns = retroturbo_dsp::noise::NoiseSource::new(9);
-        ns.add_awgn(sig.samples_mut(), 1.0);
-        assert!(det32.detect(&sig).is_none());
     }
 
     #[test]

@@ -106,10 +106,9 @@ impl Receiver {
     }
 
     /// Replace the kernel backend on every member stage (default:
-    /// [`Backend::detect`]). `Scalar` and `Simd` decode bit-identically;
-    /// `F32` is the reduced-precision sweep tier (decision kernels stay
-    /// f64 — see DESIGN.md §13). Applied after [`Self::new_cached`]'s cache,
-    /// so the cache key does not include it.
+    /// [`Backend::detect`]). `Scalar` and `Simd` decode bit-identically.
+    /// Applied after [`Self::new_cached`]'s cache, so the cache key does not
+    /// include it.
     pub fn with_backend(mut self, bk: Backend) -> Self {
         self.backend = bk;
         self.detector = self.detector.with_backend(bk);

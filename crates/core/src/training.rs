@@ -136,8 +136,7 @@ pub struct OnlineTrainer {
     /// `slot_class[g - start][module]` = class index active in that slot.
     slot_class: Vec<Vec<usize>>,
     /// Kernel tier for the refinement accumulation and Cholesky solve. The
-    /// Simd tier is bit-identical to Scalar; training stays in f64 even
-    /// under [`Backend::F32`] (it produces the decision-critical model).
+    /// Simd tier is bit-identical to Scalar.
     backend: Backend,
 }
 

@@ -1,6 +1,6 @@
 //! Multi-backend SIMD kernel layer with runtime dispatch (DESIGN.md §13).
 //!
-//! Three tiers, selected once per process (or explicitly per component):
+//! Two tiers, selected once per process (or explicitly per component):
 //!
 //! * [`Backend::Scalar`] — the existing scalar code paths everywhere. They
 //!   remain the **oracle**: every other tier is differential-tested against
@@ -15,15 +15,9 @@
 //!   use the `addsub` formulation, which performs exactly the scalar
 //!   `C64::mul` roundings. Bit-identity means the committed fixtures and all
 //!   `*_reference` differential tests pass unchanged under this tier.
-//! * [`Backend::F32`] — a reduced-precision tier for Monte-Carlo sweeps.
-//!   Not bit-gated: it is accepted via an end-to-end fig16a BER-delta gate
-//!   instead (see DESIGN.md §13). Covers the waveform-side kernels (panel
-//!   ODE, front-end filters, the preamble widely-linear fit); the decision
-//!   kernels (DFE scoring, training solves) intentionally stay on the f64
-//!   SIMD path.
 //!
 //! The process-wide default comes from [`Backend::detect`]: the
-//! `RETROTURBO_BACKEND` env var (`scalar` | `simd` | `f32` | `auto`) with
+//! `RETROTURBO_BACKEND` env var (`scalar` | `simd` | `auto`) with
 //! `auto` resolving to `Simd` when the CPU supports it. A `simd` request on
 //! a host without AVX2 degrades gracefully to `Scalar`.
 //!
@@ -46,16 +40,13 @@ pub enum Backend {
     Scalar,
     /// Explicit SIMD f64, bit-identical to `Scalar`.
     Simd,
-    /// Reduced-precision waveform kernels (BER-delta gated), f64 SIMD
-    /// elsewhere.
-    F32,
 }
 
 static DEFAULT_BACKEND: OnceLock<Backend> = OnceLock::new();
 
 impl Backend {
     /// Process-wide default backend: resolved once from `RETROTURBO_BACKEND`
-    /// (`scalar` | `simd` | `f32` | `auto`; unset = `auto`) and the CPU's
+    /// (`scalar` | `simd` | `auto`; unset = `auto`) and the CPU's
     /// detected features, then cached.
     pub fn detect() -> Backend {
         *DEFAULT_BACKEND.get_or_init(|| {
@@ -79,7 +70,6 @@ impl Backend {
     pub fn from_env_value(v: Option<&str>) -> Backend {
         match v.map(str::trim) {
             Some("scalar") => Backend::Scalar,
-            Some("f32") => Backend::F32,
             Some("simd") | Some("auto") | Some("") | None => {
                 if simd_available() {
                     Backend::Simd
@@ -87,9 +77,9 @@ impl Backend {
                     Backend::Scalar
                 }
             }
-            Some(other) => panic!(
-                "RETROTURBO_BACKEND: unknown value {other:?} (expected scalar|simd|f32|auto)"
-            ),
+            Some(other) => {
+                panic!("RETROTURBO_BACKEND: unknown value {other:?} (expected scalar|simd|auto)")
+            }
         }
     }
 
@@ -98,16 +88,14 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Simd => "simd",
-            Backend::F32 => "f32",
         }
     }
 
-    /// True when this tier runs the vector f64 kernels (both `Simd` and
-    /// `F32` do — `F32` only lowers precision on the waveform-side kernels)
-    /// *and* the CPU actually supports them.
+    /// True when this is the `Simd` tier *and* the CPU supports its vector
+    /// kernels.
     #[inline]
-    pub fn simd_f64(self) -> bool {
-        !matches!(self, Backend::Scalar) && simd_available()
+    pub fn simd_active(self) -> bool {
+        self == Backend::Simd && simd_available()
     }
 }
 
@@ -151,103 +139,6 @@ pub fn cpu_features() -> Vec<(&'static str, bool)> {
 }
 
 // ---------------------------------------------------------------------------
-// C32: the reduced-precision complex sample
-// ---------------------------------------------------------------------------
-
-/// A complex number with `f32` components — the working currency of the
-/// [`Backend::F32`] tier. `repr(C)` for the same lane-view reason as
-/// [`C64`].
-#[repr(C)]
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct C32 {
-    /// Real / in-phase part.
-    pub re: f32,
-    /// Imaginary / quadrature part.
-    pub im: f32,
-}
-
-impl C32 {
-    /// Construct from rectangular components.
-    #[inline]
-    pub const fn new(re: f32, im: f32) -> Self {
-        Self { re, im }
-    }
-
-    /// Squared magnitude.
-    #[inline]
-    pub fn norm_sqr(self) -> f32 {
-        self.re * self.re + self.im * self.im
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
-    /// Widen back to f64 precision.
-    #[inline]
-    pub fn to_c64(self) -> C64 {
-        C64::new(self.re as f64, self.im as f64)
-    }
-}
-
-impl From<C64> for C32 {
-    #[inline]
-    fn from(z: C64) -> Self {
-        Self::new(z.re as f32, z.im as f32)
-    }
-}
-
-impl std::ops::Add for C32 {
-    type Output = Self;
-    #[inline]
-    fn add(self, r: Self) -> Self {
-        Self::new(self.re + r.re, self.im + r.im)
-    }
-}
-
-impl std::ops::Sub for C32 {
-    type Output = Self;
-    #[inline]
-    fn sub(self, r: Self) -> Self {
-        Self::new(self.re - r.re, self.im - r.im)
-    }
-}
-
-impl std::ops::Mul for C32 {
-    type Output = Self;
-    #[inline]
-    fn mul(self, r: Self) -> Self {
-        Self::new(
-            self.re * r.re - self.im * r.im,
-            self.re * r.im + self.im * r.re,
-        )
-    }
-}
-
-impl std::ops::Mul<f32> for C32 {
-    type Output = Self;
-    #[inline]
-    fn mul(self, r: f32) -> Self {
-        Self::new(self.re * r, self.im * r)
-    }
-}
-
-impl std::ops::AddAssign for C32 {
-    #[inline]
-    fn add_assign(&mut self, r: Self) {
-        *self = *self + r;
-    }
-}
-
-/// Narrow a complex slice to f32, reusing `dst`'s allocation.
-pub fn narrow_c32(src: &[C64], dst: &mut Vec<C32>) {
-    dst.clear();
-    dst.extend(src.iter().map(|&z| C32::from(z)));
-}
-
-// ---------------------------------------------------------------------------
 // Dispatched f64 kernels (bit-identical contract)
 // ---------------------------------------------------------------------------
 
@@ -259,9 +150,9 @@ pub fn narrow_c32(src: &[C64], dst: &mut Vec<C32>) {
 #[inline]
 pub fn axpy_wr(bk: Backend, dst: &mut [C64], src: &[C64], w: f64) {
     assert_eq!(dst.len(), src.len(), "axpy_wr: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::axpy_wr(dst, src, w);
         }
@@ -283,9 +174,9 @@ pub fn axpy_wr(bk: Backend, dst: &mut [C64], src: &[C64], w: f64) {
 pub fn sub_energy(bk: Backend, out: &mut [C64], x: &[C64], p: &[C64]) -> f64 {
     assert_eq!(out.len(), x.len(), "sub_energy: length mismatch");
     assert_eq!(out.len(), p.len(), "sub_energy: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::sub_energy(out, x, p);
         }
@@ -311,9 +202,9 @@ pub fn sub_energy(bk: Backend, out: &mut [C64], x: &[C64], p: &[C64]) -> f64 {
 pub fn dot_conj2(bk: Backend, r: &[C64], d0: &[C64], d1: &[C64]) -> (C64, C64) {
     assert_eq!(r.len(), d0.len(), "dot_conj2: length mismatch");
     assert_eq!(r.len(), d1.len(), "dot_conj2: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::dot_conj2(r, d0, d1);
         }
@@ -338,9 +229,9 @@ pub fn dot_conj2(bk: Backend, r: &[C64], d0: &[C64], d1: &[C64]) -> (C64, C64) {
 pub fn dotc2(bk: Backend, a: &[C64], b0: &[C64], b1: &[C64], i0: C64, i1: C64) -> (C64, C64) {
     assert_eq!(a.len(), b0.len(), "dotc2: length mismatch");
     assert_eq!(a.len(), b1.len(), "dotc2: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::dotc2(a, b0, b1, i0, i1);
         }
@@ -364,9 +255,9 @@ pub fn ahy3(bk: Backend, r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64;
     assert_eq!(r0.len(), y.len(), "ahy3: length mismatch");
     assert_eq!(r1.len(), y.len(), "ahy3: length mismatch");
     assert_eq!(r2.len(), y.len(), "ahy3: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::ahy3(r0, r1, r2, y);
         }
@@ -389,9 +280,9 @@ pub fn ahy3(bk: Backend, r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64;
 #[inline]
 pub fn wl_fold_residual(bk: Backend, rows: &[C64], sol: &[C64; 3], y: &[C64]) -> f64 {
     assert_eq!(rows.len(), 3 * y.len(), "wl_fold_residual: shape mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::wl_fold_residual(rows, sol, y);
         }
@@ -425,9 +316,9 @@ pub fn chol_col_update(
         "chol_col_update: ragged rows"
     );
     assert!(prefix_j.len() >= j, "chol_col_update: short prefix");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::chol_col_update(below, n, j, prefix_j, inv_ljj);
         }
@@ -490,9 +381,9 @@ pub fn lc_rk2_contrib(
         .all(|&l| l == n),
         "lc_rk2_contrib: length mismatch"
     );
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::lc_rk2_contrib(
                 x,
@@ -568,118 +459,6 @@ fn lc_rk2_contrib_scalar(
     }
 }
 
-/// f32 variant of [`lc_rk2_contrib`] for the [`Backend::F32`] tier (8-wide
-/// AVX2 when available, scalar f32 otherwise). Not bit-gated.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn lc_rk2_contrib_f32(
-    x: &mut [f32],
-    u: &mut [f32],
-    drive_mask: &[u32],
-    w: &[f32],
-    inv_charge: &[f32],
-    inv_ready_up: &[f32],
-    inv_relax: &[f32],
-    inv_ready_down: &[f32],
-    delta: &[f32],
-    dt: f32,
-    contrib: &mut [f32],
-) {
-    let n = x.len();
-    assert!(
-        [
-            u.len(),
-            drive_mask.len(),
-            w.len(),
-            inv_charge.len(),
-            inv_ready_up.len(),
-            inv_relax.len(),
-            inv_ready_down.len(),
-            delta.len(),
-            contrib.len(),
-        ]
-        .iter()
-        .all(|&l| l == n),
-        "lc_rk2_contrib_f32: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_available() {
-        // SAFETY: AVX2 detected at runtime.
-        unsafe {
-            return avx2::lc_rk2_contrib_f32(
-                x,
-                u,
-                drive_mask,
-                w,
-                inv_charge,
-                inv_ready_up,
-                inv_relax,
-                inv_ready_down,
-                delta,
-                dt,
-                contrib,
-            );
-        }
-    }
-    lc_rk2_contrib_f32_scalar(
-        0..n,
-        x,
-        u,
-        drive_mask,
-        w,
-        inv_charge,
-        inv_ready_up,
-        inv_relax,
-        inv_ready_down,
-        delta,
-        dt,
-        contrib,
-    );
-}
-
-/// Scalar tail/fallback of [`lc_rk2_contrib_f32`], over an index range.
-#[allow(clippy::too_many_arguments)]
-fn lc_rk2_contrib_f32_scalar(
-    range: std::ops::Range<usize>,
-    x: &mut [f32],
-    u: &mut [f32],
-    drive_mask: &[u32],
-    w: &[f32],
-    inv_charge: &[f32],
-    inv_ready_up: &[f32],
-    inv_relax: &[f32],
-    inv_ready_down: &[f32],
-    delta: &[f32],
-    dt: f32,
-    contrib: &mut [f32],
-) {
-    let derivs = |xp: f32, up: f32, p: usize, on: bool| -> (f32, f32) {
-        if on {
-            (
-                (1.0 - xp) * up * inv_charge[p],
-                (1.0 - up) * inv_ready_up[p],
-            )
-        } else {
-            (
-                -xp * (1.0 - xp + delta[p]) * inv_relax[p],
-                -up * inv_ready_down[p],
-            )
-        }
-    };
-    for p in range {
-        let on = drive_mask[p] != 0;
-        let (dx1, du1) = derivs(x[p], u[p], p, on);
-        let mx = (x[p] + 0.5 * dt * dx1).clamp(0.0, 1.0);
-        let mu = (u[p] + 0.5 * dt * du1).clamp(0.0, 1.0);
-        let (dx2, du2) = derivs(mx, mu, p, on);
-        let xn = (x[p] + dt * dx2).clamp(0.0, 1.0);
-        let un = (u[p] + dt * du2).clamp(0.0, 1.0);
-        x[p] = xn;
-        u[p] = un;
-        contrib[p] = w[p] * (2.0 * xn - 1.0);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // FIR / biquad / decimator kernels
 // ---------------------------------------------------------------------------
@@ -693,9 +472,9 @@ fn lc_rk2_contrib_f32_scalar(
 /// Panics if `out.len() != x.len()`.
 pub fn fir_filter_into(bk: Backend, taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
     assert_eq!(out.len(), x.len(), "fir_filter_into: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::fir_filter(taps, x, d, out);
         }
@@ -725,25 +504,7 @@ fn fir_filter_scalar(
     }
 }
 
-/// f32 FIR for the [`Backend::F32`] tier (plain f32 loop; LLVM vectorizes
-/// the independent output chains well enough at this precision tier).
-pub fn fir_filter_f32_into(taps: &[f32], x: &[C32], d: usize, out: &mut [C32]) {
-    assert_eq!(out.len(), x.len(), "fir_filter_f32_into: length mismatch");
-    let n = x.len();
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut acc = C32::default();
-        for (k, &t) in taps.iter().enumerate() {
-            let idx = i as isize + d as isize - k as isize;
-            if idx >= 0 && (idx as usize) < n {
-                acc += x[idx as usize] * t;
-            }
-        }
-        *o = acc;
-    }
-}
-
-/// Normalized biquad coefficients (`a0 = 1`), shared by the f64 and f32
-/// filter kernels.
+/// Normalized biquad coefficients (`a0 = 1`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiquadCoeffs {
     /// Feed-forward taps.
@@ -767,7 +528,7 @@ pub struct BiquadCoeffs {
 /// Panics if `out.len() != x.len()`.
 pub fn biquad_filter_into(bk: Backend, c: &BiquadCoeffs, x: &[C64], out: &mut [C64]) -> (C64, C64) {
     assert_eq!(out.len(), x.len(), "biquad_filter_into: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is baseline on x86-64.
         unsafe {
@@ -784,29 +545,6 @@ pub fn biquad_filter_into(bk: Backend, c: &BiquadCoeffs, x: &[C64], out: &mut [C
     (z1, z2)
 }
 
-/// f32 biquad for the [`Backend::F32`] tier.
-pub fn biquad_filter_f32_into(c: &BiquadCoeffs, x: &[C32], out: &mut [C32]) {
-    assert_eq!(
-        out.len(),
-        x.len(),
-        "biquad_filter_f32_into: length mismatch"
-    );
-    let (b0, b1, b2, a1, a2) = (
-        c.b0 as f32,
-        c.b1 as f32,
-        c.b2 as f32,
-        c.a1 as f32,
-        c.a2 as f32,
-    );
-    let (mut z1, mut z2) = (C32::default(), C32::default());
-    for (o, &xi) in out.iter_mut().zip(x) {
-        let y = xi * b0 + z1;
-        z1 = xi * b1 - y * a1 + z2;
-        z2 = xi * b2 - y * a2;
-        *o = y;
-    }
-}
-
 /// Boxcar decimation by `m`: `out[o] = (Σ_{k<m} x[o·m + k]) / m`, summed in
 /// ascending order from complex zero. Outputs are independent chains,
 /// vectorized in pairs.
@@ -816,9 +554,9 @@ pub fn biquad_filter_f32_into(c: &BiquadCoeffs, x: &[C32], out: &mut [C32]) {
 pub fn decimate_into(bk: Backend, x: &[C64], m: usize, out: &mut [C64]) {
     assert!(m > 0, "decimate_into: factor must be >= 1");
     assert_eq!(out.len(), x.len() / m, "decimate_into: length mismatch");
-    if bk.simd_f64() {
+    if bk.simd_active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_f64() implies AVX2 was detected at runtime.
+        // SAFETY: simd_active() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::decimate(x, m, out);
         }
@@ -827,47 +565,6 @@ pub fn decimate_into(bk: Backend, x: &[C64], m: usize, out: &mut [C64]) {
     for (o, c) in out.iter_mut().zip(x.chunks_exact(m)) {
         *o = c.iter().copied().sum::<C64>().scale(inv);
     }
-}
-
-// ---------------------------------------------------------------------------
-// f32 widely-linear fit kernels (preamble detection under the F32 tier)
-// ---------------------------------------------------------------------------
-
-/// f32 [`ahy3`]: three row dots against a shared right vector.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn ahy3_f32(r0: &[C32], r1: &[C32], r2: &[C32], y: &[C32]) -> [C32; 3] {
-    assert_eq!(r0.len(), y.len(), "ahy3_f32: length mismatch");
-    assert_eq!(r1.len(), y.len(), "ahy3_f32: length mismatch");
-    assert_eq!(r2.len(), y.len(), "ahy3_f32: length mismatch");
-    let mut ahb = [C32::default(); 3];
-    for (((&a0, &a1), &a2), &yj) in r0.iter().zip(r1).zip(r2).zip(y) {
-        ahb[0] += a0 * yj;
-        ahb[1] += a1 * yj;
-        ahb[2] += a2 * yj;
-    }
-    ahb
-}
-
-/// f32 [`wl_fold_residual`].
-///
-/// # Panics
-/// Panics if `rows.len() != 3 * y.len()`.
-#[inline]
-pub fn wl_fold_residual_f32(rows: &[C32], sol: &[C32; 3], y: &[C32]) -> f32 {
-    assert_eq!(
-        rows.len(),
-        3 * y.len(),
-        "wl_fold_residual_f32: shape mismatch"
-    );
-    let mut residual = 0.0f32;
-    for (row, &yi) in rows.chunks_exact(3).zip(y) {
-        let f = C32::default() + row[0] * sol[0] + row[1] * sol[1] + row[2] * sol[2];
-        residual += (f - yi).norm_sqr();
-    }
-    residual
 }
 
 // ---------------------------------------------------------------------------
@@ -888,7 +585,7 @@ mod avx2 {
     //! * `max/min` only replace `clamp` where `NaN`/`−0.0` inputs are
     //!   unreachable (argued at the call sites).
 
-    use super::{BiquadCoeffs, C32};
+    use super::BiquadCoeffs;
     use crate::complex::C64;
     use std::arch::x86_64::*;
 
@@ -1225,85 +922,6 @@ mod avx2 {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lc_rk2_contrib_f32(
-        x: &mut [f32],
-        u: &mut [f32],
-        drive_mask: &[u32],
-        w: &[f32],
-        inv_charge: &[f32],
-        inv_ready_up: &[f32],
-        inv_relax: &[f32],
-        inv_ready_down: &[f32],
-        delta: &[f32],
-        dt: f32,
-        contrib: &mut [f32],
-    ) {
-        let n = x.len();
-        let one = _mm256_set1_ps(1.0);
-        let zero = _mm256_setzero_ps();
-        let sign = _mm256_set1_ps(-0.0);
-        let hdt = _mm256_set1_ps(0.5 * dt);
-        let dtv = _mm256_set1_ps(dt);
-        let clamp01 = |v: __m256| _mm256_min_ps(_mm256_max_ps(v, zero), one);
-        let mut p = 0;
-        while p + 8 <= n {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(p));
-            let uv = _mm256_loadu_ps(u.as_ptr().add(p));
-            let mask = _mm256_loadu_ps(drive_mask.as_ptr().add(p) as *const f32);
-            let icv = _mm256_loadu_ps(inv_charge.as_ptr().add(p));
-            let iuv = _mm256_loadu_ps(inv_ready_up.as_ptr().add(p));
-            let irv = _mm256_loadu_ps(inv_relax.as_ptr().add(p));
-            let idv = _mm256_loadu_ps(inv_ready_down.as_ptr().add(p));
-            let dev = _mm256_loadu_ps(delta.as_ptr().add(p));
-            let derivs = |xs: __m256, us: __m256| -> (__m256, __m256) {
-                let dx_on = _mm256_mul_ps(_mm256_mul_ps(_mm256_sub_ps(one, xs), us), icv);
-                let du_on = _mm256_mul_ps(_mm256_sub_ps(one, us), iuv);
-                let dx_off = _mm256_mul_ps(
-                    _mm256_mul_ps(
-                        _mm256_xor_ps(xs, sign),
-                        _mm256_add_ps(_mm256_sub_ps(one, xs), dev),
-                    ),
-                    irv,
-                );
-                let du_off = _mm256_mul_ps(_mm256_xor_ps(us, sign), idv);
-                (
-                    _mm256_blendv_ps(dx_off, dx_on, mask),
-                    _mm256_blendv_ps(du_off, du_on, mask),
-                )
-            };
-            let (dx1, du1) = derivs(xv, uv);
-            let mx = clamp01(_mm256_add_ps(xv, _mm256_mul_ps(hdt, dx1)));
-            let mu = clamp01(_mm256_add_ps(uv, _mm256_mul_ps(hdt, du1)));
-            let (dx2, du2) = derivs(mx, mu);
-            let xn = clamp01(_mm256_add_ps(xv, _mm256_mul_ps(dtv, dx2)));
-            let un = clamp01(_mm256_add_ps(uv, _mm256_mul_ps(dtv, du2)));
-            _mm256_storeu_ps(x.as_mut_ptr().add(p), xn);
-            _mm256_storeu_ps(u.as_mut_ptr().add(p), un);
-            let g = _mm256_sub_ps(_mm256_mul_ps(_mm256_set1_ps(2.0), xn), one);
-            _mm256_storeu_ps(
-                contrib.as_mut_ptr().add(p),
-                _mm256_mul_ps(_mm256_loadu_ps(w.as_ptr().add(p)), g),
-            );
-            p += 8;
-        }
-        super::lc_rk2_contrib_f32_scalar(
-            p..n,
-            x,
-            u,
-            drive_mask,
-            w,
-            inv_charge,
-            inv_ready_up,
-            inv_relax,
-            inv_ready_down,
-            delta,
-            dt,
-            contrib,
-        );
-    }
-
     #[target_feature(enable = "avx2")]
     pub unsafe fn fir_filter(taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
         let n = x.len();
@@ -1398,10 +1016,6 @@ mod avx2 {
             o += 1;
         }
     }
-
-    // Silence unused warnings for C32 import on future extensions.
-    #[allow(dead_code)]
-    fn _c32_marker(_: C32) {}
 }
 
 /// Sign-flip helper shared with the AVX2 module (kept here so the module can
@@ -1521,7 +1135,6 @@ mod tests {
     #[test]
     fn env_resolution() {
         assert_eq!(Backend::from_env_value(Some("scalar")), Backend::Scalar);
-        assert_eq!(Backend::from_env_value(Some("f32")), Backend::F32);
         let auto = Backend::from_env_value(None);
         assert_eq!(auto, Backend::from_env_value(Some("auto")));
         assert_eq!(auto, Backend::from_env_value(Some("simd")));
@@ -1536,6 +1149,14 @@ mod tests {
     #[should_panic(expected = "unknown value")]
     fn env_rejects_typos() {
         let _ = Backend::from_env_value(Some("sse9"));
+    }
+
+    /// The deleted reduced-precision tier's name must fail loudly, so a
+    /// stale script cannot silently run a different tier.
+    #[test]
+    #[should_panic(expected = "expected scalar|simd|auto")]
+    fn env_rejects_removed_f32_tier() {
+        let _ = Backend::from_env_value(Some("f32"));
     }
 
     #[test]
@@ -1758,34 +1379,6 @@ mod tests {
             for (a, b) in oa.iter().zip(&ob) {
                 assert_bits_eq(*a, *b, &format!("decimate m={m}"));
             }
-        }
-    }
-
-    #[test]
-    fn f32_kernels_track_f64_loosely() {
-        // The F32 tier is not bit-gated; sanity-check it stays close on
-        // well-scaled data.
-        let mut r = Lcg(31);
-        let n = 64;
-        let x64 = cvec(&mut r, n);
-        let y64 = cvec(&mut r, n);
-        let mut x32 = Vec::new();
-        let mut y32 = Vec::new();
-        narrow_c32(&x64, &mut x32);
-        narrow_c32(&y64, &mut y32);
-        let r0: Vec<C32> = x32.iter().map(|z| z.conj()).collect();
-        let r2 = vec![C32::new(1.0, 0.0); n];
-        let s32 = ahy3_f32(&r0, &x32, &r2, &y32);
-        let r0_64: Vec<C64> = x64.iter().map(|z| z.conj()).collect();
-        let r2_64 = vec![C64::new(1.0, 0.0); n];
-        let s64 = ahy3(Backend::Scalar, &r0_64, &x64, &r2_64, &y64);
-        for k in 0..3 {
-            assert!(
-                (s32[k].to_c64() - s64[k]).abs() < 1e-3 * (1.0 + s64[k].abs()),
-                "f32 ahy3[{k}] drifted: {:?} vs {}",
-                s32[k],
-                s64[k]
-            );
         }
     }
 }

@@ -107,24 +107,6 @@ impl Fir {
         y
     }
 
-    /// Reduced-precision convolution for the `F32` sweep tier (not
-    /// bit-gated; see DESIGN.md §13).
-    pub fn filter_f32(
-        &self,
-        x: &[crate::backend::C32],
-        taps32: &[f32],
-    ) -> Vec<crate::backend::C32> {
-        let mut y = vec![crate::backend::C32::default(); x.len()];
-        crate::backend::fir_filter_f32_into(taps32, x, self.group_delay(), &mut y);
-        y
-    }
-
-    /// The taps narrowed to f32, for [`Self::filter_f32`] callers that cache
-    /// them across buffers.
-    pub fn taps_f32(&self) -> Vec<f32> {
-        self.taps.iter().map(|&t| t as f32).collect()
-    }
-
     /// Magnitude response at frequency `f` (Hz) for sample rate `fs`.
     pub fn response_at(&self, f: f64, fs: f64) -> f64 {
         let w = 2.0 * std::f64::consts::PI * f / fs;

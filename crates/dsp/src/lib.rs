@@ -27,6 +27,6 @@ pub mod signal;
 pub mod stats;
 pub mod window;
 
-pub use backend::{Backend, C32};
+pub use backend::Backend;
 pub use complex::{C64, J};
 pub use signal::Signal;

@@ -14,7 +14,7 @@
 //! and one-sided Jacobi SVD — are the right tools; no external linear algebra
 //! crate is needed.
 
-use crate::backend::{self, Backend, C32};
+use crate::backend::{self, Backend};
 use crate::complex::C64;
 
 // ---------------------------------------------------------------------------
@@ -375,9 +375,7 @@ pub fn chol_solve_c(a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
 
 /// [`chol_solve_c`] with an explicit kernel backend. The SIMD column update
 /// is bit-identical to the scalar one (see [`crate::backend`]), so every
-/// caller gets the same factorization regardless of tier; the `F32` tier
-/// deliberately keeps this solve in f64 — it feeds decision-critical
-/// equalizer taps.
+/// caller gets the same factorization regardless of tier.
 pub fn chol_solve_c_with(bk: Backend, a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
     assert_eq!(a.rows(), a.cols(), "chol_solve_c: matrix must be square");
     assert_eq!(a.rows(), b.len(), "chol_solve_c: rhs length mismatch");
@@ -513,10 +511,6 @@ pub struct WidelyLinearGram {
     a: CMat,
     ah: CMat,
     aha_ridged: CMat,
-    /// f32 mirror of `a.data` (row-major n×3) for [`Self::fit_f32`].
-    a32: Vec<C32>,
-    /// f32 mirror of `ah.data` (3 rows of n) for [`Self::fit_f32`].
-    ah32: Vec<C32>,
 }
 
 impl WidelyLinearGram {
@@ -542,14 +536,10 @@ impl WidelyLinearGram {
         for i in 0..aha.rows() {
             aha[(i, i)] += C64::real(ridge);
         }
-        let a32 = a.data.iter().map(|&z| C32::from(z)).collect();
-        let ah32 = ah.data.iter().map(|&z| C32::from(z)).collect();
         Self {
             a,
             ah,
             aha_ridged: aha,
-            a32,
-            ah32,
         }
     }
 
@@ -592,35 +582,6 @@ impl WidelyLinearGram {
         // n-length temporary.
         let sol3 = [sol[0], sol[1], sol[2]];
         let residual = backend::wl_fold_residual(bk, &self.a.data, &sol3, y);
-        WidelyLinearFit {
-            a: sol[0],
-            b: sol[1],
-            c: sol[2],
-            residual,
-        }
-    }
-
-    /// Reduced-precision fit for the [`Backend::F32`] sweep tier: the n-long
-    /// `Aᴴy` and residual passes run in f32 against the precomputed f32
-    /// design mirrors; the 3×3 solve stays in f64 (it is O(1) and
-    /// conditioning-sensitive). **Not** bit-identical to [`Self::fit`] — the
-    /// tier is accepted by the end-to-end fig16a BER-delta gate instead
-    /// (DESIGN.md §13). `y32` is scratch for the narrowed window, reused
-    /// across calls.
-    ///
-    /// # Panics
-    /// Panics if `y.len() != self.n_samples()`.
-    pub fn fit_f32(&self, y: &[C64], y32: &mut Vec<C32>) -> WidelyLinearFit {
-        assert_eq!(y.len(), self.a.rows(), "WidelyLinearGram::fit_f32: length");
-        let n = y.len();
-        backend::narrow_c32(y, y32);
-        let (r0, r12) = self.ah32.split_at(n);
-        let (r1, r2) = r12.split_at(n);
-        let ahb32 = backend::ahy3_f32(r0, r1, r2, y32);
-        let ahb = [ahb32[0].to_c64(), ahb32[1].to_c64(), ahb32[2].to_c64()];
-        let sol = gauss_solve_c(&self.aha_ridged, &ahb).unwrap_or_else(|| vec![C64::default(); 3]);
-        let sol32 = [C32::from(sol[0]), C32::from(sol[1]), C32::from(sol[2])];
-        let residual = backend::wl_fold_residual_f32(&self.a32, &sol32, y32) as f64;
         WidelyLinearFit {
             a: sol[0],
             b: sol[1],

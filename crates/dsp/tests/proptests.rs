@@ -156,11 +156,9 @@ proptest! {
 // The Simd tier's contract is bit-identity with the Scalar tier over ANY
 // input, not just the committed fixtures — including denormal-magnitude
 // samples (where a flush-to-zero vector unit would diverge) and huge
-// magnitudes near the overflow edge. The F32 tier's contract is only loose
-// tracking, asserted here with a relative bound; its end-to-end accuracy
-// gate lives in the sim crate's BER-delta test.
+// magnitudes near the overflow edge.
 
-use retroturbo_dsp::backend::{self, Backend, BiquadCoeffs, C32};
+use retroturbo_dsp::backend::{self, Backend, BiquadCoeffs};
 use retroturbo_dsp::filter::{Biquad, Fir};
 
 /// A sample component spanning normal, denormal, zero, and huge magnitudes
@@ -263,47 +261,5 @@ proptest! {
         prop_assert_eq!(bits(&y_s), bits(&y_v));
         let r = decimate(&Signal::new(xs.clone(), 40_000.0), m);
         prop_assert_eq!(bits(r.samples()), bits(&y_s));
-    }
-
-    /// F32 tier: loose tracking only, on well-conditioned inputs — relative
-    /// error bounded by f32 epsilon headroom, never bit-compared.
-    #[test]
-    fn fir_f32_tracks_f64(
-        taps in proptest::collection::vec(-1.0f64..1.0, 1..24),
-        xs in proptest::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 1..96),
-    ) {
-        let xs: Vec<C64> = xs.into_iter().map(|(r, i)| C64::new(r, i)).collect();
-        let fir = Fir::new(taps);
-        let d = fir.group_delay();
-        let mut y64 = vec![C64::default(); xs.len()];
-        backend::fir_filter_into(Backend::Scalar, fir.taps(), &xs, d, &mut y64);
-        let mut x32: Vec<C32> = Vec::new();
-        backend::narrow_c32(&xs, &mut x32);
-        let y32 = fir.filter_f32(&x32, &fir.taps_f32());
-        let scale = y64.iter().map(|z| z.re.abs().max(z.im.abs())).fold(1.0, f64::max);
-        for (a, b) in y64.iter().zip(&y32) {
-            prop_assert!((a.re - b.re as f64).abs() <= 1e-3 * scale);
-            prop_assert!((a.im - b.im as f64).abs() <= 1e-3 * scale);
-        }
-    }
-
-    /// F32 biquad: same loose-tracking contract as the FIR.
-    #[test]
-    fn biquad_f32_tracks_f64(
-        c in biquad_coeffs(),
-        xs in proptest::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 1..96),
-    ) {
-        let xs: Vec<C64> = xs.into_iter().map(|(r, i)| C64::new(r, i)).collect();
-        let mut y64 = vec![C64::default(); xs.len()];
-        backend::biquad_filter_into(Backend::Scalar, &c, &xs, &mut y64);
-        let mut x32: Vec<C32> = Vec::new();
-        backend::narrow_c32(&xs, &mut x32);
-        let mut y32 = vec![C32::default(); xs.len()];
-        backend::biquad_filter_f32_into(&c, &x32, &mut y32);
-        let scale = y64.iter().map(|z| z.re.abs().max(z.im.abs())).fold(1.0, f64::max);
-        for (a, b) in y64.iter().zip(&y32) {
-            prop_assert!((a.re - b.re as f64).abs() <= 1e-2 * scale);
-            prop_assert!((a.im - b.im as f64).abs() <= 1e-2 * scale);
-        }
     }
 }

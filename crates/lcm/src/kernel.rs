@@ -64,17 +64,6 @@ pub struct PanelKernel {
     /// the reference's exact `acc += contrib[p]` order, so nothing changes
     /// bit-wise.
     contrib: Vec<f64>,
-    // --- reduced-precision mirrors for the F32 tier ---
-    x32: Vec<f32>,
-    u32: Vec<f32>,
-    drive_mask32: Vec<u32>,
-    weight32: Vec<f32>,
-    inv_charge32: Vec<f32>,
-    inv_ready_up32: Vec<f32>,
-    inv_relax32: Vec<f32>,
-    inv_ready_down32: Vec<f32>,
-    delta32: Vec<f32>,
-    contrib32: Vec<f32>,
     // --- construction-time snapshot for restore() ---
     snap_x: Vec<f64>,
     snap_u: Vec<f64>,
@@ -84,14 +73,10 @@ pub struct PanelKernel {
     /// this per module per sample).
     coeff: Vec<C64>,
     gain: Vec<f64>,
-    /// `coeff`/`gain` narrowed to f32 for the F32 module fold.
-    coeff32: Vec<(f32, f32)>,
-    gain32: Vec<f32>,
     /// Pixel range of module `m` is `pixel_start[m]..pixel_start[m + 1]`.
     pixel_start: Vec<usize>,
-    /// Kernel backend. `Scalar` and `Simd` are bit-identical to
-    /// [`Panel::simulate_reference`]; `F32` integrates the pixel ODEs in
-    /// reduced precision (8-wide) and is gated end-to-end, not bit-wise.
+    /// Kernel backend. Both tiers are bit-identical to
+    /// [`Panel::simulate_reference`].
     backend: Backend,
 }
 
@@ -114,23 +99,11 @@ impl PanelKernel {
             inv_ready_down: Vec::new(),
             delta: Vec::new(),
             contrib: Vec::new(),
-            x32: Vec::new(),
-            u32: Vec::new(),
-            drive_mask32: Vec::new(),
-            weight32: Vec::new(),
-            inv_charge32: Vec::new(),
-            inv_ready_up32: Vec::new(),
-            inv_relax32: Vec::new(),
-            inv_ready_down32: Vec::new(),
-            delta32: Vec::new(),
-            contrib32: Vec::new(),
             snap_x: Vec::new(),
             snap_u: Vec::new(),
             snap_driven: Vec::new(),
             coeff: Vec::with_capacity(n_modules),
             gain: Vec::with_capacity(n_modules),
-            coeff32: Vec::with_capacity(n_modules),
-            gain32: Vec::with_capacity(n_modules),
             pixel_start: Vec::with_capacity(n_modules + 1),
             backend: Backend::detect(),
         };
@@ -140,8 +113,6 @@ impl PanelKernel {
             let c = retroturbo_optics::axis(bank.angle, zero_axis);
             k.coeff.push(c);
             k.gain.push(bank.gain);
-            k.coeff32.push((c.re as f32, c.im as f32));
-            k.gain32.push(bank.gain as f32);
             for p in bank.pixels() {
                 k.x.push(p.state.x);
                 k.u.push(p.state.u);
@@ -157,18 +128,7 @@ impl PanelKernel {
             }
         }
         k.pixel_start.push(k.x.len());
-        let n = k.x.len();
-        k.contrib = vec![0.0; n];
-        k.x32 = k.x.iter().map(|&v| v as f32).collect();
-        k.u32 = k.u.iter().map(|&v| v as f32).collect();
-        k.drive_mask32 = k.drive_mask.iter().map(|&m| m as u32).collect();
-        k.weight32 = k.weight.iter().map(|&v| v as f32).collect();
-        k.inv_charge32 = k.inv_charge.iter().map(|&v| v as f32).collect();
-        k.inv_ready_up32 = k.inv_ready_up.iter().map(|&v| v as f32).collect();
-        k.inv_relax32 = k.inv_relax.iter().map(|&v| v as f32).collect();
-        k.inv_ready_down32 = k.inv_ready_down.iter().map(|&v| v as f32).collect();
-        k.delta32 = k.delta.iter().map(|&v| v as f32).collect();
-        k.contrib32 = vec![0.0; n];
+        k.contrib = vec![0.0; k.x.len()];
         k.snap_x = k.x.clone();
         k.snap_u = k.u.clone();
         k.snap_driven = k.driven.clone();
@@ -189,9 +149,6 @@ impl PanelKernel {
         self.driven.copy_from_slice(&self.snap_driven);
         for p in 0..self.driven.len() {
             self.drive_mask[p] = if self.driven[p] { u64::MAX } else { 0 };
-            self.drive_mask32[p] = self.drive_mask[p] as u32;
-            self.x32[p] = self.x[p] as f32;
-            self.u32[p] = self.u[p] as f32;
         }
     }
 
@@ -214,7 +171,6 @@ impl PanelKernel {
             let on = (level >> (bits - 1 - k)) & 1 == 1;
             self.driven[lo + k] = on;
             self.drive_mask[lo + k] = if on { u64::MAX } else { 0 };
-            self.drive_mask32[lo + k] = if on { u32::MAX } else { 0 };
         }
     }
 
@@ -247,14 +203,6 @@ impl PanelKernel {
             self.run_segment(s, seg_end, dt, out);
             s = seg_end;
         }
-        if self.backend == Backend::F32 {
-            // The F32 tier integrates in the f32 mirrors; widen back so
-            // `write_back` (and a later f64-tier run) sees the live state.
-            for p in 0..self.x.len() {
-                self.x[p] = self.x32[p] as f64;
-                self.u[p] = self.u32[p] as f64;
-            }
-        }
     }
 
     /// Branch-free run over `[s0, s1)` with the reference's exact
@@ -264,10 +212,6 @@ impl PanelKernel {
     /// (the reference pushes it) — never accumulated into, so a `−0.0`
     /// component survives bit-exactly.
     fn run_segment(&mut self, s0: usize, s1: usize, dt: f64, out: &mut [C64]) {
-        if self.backend == Backend::F32 {
-            self.run_segment_f32(s0, s1, dt as f32, out);
-            return;
-        }
         let n_modules = self.coeff.len();
         for o in &mut out[s0..s1] {
             // All pixels advance one RK2 step, staging `w·(2x−1)` per pixel.
@@ -300,40 +244,6 @@ impl PanelKernel {
                 z += self.coeff[m] * (self.gain[m] * acc);
             }
             *o = z;
-        }
-    }
-
-    /// Reduced-precision segment run: the pixel ODEs integrate in the f32
-    /// mirrors (twice the lanes per step) and the module fold runs in f32,
-    /// widening only the final sample. Not bit-gated — the sweep tier is
-    /// validated end-to-end by the fig16a BER-delta gate (DESIGN.md §13).
-    fn run_segment_f32(&mut self, s0: usize, s1: usize, dt: f32, out: &mut [C64]) {
-        let n_modules = self.coeff.len();
-        for o in &mut out[s0..s1] {
-            backend::lc_rk2_contrib_f32(
-                &mut self.x32,
-                &mut self.u32,
-                &self.drive_mask32,
-                &self.weight32,
-                &self.inv_charge32,
-                &self.inv_ready_up32,
-                &self.inv_relax32,
-                &self.inv_ready_down32,
-                &self.delta32,
-                dt,
-                &mut self.contrib32,
-            );
-            let (mut zr, mut zi) = (0.0f32, 0.0f32);
-            for m in 0..n_modules {
-                let mut acc = 0.0f32;
-                for p in self.pixel_start[m]..self.pixel_start[m + 1] {
-                    acc += self.contrib32[p];
-                }
-                let s = self.gain32[m] * acc;
-                zr += self.coeff32[m].0 * s;
-                zi += self.coeff32[m].1 * s;
-            }
-            *o = C64::new(zr as f64, zi as f64);
         }
     }
 
@@ -563,32 +473,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(sb(&ks), sb(&kv), "end state diverged");
-    }
-
-    #[test]
-    fn f32_tier_tracks_f64() {
-        let p = Panel::retroturbo(2, 4, LcParams::default(), Heterogeneity::typical(), 7);
-        let cmds = demo_commands();
-        let mut kf = PanelKernel::from_panel(&p).with_backend(Backend::Scalar);
-        let mut k32 = PanelKernel::from_panel(&p).with_backend(Backend::F32);
-        let mut a = vec![C64::new(0.0, 0.0); 900];
-        let mut b = a.clone();
-        kf.simulate_into(&cmds, FS, &mut a);
-        k32.simulate_into(&cmds, FS, &mut b);
-        // Outputs are O(1); f32 integration over ~1k steps stays within a
-        // few ULP-of-f32 per step of drift.
-        for (i, (za, zb)) in a.iter().zip(&b).enumerate() {
-            assert!(
-                (*za - *zb).abs() < 1e-3,
-                "sample {i}: f64 {za:?} vs f32 {zb:?}"
-            );
-        }
-        // restore() must reset the f32 mirrors too: a second run is
-        // bit-identical to the first.
-        k32.restore();
-        let mut c = vec![C64::new(0.0, 0.0); 900];
-        k32.simulate_into(&cmds, FS, &mut c);
-        assert_eq!(bits_of(&b), bits_of(&c));
     }
 
     #[test]

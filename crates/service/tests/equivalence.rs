@@ -11,6 +11,17 @@ use retroturbo_lcm::LcParams;
 use retroturbo_mac::{recover_with_quality, CodingChoice};
 use retroturbo_service::{loopback_phy, DecodeService, FrameScene, ServiceEvent, Testbed};
 use retroturbo_telemetry as telemetry;
+use std::sync::Mutex;
+
+/// The telemetry registry is process-global and every service run
+/// publishes into it; the fingerprint tests reset and read it, so every
+/// test in this binary serialises on this lock to keep concurrent runs
+/// from interleaving their counters.
+static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+
+fn registry_guard() -> std::sync::MutexGuard<'static, ()> {
+    REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// `(seq, offset, payload)` triples plus the telemetry fingerprint of one
 /// service run — the invariants the determinism tests compare across runs.
@@ -77,6 +88,7 @@ fn run_service(bed: &Testbed, frames: u64, workers: usize, chunk: usize) -> Vec<
 /// samples, across the loopback matrix corners, clean and noisy.
 #[test]
 fn service_matches_direct_receiver_bit_for_bit() {
+    let _registry = registry_guard();
     for &(l, p, snr) in &[(2usize, 4usize, f64::INFINITY), (2, 16, 40.0), (4, 4, 30.0)] {
         let bed = bed(l, p, snr);
         let frames = 4u64;
@@ -119,6 +131,7 @@ fn service_matches_direct_receiver_bit_for_bit() {
 /// pure function of the samples, not of scheduling.
 #[test]
 fn worker_count_is_invisible_in_results_and_telemetry() {
+    let _registry = registry_guard();
     let bed = bed(2, 4, 35.0);
     let frames = 6u64;
     let mut baseline: Option<RunDigest> = None;
@@ -150,6 +163,7 @@ fn worker_count_is_invisible_in_results_and_telemetry() {
 /// same events, same fingerprint.
 #[test]
 fn producer_chunking_is_invisible() {
+    let _registry = registry_guard();
     let bed = bed(2, 4, 35.0);
     let frames = 3u64;
     let mut baseline: Option<RunDigest> = None;
@@ -180,6 +194,7 @@ fn producer_chunking_is_invisible() {
 /// matches the direct quality-aware call on identical samples and mask.
 #[test]
 fn unreliable_spans_degrade_to_erasures_and_match_direct() {
+    let _registry = registry_guard();
     let bed = bed(2, 4, f64::INFINITY);
     let cfg = *bed.phy();
     let spt = cfg.samples_per_slot();
@@ -237,6 +252,7 @@ fn unreliable_spans_degrade_to_erasures_and_match_direct() {
 /// drops — never as silent corruption.
 #[test]
 fn ring_overrun_degrades_then_drops_but_never_skews() {
+    let _registry = registry_guard();
     let bed = bed(2, 4, 40.0);
     let frames = 5u64;
     let scene_len = bed.frame(0, RUN_SEED).samples.len();

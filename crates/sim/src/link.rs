@@ -8,7 +8,7 @@
 
 use crate::link_budget::LinkBudget;
 use crate::scene::Scene;
-use retroturbo_core::{Modulator, PhyConfig, Receiver, RxError};
+use retroturbo_core::{Modulator, PhyConfig, Receiver, RxError, RxResult};
 use retroturbo_dsp::noise::{sigma_for_snr, NoiseSource};
 use retroturbo_dsp::{Backend, Signal, C64};
 use retroturbo_lcm::{Heterogeneity, LcParams, Panel, PanelKernel};
@@ -41,6 +41,25 @@ impl PacketOutcome {
     }
 }
 
+/// Score one receive attempt against the sent payload: every payload bit
+/// counts as errored when the preamble is missed or the frame truncated.
+fn score_packet(rx: Result<RxResult, RxError>, bits: &[bool], snr_db: f64) -> PacketOutcome {
+    match rx {
+        Ok(r) => PacketOutcome {
+            bit_errors: r.bits.iter().zip(bits).filter(|(a, b)| a != b).count(),
+            bits: bits.len(),
+            detected: true,
+            snr_db,
+        },
+        Err(RxError::NoPreamble | RxError::Truncated) => PacketOutcome {
+            bit_errors: bits.len(),
+            bits: bits.len(),
+            detected: false,
+            snr_db,
+        },
+    }
+}
+
 /// Per-worker scratch for the allocation-free packet pipeline: the
 /// struct-of-arrays panel kernel (snapshot/restore replaces the per-packet
 /// panel clone) and the reusable channel buffer the waveform is rendered
@@ -70,8 +89,6 @@ pub struct LinkSimulator {
     receiver: Receiver,
     pristine_panel: Panel,
     seed: u64,
-    last_offset: Option<usize>,
-    last_symbols: Vec<retroturbo_core::PqamSymbol>,
     /// Lazily-built scratch reused by the single-packet entry points.
     scratch: Option<PacketScratch>,
     /// Kernel backend for the panel ODE and the receiver stages.
@@ -112,8 +129,6 @@ impl LinkSimulator {
             receiver: Receiver::new_cached(cfg, &params, s),
             pristine_panel: panel,
             seed,
-            last_offset: None,
-            last_symbols: Vec::new(),
             scratch: None,
             backend: Backend::detect(),
         }
@@ -121,8 +136,7 @@ impl LinkSimulator {
 
     /// Replace the kernel backend on the tag ODE kernel and every receiver
     /// stage (default: [`Backend::detect`], overridable process-wide via
-    /// `RETROTURBO_BACKEND`). `Scalar`/`Simd` are bit-identical; `F32` is
-    /// the reduced-precision sweep tier.
+    /// `RETROTURBO_BACKEND`). `Scalar`/`Simd` are bit-identical.
     pub fn with_backend(mut self, bk: Backend) -> Self {
         self.backend = bk;
         self.receiver = self.receiver.with_backend(bk);
@@ -155,12 +169,6 @@ impl LinkSimulator {
     /// The configuration in use.
     pub fn config(&self) -> &PhyConfig {
         &self.cfg
-    }
-
-    /// The kernel backend in use (for cache keys: the `F32` tier renders
-    /// different waveform bits than the bit-identical f64 tiers).
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Fingerprint of everything that shapes this simulator's *clean*
@@ -210,10 +218,8 @@ impl LinkSimulator {
     /// and data across packets.
     pub fn run_packet(&mut self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
         let mut scratch = self.scratch.take().unwrap_or_else(|| self.make_scratch());
-        let (outcome, offset, symbols) = self.run_packet_core(&mut scratch, bits, pkt_seed);
+        let outcome = self.run_packet_core(&mut scratch, bits, pkt_seed);
         self.scratch = Some(scratch);
-        self.last_offset = offset;
-        self.last_symbols = symbols;
         outcome
     }
 
@@ -225,7 +231,7 @@ impl LinkSimulator {
         bits: &[bool],
         pkt_seed: u64,
     ) -> PacketOutcome {
-        self.run_packet_core(scratch, bits, pkt_seed).0
+        self.run_packet_core(scratch, bits, pkt_seed)
     }
 
     /// The original per-packet pipeline: clone the pristine panel, run the
@@ -236,7 +242,7 @@ impl LinkSimulator {
     pub fn run_packet_reference(&self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
         let snr_db = self.effective_snr_db();
         let sig = self.synth_rx_reference(bits, pkt_seed);
-        self.decode(&sig, bits, snr_db).0
+        self.decode(&sig, bits, snr_db)
     }
 
     /// Synthesize one packet's received signal (tag ODE → channel → noise)
@@ -431,7 +437,7 @@ impl LinkSimulator {
         let sig = self.synth_rx_renoise(scratch, clean, unit_noise, pkt_seed);
         let out = self.decode(&sig, bits, snr_db);
         scratch.rx = sig.into_samples();
-        out.0
+        out
     }
 
     /// One packet through the end-to-end *scalar* pipeline: the allocating
@@ -445,23 +451,10 @@ impl LinkSimulator {
         let snr_db = self.effective_snr_db();
         let sig = self.synth_rx_reference(bits, pkt_seed);
         let spt = self.cfg.samples_per_slot();
-        match self
+        let rx = self
             .receiver
-            .receive_window_reference(&sig, 0, PAD + 2 * spt, bits.len())
-        {
-            Ok(r) => PacketOutcome {
-                bit_errors: r.bits.iter().zip(bits).filter(|(a, b)| a != b).count(),
-                bits: bits.len(),
-                detected: true,
-                snr_db,
-            },
-            Err(RxError::NoPreamble) | Err(RxError::Truncated) => PacketOutcome {
-                bit_errors: bits.len(),
-                bits: bits.len(),
-                detected: false,
-                snr_db,
-            },
-        }
+            .receive_window_reference(&sig, 0, PAD + 2 * spt, bits.len());
+        score_packet(rx, bits, snr_db)
     }
 
     /// The shareable packet pipeline: tag ODE → channel → receiver. Takes
@@ -472,11 +465,7 @@ impl LinkSimulator {
         scratch: &mut PacketScratch,
         bits: &[bool],
         pkt_seed: u64,
-    ) -> (
-        PacketOutcome,
-        Option<usize>,
-        Vec<retroturbo_core::PqamSymbol>,
-    ) {
+    ) -> PacketOutcome {
         let snr_db = self.effective_snr_db();
         let sig = self.synth_rx(scratch, bits, pkt_seed);
         let out = self.decode(&sig, bits, snr_db);
@@ -486,67 +475,12 @@ impl LinkSimulator {
     }
 
     /// Reader side: search near the known poll time and score the decode.
-    fn decode(
-        &self,
-        sig: &Signal,
-        bits: &[bool],
-        snr_db: f64,
-    ) -> (
-        PacketOutcome,
-        Option<usize>,
-        Vec<retroturbo_core::PqamSymbol>,
-    ) {
+    fn decode(&self, sig: &Signal, bits: &[bool], snr_db: f64) -> PacketOutcome {
         let spt = self.cfg.samples_per_slot();
-        match self
+        let rx = self
             .receiver
-            .receive_window(sig, 0, PAD + 2 * spt, bits.len())
-        {
-            Ok(r) => {
-                let errs = r.bits.iter().zip(bits).filter(|(a, b)| a != b).count();
-                (
-                    PacketOutcome {
-                        bit_errors: errs,
-                        bits: bits.len(),
-                        detected: true,
-                        snr_db,
-                    },
-                    Some(r.offset),
-                    r.symbols,
-                )
-            }
-            Err(RxError::NoPreamble) | Err(RxError::Truncated) => (
-                PacketOutcome {
-                    bit_errors: bits.len(),
-                    bits: bits.len(),
-                    detected: false,
-                    snr_db,
-                },
-                None,
-                Vec::new(),
-            ),
-        }
-    }
-
-    /// Debug helper: run one packet, returning (detected offset, bit errors).
-    #[doc(hidden)]
-    pub fn run_packet_debug(&mut self, bits: &[bool], pkt_seed: u64) -> (Option<usize>, usize) {
-        let o = self.run_packet(bits, pkt_seed);
-        (self.last_offset, o.bit_errors)
-    }
-
-    /// Debug helper: run one packet, returning (offset, bit errors, decided symbols).
-    #[doc(hidden)]
-    pub fn run_packet_symbols(
-        &mut self,
-        bits: &[bool],
-        pkt_seed: u64,
-    ) -> (Option<usize>, usize, Vec<retroturbo_core::PqamSymbol>) {
-        let o = self.run_packet(bits, pkt_seed);
-        (
-            self.last_offset,
-            o.bit_errors,
-            std::mem::take(&mut self.last_symbols),
-        )
+            .receive_window(sig, 0, PAD + 2 * spt, bits.len());
+        score_packet(rx, bits, snr_db)
     }
 
     /// Run `n_packets` packets of `payload_bytes` random payloads and return
@@ -571,7 +505,7 @@ impl LinkSimulator {
                 // routing through it keeps this loop and the cached-render
                 // sweep path on one payload derivation.
                 let bits = this.packet_bits(payload_bytes, p);
-                this.run_packet_core(scratch, &bits, p).0
+                this.run_packet_core(scratch, &bits, p)
             },
         );
         let errs: usize = outcomes.iter().map(|o| o.bit_errors).sum();

@@ -79,9 +79,6 @@ impl<F: Fn(usize, f64) -> LinkSimulator + Sync> SweepWorkload for FieldSweep<F> 
             sim.render_fingerprint(),
             self.n_packets as u64,
             self.payload_bytes as u64,
-            // The F32 tier renders different waveform bits than the
-            // (bit-identical) Scalar/Simd tiers — keep their caches apart.
-            sim.backend() as u64,
         ]))
     }
 

@@ -1,11 +1,10 @@
-//! End-to-end contracts of the backend tiers (DESIGN.md §13).
+//! End-to-end contract of the backend tiers (DESIGN.md §13).
 //!
 //! The Simd tier must be bit-identical to Scalar through the whole link —
 //! same received waveform bits, same decode outcomes — across the same
-//! scene matrix the fused/reference differential uses. The F32 tier is
-//! allowed to move individual samples, so its gate is statistical: the
-//! measured BER along a fig16a-shaped distance cut must stay within an
-//! absolute delta bound of the scalar tier's BER at every point.
+//! scene matrix the fused/reference differential uses. Because the tiers
+//! render the same bits, the sweep engine's render cache shares one key
+//! across them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,7 +12,8 @@ use retroturbo_core::PhyConfig;
 use retroturbo_dsp::{backend, Backend};
 use retroturbo_sim::link::LinkSimulator;
 use retroturbo_sim::scene::{AmbientLight, HumanMobility, Scene};
-use retroturbo_sim::LinkBudget;
+use retroturbo_sim::sweep::workloads::{BerOut, FieldOracle, FieldSweep};
+use retroturbo_sim::{GridPoint, LinkBudget, SweepWorkload};
 
 fn small_cfg() -> PhyConfig {
     PhyConfig {
@@ -89,37 +89,47 @@ fn simd_tier_bit_identical_across_scenes() {
     }
 }
 
-/// F32 tier BER-delta gate: along a fig16a-shaped distance cut, the F32
-/// tier's measured BER may differ from Scalar's by at most 0.02 absolute
-/// at every point. The bound is the tier's accuracy contract — the number
-/// quoted in DESIGN.md §13 — chosen with headroom over the measured worst
-/// case so the reduced-precision tier can never silently change a curve's
-/// shape (cliff location, error-floor height) beyond plotting resolution.
+fn tier_sweep(bk: Backend) -> FieldSweep<impl Fn(usize, f64) -> LinkSimulator + Sync> {
+    FieldSweep {
+        make: move |_, d| {
+            LinkSimulator::new(small_cfg(), LinkBudget::fov10(), Scene::default_at(d), 7)
+                .with_backend(bk)
+        },
+        n_packets: 3,
+        payload_bytes: 16,
+        oracle: FieldOracle::Fused,
+    }
+}
+
+fn ber_bits(o: &BerOut) -> (u64, u64) {
+    (o.ber.to_bits(), o.snr_db.to_bits())
+}
+
+/// One render key across tiers: a Scalar-backed and a Simd-backed field
+/// sweep fingerprint the same render, and a render cached by either tier
+/// measures to the same bits on both — as does the uncached path.
 #[test]
-fn f32_tier_ber_delta_within_bound_fig16a() {
-    let n_packets = 12;
-    let payload_bytes = 16;
-    for &d in &[4.0, 7.5, 9.0, 10.5] {
-        let mut sim_s = LinkSimulator::new(
-            PhyConfig::default_8kbps(),
-            LinkBudget::fov10(),
-            Scene::default_at(d),
-            7,
-        )
-        .with_backend(Backend::Scalar);
-        let mut sim_f = LinkSimulator::new(
-            PhyConfig::default_8kbps(),
-            LinkBudget::fov10(),
-            Scene::default_at(d),
-            7,
-        )
-        .with_backend(Backend::F32);
-        let ber_s = sim_s.run_ber(n_packets, payload_bytes);
-        let ber_f = sim_f.run_ber(n_packets, payload_bytes);
-        let delta = (ber_s - ber_f).abs();
-        assert!(
-            delta <= 0.02,
-            "d={d}m: |BER_f32 - BER_scalar| = {delta:.4} (scalar {ber_s:.4}, f32 {ber_f:.4}) exceeds 0.02"
-        );
+fn field_sweep_render_key_shared_across_tiers() {
+    let ws = tier_sweep(Backend::Scalar);
+    let wv = tier_sweep(Backend::Simd);
+    for (i, &d) in [2.0, 6.0, 9.0].iter().enumerate() {
+        let p = GridPoint {
+            curve: 0,
+            x: d,
+            seed: i as u64,
+            round: 0,
+        };
+        assert_eq!(ws.render_key(&p), wv.render_key(&p), "d={d}: render key");
+        let rs = ws.render(&p);
+        let rv = wv.render(&p);
+        let want = ber_bits(&ws.measure(&p, Some(&rs)));
+        for (what, got) in [
+            ("simd on scalar render", wv.measure(&p, Some(&rs))),
+            ("scalar on simd render", ws.measure(&p, Some(&rv))),
+            ("scalar uncached", ws.measure(&p, None)),
+            ("simd uncached", wv.measure(&p, None)),
+        ] {
+            assert_eq!(ber_bits(&got), want, "d={d}: {what}");
+        }
     }
 }
