@@ -663,8 +663,8 @@ fn main() {
             diverged.push("packet_waveform".into());
         }
         scratch.give_back(fused_sig.into_samples());
-        let of = sim.run_packet_with(&mut scratch, &pkt_bits, 2);
-        let or = sim.run_packet_reference(&pkt_bits, 2);
+        let of = sim.run_packet(&mut scratch, &pkt_bits, 2);
+        let or = sim.decode(&sim.synth_rx_reference(&pkt_bits, 2), &pkt_bits);
         if (of.bit_errors, of.bits, of.detected) != (or.bit_errors, or.bits, or.detected) {
             diverged.push("packet_outcome".into());
         }
@@ -674,10 +674,11 @@ fn main() {
         1,
         reps,
         || {
-            std::hint::black_box(sim.run_packet_reference(&pkt_bits, 3));
+            // Reference synthesis through the production decode.
+            std::hint::black_box(sim.decode(&sim.synth_rx_reference(&pkt_bits, 3), &pkt_bits));
         },
         || {
-            std::hint::black_box(sim.run_packet_with(&mut scratch, &pkt_bits, 3));
+            std::hint::black_box(sim.run_packet(&mut scratch, &pkt_bits, 3));
         },
     );
     records.push(Record {
@@ -702,7 +703,7 @@ fn main() {
     // --- Packet pipeline: explicit backend tiers --------------------------
     // Fresh simulators per tier (`with_backend` rewires the receiver and the
     // panel scratch factory); the scalar `sim` above is the baseline.
-    let o_scalar = sim.run_packet_with(&mut scratch, &pkt_bits, 2);
+    let o_scalar = sim.run_packet(&mut scratch, &pkt_bits, 2);
     if simd_rows {
         let sim_v = LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(3.0), 9)
             .with_backend(Backend::Simd);
@@ -714,7 +715,7 @@ fn main() {
         }
         scr_v.give_back(sv.into_samples());
         scratch.give_back(ss.into_samples());
-        let ov = sim_v.run_packet_with(&mut scr_v, &pkt_bits, 2);
+        let ov = sim_v.run_packet(&mut scr_v, &pkt_bits, 2);
         if (ov.bit_errors, ov.bits, ov.detected)
             != (o_scalar.bit_errors, o_scalar.bits, o_scalar.detected)
         {
@@ -724,10 +725,10 @@ fn main() {
             1,
             reps,
             || {
-                std::hint::black_box(sim.run_packet_with(&mut scratch, &pkt_bits, 3));
+                std::hint::black_box(sim.run_packet(&mut scratch, &pkt_bits, 3));
             },
             || {
-                std::hint::black_box(sim_v.run_packet_with(&mut scr_v, &pkt_bits, 3));
+                std::hint::black_box(sim_v.run_packet(&mut scr_v, &pkt_bits, 3));
             },
         );
         records.push(Record {

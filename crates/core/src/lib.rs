@@ -34,7 +34,8 @@
 //! let wave = TagModel::nominal(&cfg, &LcParams::default()).render_levels(&frame.levels);
 //!
 //! let rx = Receiver::new(cfg, &LcParams::default(), 2);
-//! let out = rx.receive(&Signal::new(wave, cfg.fs), bits.len()).unwrap();
+//! let sig = Signal::new(wave, cfg.fs);
+//! let out = rx.receive_window(&sig, 0, sig.len(), bits.len()).unwrap();
 //! assert_eq!(out.bits, bits);
 //! ```
 

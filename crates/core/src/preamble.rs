@@ -229,11 +229,6 @@ impl PreambleDetector {
         }
         best.filter(|b| b.score <= self.threshold)
     }
-
-    /// Search the entire signal.
-    pub fn detect(&self, rx: &Signal) -> Option<PreambleMatch> {
-        self.detect_in(rx, 0, rx.len())
-    }
 }
 
 /// Apply a preamble correction to a sample slice, producing the corrected
@@ -287,7 +282,7 @@ mod tests {
     fn finds_exact_offset_clean() {
         let det = PreambleDetector::new(&cfg(), &model());
         let rx = make_rx(137, 0.0, 1.0, C64::default(), 0.0, 0);
-        let m = det.detect(&rx).expect("no match");
+        let m = det.detect_in(&rx, 0, rx.len()).expect("no match");
         assert_eq!(m.offset, 137);
         assert!(m.score < 1e-6);
     }
@@ -299,7 +294,7 @@ mod tests {
         let rot = 2.0 * 35f64.to_radians();
         let dc = C64::new(0.2, -0.1);
         let rx = make_rx(80, rot, 0.3, dc, 0.0, 0);
-        let m = det.detect(&rx).expect("no match");
+        let m = det.detect_in(&rx, 0, rx.len()).expect("no match");
         assert_eq!(m.offset, 80);
         // The inverse map must restore the transmitted preamble exactly.
         let y = model().render_levels(&Modulator::preamble_levels(&cfg()));
@@ -334,7 +329,9 @@ mod tests {
     fn tolerates_noise() {
         let det = PreambleDetector::new(&cfg(), &model());
         let rx = make_rx(211, 1.1, 0.8, C64::new(0.1, 0.1), 0.05, 42);
-        let m = det.detect(&rx).expect("no match under noise");
+        let m = det
+            .detect_in(&rx, 0, rx.len())
+            .expect("no match under noise");
         assert!(
             (m.offset as isize - 211).unsigned_abs() <= 1,
             "offset {} (expected ≈211)",
@@ -349,7 +346,7 @@ mod tests {
         // demodulation threshold, so detection never limits the link.
         let det = PreambleDetector::new(&cfg(), &model());
         let rx = make_rx(400, 0.3, 1.0, C64::default(), 0.316, 11);
-        let m = det.detect(&rx).expect("no match at 10 dB");
+        let m = det.detect_in(&rx, 0, rx.len()).expect("no match at 10 dB");
         assert!(
             (m.offset as isize - 400).unsigned_abs() <= 2,
             "offset {} (expected ≈400)",
@@ -377,7 +374,10 @@ mod tests {
         let mut sig = Signal::zeros(4000, cfg().fs);
         let mut ns = retroturbo_dsp::noise::NoiseSource::new(9);
         ns.add_awgn(sig.samples_mut(), 1.0);
-        assert!(det.detect(&sig).is_none(), "matched pure noise");
+        assert!(
+            det.detect_in(&sig, 0, sig.len()).is_none(),
+            "matched pure noise"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::constellation::PqamSymbol;
 use crate::dfe::Equalizer;
 use crate::frame::Modulator;
 use crate::params::PhyConfig;
-use crate::preamble::{correct, PreambleCorrection, PreambleDetector};
+use crate::preamble::{correct, PreambleCorrection, PreambleDetector, PreambleMatch};
 use crate::synth::TagModel;
 use crate::training::{OfflineTraining, OnlineTrainer};
 use retroturbo_dsp::{Backend, Signal};
@@ -57,6 +57,22 @@ pub struct RxResult {
     /// exposed so callers can reconstruct this frame's contribution to a
     /// multi-tag mixture (successive interference cancellation).
     pub channel: PreambleCorrection,
+}
+
+impl RxResult {
+    /// [`Self::erasures`] expanded to one flag per demapped bit: bit `j`
+    /// is an erasure iff its symbol `j / bits_per_symbol` is. This is the
+    /// per-bit mask `recover_with_quality` takes.
+    pub fn bit_erasures(&self, bits_per_symbol: usize) -> Vec<bool> {
+        (0..self.bits.len())
+            .map(|j| {
+                self.erasures
+                    .get(j / bits_per_symbol)
+                    .copied()
+                    .unwrap_or(false)
+            })
+            .collect()
+    }
 }
 
 /// The RetroTurbo receiver.
@@ -217,18 +233,9 @@ impl Receiver {
         self.detector.span()
     }
 
-    /// Receive one frame: blind preamble search over the whole signal, then
-    /// the full decode chain (training, DFE, demap) at the detected offset.
-    pub fn receive(&self, rx: &Signal, n_bits: usize) -> Result<RxResult, RxError> {
-        let m = {
-            let _t = telemetry::span("rx.detect");
-            self.detector.detect(rx).ok_or(RxError::NoPreamble)?
-        };
-        self.decode_at(rx, m.offset, m, n_bits)
-    }
-
     /// Receive with the preamble search restricted to sample offsets
     /// `[from, to)` — the reader knows roughly when a polled tag responds.
+    /// Pass `(0, rx.len())` for a blind search over the whole signal.
     pub fn receive_window(
         &self,
         rx: &Signal,
@@ -242,59 +249,31 @@ impl Receiver {
                 .detect_in(rx, from, to)
                 .ok_or(RxError::NoPreamble)?
         };
-        self.decode_at(rx, m.offset, m, n_bits)
+        self.decode(rx, m, n_bits, &[], false)
     }
 
     /// Receive assuming the frame starts exactly at `offset`: the preamble
     /// fit runs there unconditionally (no detection threshold — the caller
-    /// asserts the frame position, e.g. a TDMA slot).
+    /// asserts the frame position, e.g. a TDMA slot or a framer hit from
+    /// [`Self::detect_preamble`]).
+    ///
+    /// `unreliable[i]` flags input sample `i` as untrustworthy (ADC rail
+    /// hit, blockage span, interference burst — conditions the front end
+    /// can observe directly). Payload slots where at least a quarter of the
+    /// samples are flagged are reported as erasures in
+    /// [`RxResult::erasures`], so an outer errors-and-erasures code gets
+    /// locations, not just wrong bits. The mask may be shorter than the
+    /// signal; missing entries count as reliable, so `&[]` means "no
+    /// erasures".
     pub fn receive_at(
         &self,
         rx: &Signal,
         offset: usize,
         n_bits: usize,
-    ) -> Result<RxResult, RxError> {
-        let m = self.detector.fit_at(rx, offset).ok_or(RxError::Truncated)?;
-        self.decode_at(rx, offset, m, n_bits)
-    }
-
-    /// [`Self::receive_at`] with per-sample confidence: `unreliable[i]`
-    /// flags input sample `i` as untrustworthy (ADC rail hit, blockage span,
-    /// interference burst — conditions the front end can observe directly).
-    /// Payload slots where at least a quarter of the samples are flagged are
-    /// reported as erasures in [`RxResult::erasures`], so an outer
-    /// errors-and-erasures code gets locations, not just wrong bits.
-    ///
-    /// `unreliable` may be shorter than the signal; missing entries count as
-    /// reliable.
-    pub fn receive_at_with_quality(
-        &self,
-        rx: &Signal,
-        offset: usize,
-        n_bits: usize,
         unreliable: &[bool],
     ) -> Result<RxResult, RxError> {
         let m = self.detector.fit_at(rx, offset).ok_or(RxError::Truncated)?;
-        self.decode_at_masked(rx, offset, m, n_bits, Some(unreliable))
-    }
-
-    /// [`Self::receive_window`] with per-sample confidence (see
-    /// [`Self::receive_at_with_quality`]).
-    pub fn receive_window_with_quality(
-        &self,
-        rx: &Signal,
-        from: usize,
-        to: usize,
-        n_bits: usize,
-        unreliable: &[bool],
-    ) -> Result<RxResult, RxError> {
-        let m = {
-            let _t = telemetry::span("rx.detect");
-            self.detector
-                .detect_in(rx, from, to)
-                .ok_or(RxError::NoPreamble)?
-        };
-        self.decode_at_masked(rx, m.offset, m, n_bits, Some(unreliable))
+        self.decode(rx, m, n_bits, unreliable, false)
     }
 
     /// [`Self::receive_window`] composed entirely from the retained scalar
@@ -319,41 +298,22 @@ impl Receiver {
                 .detect_in_reference(rx, from, to)
                 .ok_or(RxError::NoPreamble)?
         };
-        self.decode_at_masked_impl(rx, m.offset, m, n_bits, None, true)
+        self.decode(rx, m, n_bits, &[], true)
     }
 
-    fn decode_at(
+    /// The one decode body behind every entry point: correct, train,
+    /// equalize and demap the frame the preamble match `m` anchors.
+    /// `reference` routes training and equalization through the scalar
+    /// reference kernels (same decisions, no fast paths).
+    fn decode(
         &self,
         rx: &Signal,
-        offset: usize,
-        m: crate::preamble::PreambleMatch,
+        m: PreambleMatch,
         n_bits: usize,
-    ) -> Result<RxResult, RxError> {
-        self.decode_at_masked(rx, offset, m, n_bits, None)
-    }
-
-    fn decode_at_masked(
-        &self,
-        rx: &Signal,
-        offset: usize,
-        m: crate::preamble::PreambleMatch,
-        n_bits: usize,
-        unreliable: Option<&[bool]>,
-    ) -> Result<RxResult, RxError> {
-        self.decode_at_masked_impl(rx, offset, m, n_bits, unreliable, false)
-    }
-
-    /// Shared decode body; `reference` routes training and equalization
-    /// through the scalar reference kernels (same decisions, no fast paths).
-    fn decode_at_masked_impl(
-        &self,
-        rx: &Signal,
-        offset: usize,
-        m: crate::preamble::PreambleMatch,
-        n_bits: usize,
-        unreliable: Option<&[bool]>,
+        unreliable: &[bool],
         reference: bool,
     ) -> Result<RxResult, RxError> {
+        let offset = m.offset;
         let spt = self.cfg.samples_per_slot();
         let bps = self.cfg.bits_per_symbol();
         let n_payload = n_bits.div_ceil(bps);
@@ -400,22 +360,19 @@ impl Receiver {
             let _t = telemetry::span("rx.demap");
             self.modulator.demap(&symbols, n_bits)
         };
-        let erasures = match unreliable {
-            None => vec![false; n_payload],
-            Some(mask) => (0..n_payload)
-                .map(|s| {
-                    let start = offset + (prefix_slots + s) * spt;
-                    let flagged = (start..start + spt)
-                        .filter(|&i| mask.get(i).copied().unwrap_or(false))
-                        .count();
-                    // A quarter-slot outage is enough to corrupt the symbol
-                    // decision; flagging generously is cheap because an
-                    // erasure costs the outer code half of what an
-                    // undetected error does.
-                    4 * flagged >= spt
-                })
-                .collect(),
-        };
+        let erasures: Vec<bool> = (0..n_payload)
+            .map(|s| {
+                let start = offset + (prefix_slots + s) * spt;
+                let flagged = (start..start + spt)
+                    .filter(|&i| unreliable.get(i).copied().unwrap_or(false))
+                    .count();
+                // A quarter-slot outage is enough to corrupt the symbol
+                // decision; flagging generously is cheap because an
+                // erasure costs the outer code half of what an undetected
+                // error does.
+                4 * flagged >= spt
+            })
+            .collect();
         telemetry::counter_inc("rx.frames");
         telemetry::counter_add("rx.symbols", n_payload as u64);
         telemetry::counter_add(
@@ -491,7 +448,8 @@ mod tests {
         }
 
         let rx = Receiver::new(c, &LcParams::default(), 3);
-        rx.receive(&sig, bits.len()).map(|r| r.bits)
+        rx.receive_window(&sig, 0, sig.len(), bits.len())
+            .map(|r| r.bits)
     }
 
     #[test]
@@ -524,7 +482,10 @@ mod tests {
         let mut sig = Signal::zeros(8000, c.fs);
         let mut ns = NoiseSource::new(3);
         ns.add_awgn(sig.samples_mut(), 0.5);
-        assert_eq!(rx.receive(&sig, 32).unwrap_err(), RxError::NoPreamble);
+        assert_eq!(
+            rx.receive_window(&sig, 0, sig.len(), 32).unwrap_err(),
+            RxError::NoPreamble
+        );
     }
 
     #[test]
@@ -540,7 +501,8 @@ mod tests {
         let sig = Signal::new(wave[..cut].to_vec(), c.fs);
         let rx = Receiver::new(c, &LcParams::default(), 2);
         assert_eq!(
-            rx.receive(&sig, bits.len()).unwrap_err(),
+            rx.receive_window(&sig, 0, sig.len(), bits.len())
+                .unwrap_err(),
             RxError::Truncated
         );
     }
@@ -556,7 +518,7 @@ mod tests {
         let sig = Signal::new(wave, c.fs);
         let mut rx = Receiver::new(c, &LcParams::default(), 2);
         rx.online_training = false;
-        let out = rx.receive(&sig, bits.len()).unwrap();
+        let out = rx.receive_window(&sig, 0, sig.len(), bits.len()).unwrap();
         assert_eq!(out.bits, bits);
         assert_eq!(out.offset, 0);
     }
@@ -573,28 +535,39 @@ mod tests {
     fn quality_mask_flags_covered_slots_as_erasures() {
         let c = cfg();
         let m = Modulator::new(c);
-        let bits: Vec<bool> = (0..40).map(|i| i % 3 == 0).collect();
-        let frame = m.modulate(&bits);
-        let model = TagModel::nominal(&c, &LcParams::default());
-        let wave = model.render_levels(&frame.levels);
-        let sig = Signal::new(wave, c.fs);
         let rx = Receiver::new(c, &LcParams::default(), 2);
-
         let spt = c.samples_per_slot();
         let prefix = c.preamble_slots + c.training_rounds * c.l_order;
-        let mut mask = vec![false; sig.len()];
-        // Fully cover payload slot 2, half-cover slot 5, an eighth of slot 7.
-        mask[(prefix + 2) * spt..(prefix + 3) * spt].fill(true);
-        mask[(prefix + 5) * spt..(prefix + 5) * spt + spt / 2].fill(true);
-        mask[(prefix + 7) * spt..(prefix + 7) * spt + spt / 8].fill(true);
-        let out = rx
-            .receive_at_with_quality(&sig, 0, bits.len(), &mask)
-            .unwrap();
-        assert_eq!(out.erasures.len(), 10); // 40 bits / 4 per symbol
-        assert!(out.erasures[2], "fully-blocked slot not flagged");
-        assert!(out.erasures[5], "half-blocked slot not flagged");
-        assert!(!out.erasures[7], "an eighth of a slot should not erase it");
-        assert!(!out.erasures[0] && !out.erasures[9]);
+        let bps = c.bits_per_symbol();
+        // 40 bits fill 10 symbols exactly; 42 bits leave the 11th partial.
+        for n_bits in [40usize, 42] {
+            let bits: Vec<bool> = (0..n_bits).map(|i| i % 3 == 0).collect();
+            let frame = m.modulate(&bits);
+            let model = TagModel::nominal(&c, &LcParams::default());
+            let sig = Signal::new(model.render_levels(&frame.levels), c.fs);
+
+            let mut mask = vec![false; sig.len()];
+            // Fully cover payload slot 2, half-cover slot 5, an eighth of
+            // slot 7, and fully cover the last slot.
+            let n_syms = n_bits.div_ceil(bps);
+            mask[(prefix + 2) * spt..(prefix + 3) * spt].fill(true);
+            mask[(prefix + 5) * spt..(prefix + 5) * spt + spt / 2].fill(true);
+            mask[(prefix + 7) * spt..(prefix + 7) * spt + spt / 8].fill(true);
+            mask[(prefix + n_syms - 1) * spt..(prefix + n_syms) * spt].fill(true);
+            let out = rx.receive_at(&sig, 0, bits.len(), &mask).unwrap();
+            assert_eq!(out.erasures.len(), n_syms, "{n_bits} bits");
+            assert!(out.erasures[2], "fully-blocked slot not flagged");
+            assert!(out.erasures[5], "half-blocked slot not flagged");
+            assert!(!out.erasures[7], "an eighth of a slot should not erase it");
+            assert!(!out.erasures[0] && !out.erasures[8]);
+            assert!(out.erasures[n_syms - 1], "last slot not flagged");
+
+            let per_bit = out.bit_erasures(bps);
+            assert_eq!(per_bit.len(), out.bits.len(), "{n_bits} bits");
+            for (j, &e) in per_bit.iter().enumerate() {
+                assert_eq!(e, out.erasures[j / bps], "{n_bits} bits: bit {j}");
+            }
+        }
     }
 
     #[test]
@@ -604,14 +577,40 @@ mod tests {
         let bits: Vec<bool> = (0..40).map(|i| i % 2 == 1).collect();
         let frame = m.modulate(&bits);
         let model = TagModel::nominal(&c, &LcParams::default());
-        let sig = Signal::new(model.render_levels(&frame.levels), c.fs);
+        // A rest-level guard before the frame, so the found offset is not 0.
+        let mut samples = vec![C64::new(-1.0, -1.0); 37];
+        samples.extend(model.render_levels(&frame.levels));
+        let sig = Signal::new(samples, c.fs);
         let rx = Receiver::new(c, &LcParams::default(), 2);
-        let plain = rx.receive_at(&sig, 0, bits.len()).unwrap();
-        let masked = rx
-            .receive_at_with_quality(&sig, 0, bits.len(), &[])
+
+        let window = rx.receive_window(&sig, 0, sig.len(), bits.len()).unwrap();
+        let (found, score) = rx.detect_preamble(&sig, 0, sig.len()).unwrap();
+        assert_eq!(window.offset, found);
+        assert_eq!(window.preamble_residual.to_bits(), score.to_bits());
+
+        let plain = rx.receive_at(&sig, found, bits.len(), &[]).unwrap();
+        let all_false = rx
+            .receive_at(&sig, found, bits.len(), &vec![false; sig.len()])
             .unwrap();
-        assert_eq!(plain.bits, masked.bits);
+        let ch = |r: &RxResult| {
+            [r.channel.alpha, r.channel.beta, r.channel.gamma]
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        };
+        // The two receive forms and both spellings of "no erasures" run one
+        // decode body, so they agree bit for bit.
+        for other in [&all_false, &window] {
+            assert_eq!(plain.offset, other.offset);
+            assert_eq!(plain.symbols, other.symbols);
+            assert_eq!(plain.bits, other.bits);
+            assert_eq!(plain.erasures, other.erasures);
+            assert_eq!(
+                plain.preamble_residual.to_bits(),
+                other.preamble_residual.to_bits()
+            );
+            assert_eq!(ch(&plain), ch(other));
+        }
+        assert_eq!(plain.bits, bits);
+        assert_eq!(plain.offset, 37);
         assert!(plain.erasures.iter().all(|&e| !e));
-        assert!(masked.erasures.iter().all(|&e| !e));
     }
 }

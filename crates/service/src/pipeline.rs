@@ -657,7 +657,7 @@ fn run_worker(
     while frame_q.pop_batch(cfg.batch, &mut batch) > 0 {
         for task in batch.drain(..) {
             let sig = Signal::new(task.samples, cfg.phy.fs);
-            let demod = rx.receive_at_with_quality(&sig, task.rel_off, cfg.n_bits, &task.mask);
+            let demod = rx.receive_at(&sig, task.rel_off, cfg.n_bits, &task.mask);
             let r = match demod {
                 Ok(r) => r,
                 Err(_) => {
@@ -665,10 +665,7 @@ fn run_worker(
                     continue;
                 }
             };
-            // Per-symbol erasure flags → the per-bit mask the MAC eats.
-            let bit_mask: Vec<bool> = (0..r.bits.len())
-                .map(|j| r.erasures.get(j / bps).copied().unwrap_or(false))
-                .collect();
+            let bit_mask = r.bit_erasures(bps);
             let rec = recover_with_quality(
                 &r.bits,
                 &bit_mask,

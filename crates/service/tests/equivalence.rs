@@ -5,7 +5,7 @@
 //! invariant across worker counts (the counters the service publishes are
 //! all pure functions of the sample stream).
 
-use retroturbo_core::Receiver;
+use retroturbo_core::{Receiver, RxResult};
 use retroturbo_dsp::{Signal, C64};
 use retroturbo_lcm::LcParams;
 use retroturbo_mac::{recover_with_quality, CodingChoice};
@@ -36,20 +36,23 @@ fn bed(l: usize, p: usize, snr_db: f64) -> Testbed {
     Testbed::new(loopback_phy(l, p), PAYLOAD_LEN, Some(CODING), SCRAMBLE).with_snr(snr_db)
 }
 
-/// Decode one scene the direct, non-streaming way: whole-signal preamble
-/// search, quality-aware decode, MAC recovery.
+/// Decode one scene the direct, non-streaming way the service's stages
+/// compose it: whole-signal preamble search, quality-aware decode at the
+/// found offset, MAC recovery.
+fn direct_receive(rx: &Receiver, sig: &Signal, n_bits: usize, mask: &[bool]) -> RxResult {
+    let (offset, _) = rx
+        .detect_preamble(sig, 0, sig.len())
+        .expect("direct detect failed");
+    rx.receive_at(sig, offset, n_bits, mask)
+        .expect("direct decode failed")
+}
+
 fn direct_decode(bed: &Testbed, scene: &FrameScene) -> (usize, Vec<bool>, Vec<u8>) {
     let cfg = *bed.phy();
     let rx = Receiver::new_cached(cfg, &LcParams::default(), 1);
     let sig = Signal::new(scene.samples.clone(), cfg.fs);
-    let mask = vec![false; sig.len()];
-    let r = rx
-        .receive_window_with_quality(&sig, 0, sig.len(), scene.bits.len(), &mask)
-        .expect("direct decode failed");
-    let bps = cfg.bits_per_symbol();
-    let bit_mask: Vec<bool> = (0..r.bits.len())
-        .map(|j| r.erasures.get(j / bps).copied().unwrap_or(false))
-        .collect();
+    let r = direct_receive(&rx, &sig, scene.bits.len(), &[]);
+    let bit_mask = r.bit_erasures(cfg.bits_per_symbol());
     let rep = recover_with_quality(&r.bits, &bit_mask, PAYLOAD_LEN, Some(CODING), SCRAMBLE)
         .expect("direct recover failed");
     (r.offset, r.bits, rep.payload)
@@ -211,13 +214,8 @@ fn unreliable_spans_degrade_to_erasures_and_match_direct() {
     // Direct quality-aware decode on the damaged samples.
     let rx = Receiver::new_cached(cfg, &LcParams::default(), 1);
     let sig = Signal::new(scene.samples.clone(), cfg.fs);
-    let r = rx
-        .receive_window_with_quality(&sig, 0, sig.len(), scene.bits.len(), &mask)
-        .expect("direct decode");
-    let bps = cfg.bits_per_symbol();
-    let bit_mask: Vec<bool> = (0..r.bits.len())
-        .map(|j| r.erasures.get(j / bps).copied().unwrap_or(false))
-        .collect();
+    let r = direct_receive(&rx, &sig, scene.bits.len(), &mask);
+    let bit_mask = r.bit_erasures(cfg.bits_per_symbol());
     let direct = recover_with_quality(&r.bits, &bit_mask, PAYLOAD_LEN, Some(CODING), SCRAMBLE)
         .expect("direct recover");
     assert!(

@@ -77,7 +77,7 @@ impl EmulatedLink {
         self.snr.add_to(&mut self.noise, &mut wave);
         let sig = Signal::new(wave, self.cfg.fs);
         self.receiver
-            .receive_at(&sig, 0, bits.len())
+            .receive_at(&sig, 0, bits.len(), &[])
             .ok()
             .map(|r| r.bits)
     }
@@ -131,7 +131,7 @@ impl EmulatedLink {
                 *z += C64::new(n.re * sigma, n.im * sigma);
             }
             let sig = Signal::new(wave, self.cfg.fs);
-            match self.receiver.receive_at(&sig, 0, cp.bits.len()) {
+            match self.receiver.receive_at(&sig, 0, cp.bits.len(), &[]) {
                 Ok(r) => errs += r.bits.iter().zip(&cp.bits).filter(|(a, b)| a != b).count(),
                 Err(_) => errs += cp.bits.len(),
             }

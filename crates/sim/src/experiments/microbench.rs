@@ -73,7 +73,7 @@ pub fn latency_report(
     let build = t1.elapsed();
     let _ = build;
     let t2 = Instant::now();
-    let _ = rx_no_train.receive_at(&sig, 0, bits.len());
+    let _ = rx_no_train.receive_at(&sig, 0, bits.len(), &[]);
     let no_train = t2.elapsed().as_secs_f64();
 
     // Demod-only estimate: equalizer run alone.

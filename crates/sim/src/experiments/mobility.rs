@@ -69,7 +69,7 @@ pub fn drift_sweep(
                 .collect();
             noise.add_awgn(&mut rxw, sigma_for_snr(snr_db, 1.0));
             let sig = Signal::new(rxw, cfg.fs);
-            match rx.receive_at(&sig, 0, bits.len()) {
+            match rx.receive_at(&sig, 0, bits.len(), &[]) {
                 Ok(r) => errs += r.bits.iter().zip(&bits).filter(|(a, b)| a != b).count(),
                 Err(_) => errs += bits.len(),
             }

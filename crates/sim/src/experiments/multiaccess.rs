@@ -128,7 +128,7 @@ pub fn two_tag_sic(
     let off_b = stagger_slots * spt;
 
     // Pass 1: strong tag decoded against the weak one's interference.
-    let Ok(res_a1) = receiver.receive_at(&mix_sig, 0, bits_a.len()) else {
+    let Ok(res_a1) = receiver.receive_at(&mix_sig, 0, bits_a.len(), &[]) else {
         return SicOutcome {
             strong_ber: 1.0,
             weak_ber_sic: 1.0,
@@ -137,7 +137,7 @@ pub fn two_tag_sic(
     };
 
     // Direct decode of the weak tag (no cancellation) for contrast.
-    let weak_ber_direct = match receiver.receive_at(&mix_sig, off_b, bits_b.len()) {
+    let weak_ber_direct = match receiver.receive_at(&mix_sig, off_b, bits_b.len(), &[]) {
         Ok(r) => ber_of(&r.bits, &bits_b),
         Err(_) => 1.0,
     };
@@ -145,7 +145,7 @@ pub fn two_tag_sic(
     // Pass 2: subtract Â, decode the weak tag.
     let a_hat1 = reconstruct(&res_a1.bits, &res_a1.channel, 0, n);
     let resid_b = subtract(&mix_sig, &a_hat1);
-    let Ok(res_b1) = receiver.receive_at(&resid_b, off_b, bits_b.len()) else {
+    let Ok(res_b1) = receiver.receive_at(&resid_b, off_b, bits_b.len(), &[]) else {
         return SicOutcome {
             strong_ber: ber_of(&res_a1.bits, &bits_a),
             weak_ber_sic: 1.0,
@@ -158,13 +158,13 @@ pub fn two_tag_sic(
     let b_hat = reconstruct(&res_b1.bits, &res_b1.channel, off_b, n);
     let resid_a = subtract(&mix_sig, &b_hat);
     let res_a2 = receiver
-        .receive_at(&resid_a, 0, bits_a.len())
+        .receive_at(&resid_a, 0, bits_a.len(), &[])
         .unwrap_or(res_a1);
 
     // …then pass 4: subtract the refined Â and re-decode the weak tag.
     let a_hat2 = reconstruct(&res_a2.bits, &res_a2.channel, 0, n);
     let resid_b2 = subtract(&mix_sig, &a_hat2);
-    let weak_ber_sic = match receiver.receive_at(&resid_b2, off_b, bits_b.len()) {
+    let weak_ber_sic = match receiver.receive_at(&resid_b2, off_b, bits_b.len(), &[]) {
         Ok(r) => ber_of(&r.bits, &bits_b),
         Err(_) => 1.0,
     };

@@ -197,9 +197,9 @@ pub struct TagDecode {
     pub bit_mask: Vec<bool>,
 }
 
-/// Capture-effect decoding of a collided photodiode stream: the winner (if
-/// any) is decoded plainly at its known offset; every other tag is decoded
-/// through `receive_at_with_quality` with all *other* tags' frame spans
+/// Capture-effect decoding of a collided photodiode stream: every tag is
+/// decoded at its known offset through `receive_at`. The winner (if any) is
+/// decoded plainly; every other tag has all *other* tags' frame spans
 /// flagged unreliable, so overlapped symbols surface as erasures for the
 /// errors-and-erasures MAC recovery. Returns the capture decision and one
 /// [`TagDecode`] per tag, in tag order.
@@ -219,9 +219,8 @@ pub fn capture_decode(
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let plain = decision == CaptureDecision::Winner(i);
-            let result = if plain {
-                rx.receive_at(sig, t.offset, n_bits[i])
+            let mask = if decision == CaptureDecision::Winner(i) {
+                Vec::new()
             } else {
                 let spans: Vec<(usize, usize)> = tags
                     .iter()
@@ -229,13 +228,11 @@ pub fn capture_decode(
                     .filter(|&(j, _)| j != i)
                     .map(|(_, o)| o.span())
                     .collect();
-                let mask = interference_mask(sig.len(), &spans);
-                rx.receive_at_with_quality(sig, t.offset, n_bits[i], &mask)
+                interference_mask(sig.len(), &spans)
             };
+            let result = rx.receive_at(sig, t.offset, n_bits[i], &mask);
             let bit_mask = match &result {
-                Ok(r) => (0..r.bits.len())
-                    .map(|j| r.erasures.get(j / bps).copied().unwrap_or(false))
-                    .collect(),
+                Ok(r) => r.bit_erasures(bps),
                 Err(_) => Vec::new(),
             };
             TagDecode { result, bit_mask }

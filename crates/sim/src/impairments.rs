@@ -208,8 +208,8 @@ impl ImpairmentConfig {
 pub struct ImpairmentReport {
     /// Per-sample reliability mask: `true` marks samples whose value the
     /// receiver should not trust (blocked or rail-clipped). Feed this to
-    /// `Receiver::receive_at_with_quality` to turn covered slots into
-    /// Reed–Solomon erasures.
+    /// `Receiver::receive_at` to turn covered slots into Reed–Solomon
+    /// erasures.
     pub unreliable: Vec<bool>,
     /// Samples covered by blockage bursts.
     pub blocked_samples: usize,
@@ -286,13 +286,9 @@ impl ImpairedLink {
         let (impaired, report) = self.impairments.apply(&sig, frame_seed);
         let r = self
             .receiver
-            .receive_at_with_quality(&impaired, 0, bits.len(), &report.unreliable)
+            .receive_at(&impaired, 0, bits.len(), &report.unreliable)
             .ok()?;
-        // Expand per-symbol erasure flags to the per-bit mask the MAC eats.
-        let bps = self.cfg.bits_per_symbol();
-        let mask = (0..r.bits.len())
-            .map(|j| r.erasures.get(j / bps).copied().unwrap_or(false))
-            .collect();
+        let mask = r.bit_erasures(self.cfg.bits_per_symbol());
         Some((r.bits, mask))
     }
 }

@@ -33,9 +33,9 @@ pub struct PacketOutcome {
 
 impl PacketOutcome {
     /// Packet BER: `bit_errors / bits`. An undetected packet has
-    /// `bit_errors == bits` by construction (`run_packet` counts every
-    /// payload bit as errored when the preamble is missed), so its BER is
-    /// 1.0 without any special case here.
+    /// `bit_errors == bits` by construction ([`LinkSimulator::decode`]
+    /// counts every payload bit as errored when the preamble is missed), so
+    /// its BER is 1.0 without any special case here.
     pub fn ber(&self) -> f64 {
         self.bit_errors as f64 / self.bits.max(1) as f64
     }
@@ -89,8 +89,6 @@ pub struct LinkSimulator {
     receiver: Receiver,
     pristine_panel: Panel,
     seed: u64,
-    /// Lazily-built scratch reused by the single-packet entry points.
-    scratch: Option<PacketScratch>,
     /// Kernel backend for the panel ODE and the receiver stages.
     backend: Backend,
 }
@@ -129,7 +127,6 @@ impl LinkSimulator {
             receiver: Receiver::new_cached(cfg, &params, s),
             pristine_panel: panel,
             seed,
-            scratch: None,
             backend: Backend::detect(),
         }
     }
@@ -140,7 +137,6 @@ impl LinkSimulator {
     pub fn with_backend(mut self, bk: Backend) -> Self {
         self.backend = bk;
         self.receiver = self.receiver.with_backend(bk);
-        self.scratch = None; // rebuilt lazily with the new backend
         self
     }
 
@@ -180,7 +176,7 @@ impl LinkSimulator {
     /// [`Self::packet_unit_noise`] output. Scene roll, distance, ambient
     /// light, mobility flutter and all receiver-side knobs are deliberately
     /// excluded: they act *after* the ODE and are re-applied per grid point
-    /// on top of a cached render by [`Self::run_packet_renoise`].
+    /// on top of a cached render by [`Self::synth_rx_renoise`].
     pub fn render_fingerprint(&self) -> u64 {
         let mut words = Vec::with_capacity(2 + self.pristine_panel.module_count());
         words.push(self.cfg.render_fingerprint());
@@ -205,7 +201,7 @@ impl LinkSimulator {
         (0..payload_bytes * 8).map(|_| rng.gen()).collect()
     }
 
-    /// Build a per-worker scratch for [`Self::run_packet_with`] (the panel
+    /// Build a per-worker scratch for [`Self::run_packet`] (the panel
     /// kernel snapshot plus the reusable channel buffer).
     pub fn make_scratch(&self) -> PacketScratch {
         PacketScratch {
@@ -214,35 +210,21 @@ impl LinkSimulator {
         }
     }
 
-    /// Simulate one packet of `bits` payload bits; `pkt_seed` varies noise
-    /// and data across packets.
-    pub fn run_packet(&mut self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
-        let mut scratch = self.scratch.take().unwrap_or_else(|| self.make_scratch());
-        let outcome = self.run_packet_core(&mut scratch, bits, pkt_seed);
-        self.scratch = Some(scratch);
-        outcome
-    }
-
-    /// Simulate one packet using caller-provided scratch — the fused,
-    /// allocation-free pipeline [`Self::run_ber`] fans out across workers.
-    pub fn run_packet_with(
+    /// Simulate one packet of `bits` payload bits (tag ODE → channel →
+    /// receiver); `pkt_seed` varies noise and data across packets. The
+    /// caller-provided scratch makes this the fused, allocation-free
+    /// pipeline [`Self::run_ber`] fans out across workers.
+    pub fn run_packet(
         &self,
         scratch: &mut PacketScratch,
         bits: &[bool],
         pkt_seed: u64,
     ) -> PacketOutcome {
-        self.run_packet_core(scratch, bits, pkt_seed)
-    }
-
-    /// The original per-packet pipeline: clone the pristine panel, run the
-    /// scalar reference ODE loop, build the channel waveform in fresh
-    /// allocations. Retained as the differential-testing oracle and the
-    /// "before" side of the packet benchmarks; bit-identical to
-    /// [`Self::run_packet_with`].
-    pub fn run_packet_reference(&self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
-        let snr_db = self.effective_snr_db();
-        let sig = self.synth_rx_reference(bits, pkt_seed);
-        self.decode(&sig, bits, snr_db)
+        let sig = self.synth_rx(scratch, bits, pkt_seed);
+        let out = self.decode(&sig, bits);
+        // Hand the channel buffer back to the scratch for the next packet.
+        scratch.give_back(sig.into_samples());
+        out
     }
 
     /// Synthesize one packet's received signal (tag ODE → channel → noise)
@@ -252,27 +234,35 @@ impl LinkSimulator {
     /// `scratch.rx` is already frame-sized.
     #[doc(hidden)]
     pub fn synth_rx(&self, scratch: &mut PacketScratch, bits: &[bool], pkt_seed: u64) -> Signal {
-        let cfg = &self.cfg;
-        let spt = cfg.samples_per_slot();
-        let snr_db = self.effective_snr_db();
-
         let frame = self.modulator.modulate(bits);
-        let cmds = frame.drive_commands(cfg);
-        let n_wave = frame.total_slots() * spt;
-
-        scratch.rx.resize(PAD + n_wave, C64::default());
-        scratch.rx[..PAD].fill(self.rest_level());
-
+        let cmds = frame.drive_commands(&self.cfg);
+        let n_wave = frame.total_slots() * self.cfg.samples_per_slot();
         // Tag side: snapshot/restore instead of cloning the pristine panel;
         // the waveform lands straight in the channel buffer.
-        scratch.kernel.restore();
-        scratch
-            .kernel
-            .simulate_into(&cmds, cfg.fs, &mut scratch.rx[PAD..]);
+        self.synth_into(scratch, n_wave, None, pkt_seed, |kernel, wave| {
+            kernel.restore();
+            kernel.simulate_into(&cmds, self.cfg.fs, wave);
+        })
+    }
 
+    /// The body [`Self::synth_rx`] and [`Self::synth_rx_renoise`] share:
+    /// size the channel buffer to `PAD + n_wave`, fill the guard pad with
+    /// the rest level, let `fill` write the clean tag waveform past it,
+    /// apply the channel in place and add the noise tail.
+    fn synth_into(
+        &self,
+        scratch: &mut PacketScratch,
+        n_wave: usize,
+        unit_noise: Option<&[C64]>,
+        pkt_seed: u64,
+        fill: impl FnOnce(&mut PanelKernel, &mut [C64]),
+    ) -> Signal {
+        scratch.rx.resize(PAD + n_wave, C64::default());
+        scratch.rx[..PAD].fill(self.rest_level());
+        fill(&mut scratch.kernel, &mut scratch.rx[PAD..]);
         self.apply_channel(&mut scratch.rx[PAD..], pkt_seed);
-        let mut sig = Signal::new(std::mem::take(&mut scratch.rx), cfg.fs);
-        self.add_channel_noise(&mut sig, snr_db, pkt_seed);
+        let mut sig = Signal::new(std::mem::take(&mut scratch.rx), self.cfg.fs);
+        self.add_channel_noise(&mut sig, unit_noise, pkt_seed);
         sig
     }
 
@@ -317,7 +307,6 @@ impl LinkSimulator {
     pub fn synth_rx_reference(&self, bits: &[bool], pkt_seed: u64) -> Signal {
         let cfg = &self.cfg;
         let spt = cfg.samples_per_slot();
-        let snr_db = self.effective_snr_db();
 
         // --- Tag side: physical panel simulation. ---
         let frame = self.modulator.modulate(bits);
@@ -339,24 +328,40 @@ impl LinkSimulator {
             samples.push(roll_rot * z * (amp * flutter));
         }
         let mut sig = Signal::new(samples, cfg.fs);
-        self.add_channel_noise(&mut sig, snr_db, pkt_seed);
+        self.add_channel_noise(&mut sig, None, pkt_seed);
         sig
     }
 
-    /// Shared noise tail of both synthesis paths.
-    fn add_channel_noise(&self, sig: &mut Signal, snr_db: f64, pkt_seed: u64) {
-        let cfg = &self.cfg;
-        if snr_db.is_finite() {
-            let sigma = sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma());
-            let mut ns =
-                NoiseSource::new(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(pkt_seed));
-            ns.add_awgn(sig.samples_mut(), sigma);
-        } else {
-            // Beyond the retro cutoff: nothing comes back but noise.
+    /// Noise tail of every synthesis path: AWGN at the effective SNR, drawn
+    /// fresh from the packet's noise stream or, given `unit_noise` (that
+    /// same stream pre-drawn at σ = 1 by [`Self::packet_unit_noise`]),
+    /// scaled from it. Beyond the retro cutoff nothing comes back but noise.
+    fn add_channel_noise(&self, sig: &mut Signal, unit_noise: Option<&[C64]>, pkt_seed: u64) {
+        let snr_db = self.effective_snr_db();
+        if !snr_db.is_finite() {
+            // The tag waveform contributes nothing, cached or live.
             let mut ns = NoiseSource::new(pkt_seed);
-            *sig = Signal::zeros(sig.len(), cfg.fs);
+            sig.samples_mut().fill(C64::default());
             ns.add_awgn(sig.samples_mut(), 0.05);
+            return;
         }
+        let sigma = sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma());
+        match unit_noise {
+            Some(unit) => {
+                debug_assert_eq!(unit.len(), sig.len(), "unit-noise length mismatch");
+                for (z, n) in sig.samples_mut().iter_mut().zip(unit) {
+                    *z += C64::new(n.re * sigma, n.im * sigma);
+                }
+            }
+            None => self
+                .noise_source(pkt_seed)
+                .add_awgn(sig.samples_mut(), sigma),
+        }
+    }
+
+    /// The packet's channel-noise stream.
+    fn noise_source(&self, pkt_seed: u64) -> NoiseSource {
+        NoiseSource::new(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(pkt_seed))
     }
 
     /// Render one packet's *clean* tag-side waveform (the ODE output before
@@ -379,7 +384,7 @@ impl LinkSimulator {
     /// cached stream can be re-scaled to any per-point σ bit-identically
     /// (`n·1.0 == n` exactly, and `(n·1.0)·σ == n·σ`).
     pub fn packet_unit_noise(&self, n_wave: usize, pkt_seed: u64) -> Vec<C64> {
-        let mut ns = NoiseSource::new(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(pkt_seed));
+        let mut ns = self.noise_source(pkt_seed);
         (0..PAD + n_wave)
             .map(|_| ns.complex_gaussian(1.0))
             .collect()
@@ -398,46 +403,13 @@ impl LinkSimulator {
         unit_noise: &[C64],
         pkt_seed: u64,
     ) -> Signal {
-        let cfg = &self.cfg;
-        let snr_db = self.effective_snr_db();
-        scratch.rx.resize(PAD + clean.len(), C64::default());
-        scratch.rx[..PAD].fill(self.rest_level());
-        scratch.rx[PAD..].copy_from_slice(clean);
-        self.apply_channel(&mut scratch.rx[PAD..], pkt_seed);
-        let mut sig = Signal::new(std::mem::take(&mut scratch.rx), cfg.fs);
-        if snr_db.is_finite() {
-            debug_assert_eq!(unit_noise.len(), sig.len(), "unit-noise length mismatch");
-            let sigma = sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma());
-            for (z, n) in sig.samples_mut().iter_mut().zip(unit_noise) {
-                *z += C64::new(n.re * sigma, n.im * sigma);
-            }
-        } else {
-            // Beyond the retro cutoff the cached render contributes nothing;
-            // replicate the live path's noise-only signal exactly.
-            let mut ns = NoiseSource::new(pkt_seed);
-            sig = Signal::zeros(sig.len(), cfg.fs);
-            ns.add_awgn(sig.samples_mut(), 0.05);
-        }
-        sig
-    }
-
-    /// One packet decoded from a cached clean render + cached unit noise:
-    /// the sweep engine's per-point fast path. Bit-identical to
-    /// [`Self::run_packet_with`] when `clean == render_clean(bits)` and
-    /// `unit_noise == packet_unit_noise(clean.len(), pkt_seed)`.
-    pub fn run_packet_renoise(
-        &self,
-        scratch: &mut PacketScratch,
-        clean: &[C64],
-        unit_noise: &[C64],
-        bits: &[bool],
-        pkt_seed: u64,
-    ) -> PacketOutcome {
-        let snr_db = self.effective_snr_db();
-        let sig = self.synth_rx_renoise(scratch, clean, unit_noise, pkt_seed);
-        let out = self.decode(&sig, bits, snr_db);
-        scratch.rx = sig.into_samples();
-        out
+        self.synth_into(
+            scratch,
+            clean.len(),
+            Some(unit_noise),
+            pkt_seed,
+            |_, wave| wave.copy_from_slice(clean),
+        )
     }
 
     /// One packet through the end-to-end *scalar* pipeline: the allocating
@@ -446,41 +418,27 @@ impl LinkSimulator {
     /// ([`Receiver::receive_window_reference`]). No cache, no fused loops,
     /// no precomputed Grams — the sweep engine's no-cache oracle, kept
     /// bit-identical in its decisions to the production path by the kernel
-    /// pairs' own differential tests.
+    /// pairs' own differential tests. This is the one packet oracle.
     pub fn run_packet_scalar_reference(&self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
-        let snr_db = self.effective_snr_db();
         let sig = self.synth_rx_reference(bits, pkt_seed);
-        let spt = self.cfg.samples_per_slot();
         let rx = self
             .receiver
-            .receive_window_reference(&sig, 0, PAD + 2 * spt, bits.len());
-        score_packet(rx, bits, snr_db)
+            .receive_window_reference(&sig, 0, self.search_to(), bits.len());
+        score_packet(rx, bits, self.effective_snr_db())
     }
 
-    /// The shareable packet pipeline: tag ODE → channel → receiver. Takes
-    /// `&self` plus explicit scratch so [`Self::run_ber`] can fan packets
-    /// out across worker threads with per-worker buffers.
-    fn run_packet_core(
-        &self,
-        scratch: &mut PacketScratch,
-        bits: &[bool],
-        pkt_seed: u64,
-    ) -> PacketOutcome {
-        let snr_db = self.effective_snr_db();
-        let sig = self.synth_rx(scratch, bits, pkt_seed);
-        let out = self.decode(&sig, bits, snr_db);
-        // Hand the channel buffer back to the scratch for the next packet.
-        scratch.rx = sig.into_samples();
-        out
-    }
-
-    /// Reader side: search near the known poll time and score the decode.
-    fn decode(&self, sig: &Signal, bits: &[bool], snr_db: f64) -> PacketOutcome {
-        let spt = self.cfg.samples_per_slot();
+    /// Reader side: search near the known poll time for the frame of
+    /// `bits` in `sig` and score the decode against them.
+    pub fn decode(&self, sig: &Signal, bits: &[bool]) -> PacketOutcome {
         let rx = self
             .receiver
-            .receive_window(sig, 0, PAD + 2 * spt, bits.len());
-        score_packet(rx, bits, snr_db)
+            .receive_window(sig, 0, self.search_to(), bits.len());
+        score_packet(rx, bits, self.effective_snr_db())
+    }
+
+    /// End of the preamble search window: the guard pad plus two slots.
+    fn search_to(&self) -> usize {
+        PAD + 2 * self.cfg.samples_per_slot()
     }
 
     /// Run `n_packets` packets of `payload_bytes` random payloads and return
@@ -505,7 +463,7 @@ impl LinkSimulator {
                 // routing through it keeps this loop and the cached-render
                 // sweep path on one payload derivation.
                 let bits = this.packet_bits(payload_bytes, p);
-                this.run_packet_core(scratch, &bits, p)
+                this.run_packet(scratch, &bits, p)
             },
         );
         let errs: usize = outcomes.iter().map(|o| o.bit_errors).sum();
@@ -580,7 +538,7 @@ mod tests {
             let mut scratch = sim.make_scratch();
             for p in 0..2u64 {
                 let bits = sim.packet_bits(12, p);
-                let fused = sim.run_packet_with(&mut scratch, &bits, p);
+                let fused = sim.run_packet(&mut scratch, &bits, p);
                 let scalar = sim.run_packet_scalar_reference(&bits, p);
                 assert_eq!(fused.bit_errors, scalar.bit_errors, "{dist} m pkt {p}");
                 assert_eq!(fused.detected, scalar.detected, "{dist} m pkt {p}");

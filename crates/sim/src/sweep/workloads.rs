@@ -111,13 +111,10 @@ impl<F: Fn(usize, f64) -> LinkSimulator + Sync> SweepWorkload for FieldSweep<F> 
                 let (mut errs, mut total) = (0usize, 0usize);
                 for (pk, cp) in renders.iter().enumerate() {
                     let _s = telemetry::span("sweep.renoise");
-                    let o = sim.run_packet_renoise(
-                        &mut scratch,
-                        &cp.wave,
-                        &cp.unit_noise,
-                        &cp.bits,
-                        pk as u64,
-                    );
+                    let sig =
+                        sim.synth_rx_renoise(&mut scratch, &cp.wave, &cp.unit_noise, pk as u64);
+                    let o = sim.decode(&sig, &cp.bits);
+                    scratch.give_back(sig.into_samples());
                     errs += o.bit_errors;
                     total += o.bits;
                 }

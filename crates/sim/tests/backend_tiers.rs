@@ -79,8 +79,8 @@ fn simd_tier_bit_identical_across_scenes() {
             }
             scr_s.give_back(ws.into_samples());
             scr_v.give_back(wv.into_samples());
-            let os = sim_s.run_packet_with(&mut scr_s, &bits, pkt_seed);
-            let ov = sim_v.run_packet_with(&mut scr_v, &bits, pkt_seed);
+            let os = sim_s.run_packet(&mut scr_s, &bits, pkt_seed);
+            let ov = sim_v.run_packet(&mut scr_v, &bits, pkt_seed);
             assert_eq!(os.detected, ov.detected, "{name}: detected");
             assert_eq!(os.bit_errors, ov.bit_errors, "{name}: bit_errors");
             assert_eq!(os.bits, ov.bits, "{name}: bits");

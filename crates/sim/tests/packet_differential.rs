@@ -3,9 +3,10 @@
 //! `LinkSimulator::synth_rx` (snapshot/restore SoA kernel, in-place channel,
 //! reused buffers) must produce a received waveform bit-identical to
 //! `synth_rx_reference` (panel clone, scalar ODE loop, fresh allocations)
-//! across channel conditions. Bit-identical waveforms make identical decode
-//! outcomes trivial, but we assert those too via `run_packet_reference` vs
-//! `run_packet_with`.
+//! across channel conditions. Whole packets are checked against the one
+//! packet oracle, `run_packet_scalar_reference` (reference synthesis and
+//! reference receiver kernels), and the cached-render composition the sweep
+//! engine uses (`synth_rx_renoise` + `decode`) against `run_packet`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,7 +80,7 @@ fn synth_rx_bitwise_matches_reference_across_scenes() {
     }
 }
 
-/// Return the signal's buffer to the scratch the way `run_packet_core` does.
+/// Return the signal's buffer to the scratch the way `run_packet` does.
 fn scratch_restore(scratch: &mut PacketScratch, sig: retroturbo_dsp::Signal) {
     scratch.give_back(sig.into_samples());
 }
@@ -91,16 +92,25 @@ fn packet_outcomes_match_reference_across_scenes() {
         let mut scratch = sim.make_scratch();
         for pkt_seed in 0..2u64 {
             let bits = random_bits(2000 + pkt_seed, 16 * 8);
-            let fused = sim.run_packet_with(&mut scratch, &bits, pkt_seed);
-            let refr = sim.run_packet_reference(&bits, pkt_seed);
-            assert_eq!(fused.detected, refr.detected, "{name}: detected");
-            assert_eq!(fused.bit_errors, refr.bit_errors, "{name}: bit_errors");
-            assert_eq!(fused.bits, refr.bits, "{name}: bits");
-            assert_eq!(
-                fused.snr_db.to_bits(),
-                refr.snr_db.to_bits(),
-                "{name}: snr_db"
-            );
+            let fused = sim.run_packet(&mut scratch, &bits, pkt_seed);
+            let refr = sim.run_packet_scalar_reference(&bits, pkt_seed);
+            // The sweep engine's cache-hit composition: cached clean render
+            // and unit noise, re-noised, then the reader half alone.
+            let clean = sim.render_clean(&mut scratch, &bits);
+            let unit = sim.packet_unit_noise(clean.len(), pkt_seed);
+            let sig = sim.synth_rx_renoise(&mut scratch, &clean, &unit, pkt_seed);
+            let cached = sim.decode(&sig, &bits);
+            scratch_restore(&mut scratch, sig);
+            for (path, o) in [("reference", refr), ("cached", cached)] {
+                assert_eq!(fused.detected, o.detected, "{name}/{path}: detected");
+                assert_eq!(fused.bit_errors, o.bit_errors, "{name}/{path}: bit_errors");
+                assert_eq!(fused.bits, o.bits, "{name}/{path}: bits");
+                assert_eq!(
+                    fused.snr_db.to_bits(),
+                    o.snr_db.to_bits(),
+                    "{name}/{path}: snr_db"
+                );
+            }
         }
     }
 }

@@ -65,7 +65,7 @@ fn main() {
     // --- Reader side: detect, correct, train, equalize. ---
     let receiver = Receiver::new(cfg, &LcParams::default(), 3);
     let result = receiver
-        .receive(&sig, bits.len())
+        .receive_window(&sig, 0, sig.len(), bits.len())
         .expect("no preamble found");
     println!(
         "detected frame at sample {} (score {:.4})",

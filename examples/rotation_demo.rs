@@ -48,7 +48,7 @@ fn main() {
         let sig = Signal::new(wave.samples().iter().map(|&z| rot * z).collect(), cfg.fs);
 
         let out = receiver
-            .receive_at(&sig, 0, bits.len())
+            .receive_at(&sig, 0, bits.len(), &[])
             .expect("decode failed");
         let errors = out.bits.iter().zip(&bits).filter(|(a, b)| a != b).count();
 

@@ -24,7 +24,9 @@
 //! let frame = Modulator::new(cfg).modulate(&bits);
 //! let wave = TagModel::nominal(&cfg, &LcParams::default()).render_levels(&frame.levels);
 //! let rx = Receiver::new(cfg, &LcParams::default(), 2);
-//! assert_eq!(rx.receive(&Signal::new(wave, cfg.fs), bits.len()).unwrap().bits, bits);
+//! let sig = Signal::new(wave, cfg.fs);
+//! let out = rx.receive_window(&sig, 0, sig.len(), bits.len()).unwrap();
+//! assert_eq!(out.bits, bits);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -52,7 +52,9 @@ fn physical_link_round_trip() {
     NoiseSource::new(5).add_awgn(sig.samples_mut(), sigma_for_snr(33.0, 0.7));
 
     let rx = Receiver::new(cfg, &LcParams::default(), 3);
-    let out = rx.receive(&sig, bits.len()).expect("preamble not found");
+    let out = rx
+        .receive_window(&sig, 0, sig.len(), bits.len())
+        .expect("preamble not found");
     assert_eq!(out.offset, pad);
     // The paper's reliability criterion: BER below 1% (ECC + ARQ clean the
     // rest); this tag/roll/SNR combination sits near the residual floor.

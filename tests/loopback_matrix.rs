@@ -67,7 +67,7 @@ fn run_cell(l_order: usize, pqam_order: usize, snr_db: f64, seed: u64) -> (usize
 
     let rx = Receiver::new_cached(cfg, &params, 1);
     let out = rx
-        .receive(&sig, bits.len())
+        .receive_window(&sig, 0, sig.len(), bits.len())
         .unwrap_or_else(|e| panic!("L={l_order} P={pqam_order} snr={snr_db}: preamble: {e:?}"));
     assert_eq!(
         out.offset, pad,
