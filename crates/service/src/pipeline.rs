@@ -497,37 +497,24 @@ fn run_framer(
     // offset, the refinement scan past it, and the full cut window.
     let reserve = frame_len + slack + span;
 
+    // `assembly[head..]` holds the live stream from absolute position
+    // `base` on; `assembly[..head]` is consumed prefix awaiting compaction.
+    // Compacting only once that prefix is half the buffer moves every
+    // sample O(1) times amortised, where draining it per frame would move
+    // the whole rest of the capture each time.
     let mut assembly: Vec<C64> = Vec::new();
     let mut unreliable: Vec<bool> = Vec::new();
-    let mut base: u64 = 0; // absolute index of assembly[0]
+    let mut head: usize = 0;
+    let mut base: u64 = 0; // absolute index of assembly[head]
     let mut pos: u64 = 0; // next candidate offset to scan (absolute)
     let mut seq: u64 = 0;
     let mut eof = false;
 
     'stream: loop {
-        if !eof {
-            let mut lost = Vec::new();
-            let before = assembly.len();
-            let n = {
-                let mut u = Vec::new();
-                let n = ring.pull(&mut assembly, &mut u, &mut lost);
-                unreliable.extend(u);
-                n
-            };
-            if n == 0 {
-                eof = true;
-            } else {
-                // Fold loss placeholders into the unreliability mask; the
-                // per-sample distinction only matters for degradation
-                // accounting, handled per frame below.
-                for (i, &l) in lost.iter().enumerate() {
-                    if l {
-                        unreliable[before + i] = true;
-                    }
-                }
-            }
+        if !eof && ring.pull(&mut assembly, &mut unreliable) == 0 {
+            eof = true;
         }
-        let avail = base + assembly.len() as u64;
+        let avail = base + (assembly.len() - head) as u64;
 
         // Scan every block the assembly fully covers.
         while pos + (SCAN_BLOCK + reserve) as u64 <= avail || (eof && pos + span as u64 <= avail) {
@@ -539,8 +526,11 @@ fn run_framer(
                 // demod drops.
                 avail - span as u64 + 1
             };
-            let from = (pos - base) as usize;
-            let to = (block_end - base) as usize;
+            // Buffer indices from here on; `head` stands in for `base`,
+            // and back-margins clamp at it as they would at the start of
+            // a fully compacted buffer.
+            let from = head + (pos - base) as usize;
+            let to = head + (block_end - base) as usize;
             let sig = Signal::new(std::mem::take(&mut assembly), cfg.phy.fs);
             let hit = rx.detect_preamble(&sig, from, to);
             let hit = match hit {
@@ -550,7 +540,7 @@ fn run_framer(
                 // what pins the streaming offset to the whole-signal
                 // detection the direct receiver path performs.
                 Some((off, _)) => {
-                    let lo = off.saturating_sub(lead);
+                    let lo = off.saturating_sub(lead).max(head);
                     let hi = (off + lead + 1).min(sig.len().saturating_sub(span) + 1);
                     rx.detect_preamble(&sig, lo, hi).map(|(o, _)| o)
                 }
@@ -561,14 +551,14 @@ fn run_framer(
             match hit {
                 None => pos = block_end,
                 Some(off) => {
-                    let abs_offset = base + off as u64;
+                    let abs_offset = base + (off - head) as u64;
                     telemetry::counter_inc("service.frames.detected");
                     stats.lock().unwrap().frames_detected += 1;
 
                     // Cut the window: `lead` samples of back-margin, the
                     // frame body, `slack` samples of forward margin —
                     // clamped at the stream tail.
-                    let win_start = off.saturating_sub(lead);
+                    let win_start = off.saturating_sub(lead).max(head);
                     let win_end = (off + frame_len + slack).min(assembly.len());
                     let mask: Vec<bool> = unreliable[win_start..win_end].to_vec();
                     let body_end = (off - win_start + frame_len).min(mask.len());
@@ -619,15 +609,19 @@ fn run_framer(
                 }
             }
 
-            // Prune consumed samples, keeping the back-margin. A tail hit
-            // can leave `pos` past the end of the stream, so clamp the
-            // drain to what the assembly actually holds.
+            // Retire consumed samples, keeping the back-margin. A tail hit
+            // can leave `pos` past the end of the stream, so clamp to what
+            // the assembly actually holds.
             let keep_from = pos.saturating_sub(lead as u64);
             if keep_from > base {
-                let k = ((keep_from - base) as usize).min(assembly.len());
-                assembly.drain(..k);
-                unreliable.drain(..k);
+                let k = ((keep_from - base) as usize).min(assembly.len() - head);
+                head += k;
                 base += k as u64;
+                if 2 * head >= assembly.len() {
+                    assembly.drain(..head);
+                    unreliable.drain(..head);
+                    head = 0;
+                }
             }
             if eof && pos + span as u64 > avail {
                 break;

@@ -191,6 +191,60 @@ fn producer_chunking_is_invisible() {
     }
 }
 
+/// A replay-shaped capture — sixteen scenes and the idle tail in one
+/// `push`, into a ring sized to hold all of it — yields the same events
+/// and fingerprint as the same stream fed 64 samples at a time. The
+/// framer then holds the whole capture at once and compacts its consumed
+/// prefix several times mid-scan.
+#[test]
+fn one_push_capture_matches_small_chunks() {
+    let _registry = registry_guard();
+    let bed = bed(2, 4, 35.0);
+    let mut capture = Vec::new();
+    for i in 0..16 {
+        capture.extend(bed.frame(i, RUN_SEED).samples);
+    }
+    capture.extend(bed.idle(2 * bed.frame(0, RUN_SEED).samples.len()));
+    let mut baseline: Option<RunDigest> = None;
+    for chunk in [64usize, capture.len()] {
+        telemetry::reset();
+        let mut cfg = bed.service_config();
+        cfg.workers = 2;
+        cfg.ring_capacity = capture.len();
+        let svc = DecodeService::spawn(cfg);
+        let input = svc.input();
+        let feed = capture.clone();
+        let feeder = std::thread::spawn(move || {
+            for c in feed.chunks(chunk) {
+                input.push(c, None);
+            }
+            input.close();
+        });
+        let mut got = Vec::new();
+        while let Some(ev) = svc.recv() {
+            match ev {
+                ServiceEvent::Frame(f) => got.push((f.seq, f.offset, f.payload)),
+                other => panic!("chunk={chunk}: unexpected {other:?}"),
+            }
+        }
+        feeder.join().unwrap();
+        assert_eq!(
+            svc.shutdown().samples_lost,
+            0,
+            "chunk={chunk}: lost samples"
+        );
+        assert_eq!(got.len(), 16, "chunk={chunk}: event count");
+        let fp = telemetry::snapshot().deterministic_fingerprint();
+        match &baseline {
+            None => baseline = Some((got, fp)),
+            Some((events0, fp0)) => {
+                assert_eq!(&got, events0, "chunk={chunk}: events diverged");
+                assert_eq!(&fp, fp0, "chunk={chunk}: fingerprint diverged");
+            }
+        }
+    }
+}
+
 /// Front-end unreliability flags ride the ring into the decode: a saturated
 /// span inside the payload becomes symbol erasures, the MAC's
 /// errors-and-erasures path absorbs it, and the streamed result still
