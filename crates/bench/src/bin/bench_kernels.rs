@@ -14,8 +14,7 @@
 //! `ns_per_point` normalizes sweep entries by their grid-point count, so
 //! trajectories stay comparable if a PR changes the benchmark workload
 //! size; both are `null` where they do not apply. The full schema contract
-//! (consumed by `tools/perf_smoke.py` in CI) is documented in
-//! `crates/bench/README.md`.
+//! is documented in `crates/bench/README.md`.
 //!
 //! Speedup is reference-ns / optimized-ns for kernel pairs, and
 //! 1-thread-ns / N-thread-ns for the sweep (≈1.0 on a single-core host).
@@ -23,12 +22,14 @@
 //! Before timing, each reference/optimized pair is run once and its outputs
 //! are checksummed; any divergence is reported and the process exits
 //! nonzero, so CI can use this binary as a cheap bit-identity smoke test.
-//! Set `BENCH_KERNELS_QUICK=1` for reduced repetitions (CI smoke mode).
+//! Repetitions follow the shared profile: reduced by default (the CI smoke),
+//! full under `RETRO_FULL=1`, which is how the committed
+//! `BENCH_kernels.json` is regenerated. `BENCH_KERNELS_OUT` overrides the
+//! output path.
 
-use std::io::Write as _;
 use std::time::Instant;
 
-use retroturbo_bench::banner;
+use retroturbo_bench::{banner, emit_bench_json};
 use retroturbo_coding::RsCode;
 use retroturbo_core::training::{OfflineTraining, OnlineTrainer};
 use retroturbo_core::{Equalizer, Modulator, PhyConfig, PreambleDetector, TagModel};
@@ -88,7 +89,7 @@ fn time_pair_ns<A: FnMut(), B: FnMut()>(
 }
 
 /// One `BENCH_kernels.json` row; see `crates/bench/README.md` for the
-/// schema contract consumed by `tools/perf_smoke.py`.
+/// schema contract.
 struct Record {
     kernel: &'static str,
     /// Kernel backend tier this row ran on (`"scalar"` or `"simd"`).
@@ -156,8 +157,9 @@ fn main() {
     // them honestly so a `RETROTURBO_BACKEND=simd` CI leg is distinguishable
     // from the scalar baseline in the archived JSON.
     let default_label = forced.label();
-    // CI smoke mode: fewer repetitions, same pairs and checksums.
-    let quick = std::env::var("BENCH_KERNELS_QUICK").is_ok();
+    // Quick profile (the CI smoke): fewer repetitions, same pairs and
+    // checksums.
+    let quick = Effort::from_env() == Effort::Quick;
     let reps = if quick { 3 } else { 9 };
     let mut records: Vec<Record> = Vec::new();
     let mut diverged: Vec<String> = Vec::new();
@@ -918,50 +920,29 @@ fn main() {
     // `{"meta": {...}, "kernels": [...]}`: the meta block records which
     // backend the legacy rows ran on and what the host CPU offered, so
     // archived baselines from different hosts/legs stay attributable.
-    let mut json = String::from("{\n  \"meta\": {\n");
-    json.push_str(&format!("    \"default_backend\": \"{default_label}\",\n"));
-    json.push_str(&format!("    \"simd_available\": {simd_rows},\n"));
-    json.push_str("    \"cpu_features\": {");
-    let feats = backend::cpu_features();
-    for (i, (name, on)) in feats.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{name}\": {on}{}",
-            if i + 1 < feats.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "    \"quick\": {quick}\n  }},\n  \"kernels\": [\n"
-    ));
-    for (i, r) in records.iter().enumerate() {
-        let per_sym = match r.ns_per_symbol {
-            Some(v) => format!("{v:.1}"),
-            None => "null".into(),
-        };
-        let per_point = match r.ns_per_point {
-            Some(v) => format!("{v:.1}"),
-            None => "null".into(),
-        };
-        json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"backend\": \"{}\", \"ns_per_iter\": {:.1}, \"ns_per_symbol\": {}, \"ns_per_point\": {}, \"threads\": {}, \"speedup\": {:.3}}}{}\n",
-            r.kernel,
-            r.backend,
-            r.ns_per_iter,
-            per_sym,
-            per_point,
-            r.threads,
-            r.speedup,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = std::env::var("BENCH_KERNELS_OUT").unwrap_or_else(|_| "BENCH_kernels.json".into());
-    let mut f = std::fs::File::create(&path).expect("create BENCH_kernels.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_kernels.json");
-    eprintln!("# wrote {path}");
-    print!("{json}");
+    let opt = |v: Option<f64>| v.map_or_else(|| "null".into(), |v| format!("{v:.1}"));
+    let rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"kernel\": \"{}\", \"backend\": \"{}\", \"ns_per_iter\": {:.1}, \"ns_per_symbol\": {}, \"ns_per_point\": {}, \"threads\": {}, \"speedup\": {:.3}}}",
+                r.kernel,
+                r.backend,
+                r.ns_per_iter,
+                opt(r.ns_per_symbol),
+                opt(r.ns_per_point),
+                r.threads,
+                r.speedup,
+            )
+        })
+        .collect();
+    emit_bench_json(
+        "BENCH_KERNELS_OUT",
+        "BENCH_kernels.json",
+        forced,
+        "kernels",
+        &rows,
+    );
 
     if !diverged.is_empty() {
         eprintln!("# FAIL: reference/optimized checksum divergence: {diverged:?}");

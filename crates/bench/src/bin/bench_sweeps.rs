@@ -7,9 +7,8 @@
 //! per `{sweep, mode, threads, points, ms_total, ns_per_point,
 //! speedup}` measurement. `speedup` is each sweep's baseline-mode time
 //! over the row's time (baseline = the sweep's first listed mode), so the
-//! cached row's speedup is the headline engine win. The schema contract
-//! (consumed warn-only by `tools/perf_smoke.py`) is documented in
-//! `crates/bench/README.md`.
+//! cached row's speedup is the headline engine win. The schema contract is
+//! documented in `crates/bench/README.md`.
 //!
 //! Before timing, every mode's full result set is serialised bit-exactly
 //! and compared; any divergence between the cached path and its oracles is
@@ -18,10 +17,9 @@
 //! sweeps. Set `RETRO_FULL=1` for the paper-scale protocol (larger grids,
 //! 30 × 128-byte packets per point); quick mode is the CI smoke profile.
 
-use std::io::Write as _;
 use std::time::Instant;
 
-use retroturbo_bench::banner;
+use retroturbo_bench::{banner, emit_bench_json};
 use retroturbo_core::PhyConfig;
 use retroturbo_dsp::{backend, Backend};
 use retroturbo_sim::experiments::Effort;
@@ -281,49 +279,22 @@ fn main() {
     // Same `{"meta": {...}, "sweeps": [...]}` provenance shape as
     // `BENCH_kernels.json`, so archived runs stay attributable to a backend
     // and host feature set.
-    let mut json = String::from("{\n  \"meta\": {\n");
-    json.push_str(&format!(
-        "    \"default_backend\": \"{}\",\n",
-        forced.label()
-    ));
-    json.push_str(&format!(
-        "    \"simd_available\": {},\n",
-        backend::simd_available()
-    ));
-    json.push_str("    \"cpu_features\": {");
-    let feats = backend::cpu_features();
-    for (i, (fname, on)) in feats.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{fname}\": {on}{}",
-            if i + 1 < feats.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "    \"quick\": {}\n  }},\n  \"sweeps\": [\n",
-        Effort::from_env() != Effort::Full
-    ));
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"sweep\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"points\": {}, \"ms_total\": {:.1}, \"ns_per_point\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            r.sweep,
-            r.mode,
-            r.threads,
-            r.points,
-            r.ms_total,
-            r.ns_per_point,
-            r.speedup,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = std::env::var("BENCH_SWEEPS_OUT").unwrap_or_else(|_| "BENCH_sweeps.json".into());
-    let mut f = std::fs::File::create(&path).expect("create BENCH_sweeps.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_sweeps.json");
-    eprintln!("# wrote {path}");
-    print!("{json}");
+    let rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"sweep\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"points\": {}, \"ms_total\": {:.1}, \"ns_per_point\": {:.0}, \"speedup\": {:.3}}}",
+                r.sweep, r.mode, r.threads, r.points, r.ms_total, r.ns_per_point, r.speedup,
+            )
+        })
+        .collect();
+    emit_bench_json(
+        "BENCH_SWEEPS_OUT",
+        "BENCH_sweeps.json",
+        forced,
+        "sweeps",
+        &rows,
+    );
 
     if !diverged.is_empty() {
         eprintln!("# FAIL: sweep-mode checksum divergence: {diverged:?}");

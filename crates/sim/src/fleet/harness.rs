@@ -15,8 +15,7 @@
 //!
 //! [`run_fleet`] fans sessions out over `par_map_seeded`, so the aggregate
 //! report is bit-identical at every thread count; `FleetReport::canon()` is
-//! the byte-exact fingerprint the determinism tests and the `bench_fleet`
-//! exit gate compare.
+//! the byte-exact fingerprint the 1/2/8-thread determinism tests compare.
 
 use super::collision::{CaptureDecision, CaptureRule};
 use crate::link_budget::LinkBudget;
@@ -440,8 +439,7 @@ pub fn aggregate(cfg: &FleetConfig, outcomes: &[SessionOutcome]) -> FleetReport 
 
 impl FleetReport {
     /// Byte-exact fingerprint of the aggregate (hex IEEE-754 bit patterns):
-    /// what the 1/2/8-thread determinism tests and the `bench_fleet` exit
-    /// gate compare.
+    /// what the 1/2/8-thread determinism tests compare.
     pub fn canon(&self) -> String {
         format!(
             "sessions={}|tags={}|sum50={:016x}|sum90={:016x}|sum99={:016x}|fair10={:016x}|fair50={:016x}|lat50={:016x}|lat99={:016x}|delivery={:016x}|attempts={:016x}\n",

@@ -149,16 +149,18 @@ fn sessions_are_pure_functions_of_their_seed() {
 }
 
 /// The fleet aggregate fingerprint is byte-identical at 1, 2 and 8 worker
-/// threads.
+/// threads, for every fleet size `ext_fleet` reports (48 sessions each).
 #[test]
 fn fleet_report_thread_invariant() {
-    let cfg = FleetConfig::new(4);
-    let run = || run_fleet(&cfg, 24, 9).canon();
-    let t1 = with_threads(1, run);
-    let t2 = with_threads(2, run);
-    let t8 = with_threads(8, run);
-    assert_eq!(t1, t2, "1 vs 2 threads");
-    assert_eq!(t1, t8, "1 vs 8 threads");
+    for tags in [2, 4, 8] {
+        let cfg = FleetConfig::new(tags);
+        let run = || run_fleet(&cfg, 48, 0xF1EE).canon();
+        let t1 = with_threads(1, run);
+        let t2 = with_threads(2, run);
+        let t8 = with_threads(8, run);
+        assert_eq!(t1, t2, "{tags} tags: 1 vs 2 threads");
+        assert_eq!(t1, t8, "{tags} tags: 1 vs 8 threads");
+    }
 }
 
 fn sweep_workload() -> FleetSweep {
