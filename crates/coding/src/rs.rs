@@ -202,7 +202,9 @@ impl RsCode {
     /// A word that is not exactly n symbols returns
     /// [`RsError::WrongLength`] — malformed input never panics.
     pub fn decode(&self, recv: &[u8]) -> Result<(Vec<u8>, usize), RsError> {
-        let r = self.decode_impl(recv);
+        let r = self
+            .decode_with_erasures_impl(recv, &[])
+            .map(|d| (d.msg, d.errors_corrected));
         telemetry::counter_inc("rs.decodes");
         match &r {
             Ok((_, fixed)) => {
@@ -215,111 +217,13 @@ impl RsCode {
         r
     }
 
-    fn decode_impl(&self, recv: &[u8]) -> Result<(Vec<u8>, usize), RsError> {
-        if recv.len() != self.n {
-            return Err(RsError::WrongLength {
-                got: recv.len(),
-                want: self.n,
-            });
-        }
-        let synd = self.syndromes(recv);
-        if synd.iter().all(|&s| s == 0) {
-            return Ok((recv[..self.k].to_vec(), 0));
-        }
-
-        // Berlekamp–Massey: find the error-locator polynomial Λ (lowest-
-        // degree-first here: Λ[0] = 1).
-        let gf = &self.gf;
-        let lambda = self.berlekamp_massey(&synd);
-        let nerr = lambda.len() - 1;
-        if nerr == 0 || nerr > self.t() {
-            return Err(RsError::TooManyErrors);
-        }
-
-        // Chien search over valid positions. Received symbol at index idx
-        // corresponds to codeword position p = n−1−idx, locator root X =
-        // α^p, and Λ(X⁻¹) = 0.
-        let mut err_pos = Vec::new(); // indices into recv
-        for idx in 0..self.n {
-            let p = (self.n - 1 - idx) as i32;
-            let x_inv = gf.alpha_pow(-p);
-            // Evaluate Λ (lowest-first) at x_inv.
-            let mut v = 0u8;
-            let mut xp = 1u8;
-            for &c in &lambda {
-                v ^= gf.mul(c, xp);
-                xp = gf.mul(xp, x_inv);
-            }
-            if v == 0 {
-                err_pos.push(idx);
-            }
-        }
-        if err_pos.len() != nerr {
-            return Err(RsError::TooManyErrors);
-        }
-
-        // Forney: error magnitudes via Ω(x) = [S(x)·Λ(x)] mod x^{2t}.
-        // S(x) with S_0 + S_1 x + …, lowest-first.
-        let two_t = self.parity();
-        let mut omega = vec![0u8; two_t];
-        for (i, &li) in lambda.iter().enumerate() {
-            if li == 0 {
-                continue;
-            }
-            for (j, &sj) in synd.iter().enumerate() {
-                if i + j < two_t {
-                    omega[i + j] ^= gf.mul(li, sj);
-                }
-            }
-        }
-        // Λ'(x): formal derivative in GF(2) — only odd-degree terms survive,
-        // shifted down one degree: deriv[j] = Λ[j+1] for even j, else 0.
-        let lambda_deriv: Vec<u8> = (0..lambda.len().saturating_sub(1))
-            .map(|j| if j % 2 == 0 { lambda[j + 1] } else { 0 })
-            .collect();
-
-        let mut out = recv.to_vec();
-        let mut fixed = 0usize;
-        for &idx in &err_pos {
-            let p = (self.n - 1 - idx) as i32;
-            let x_inv = gf.alpha_pow(-p);
-            // e = X^{1−fcr} · Ω(X⁻¹) / Λ'(X⁻¹); with fcr = 0: e = X·Ω/Λ'.
-            let mut om = 0u8;
-            let mut xp = 1u8;
-            for &c in &omega {
-                om ^= gf.mul(c, xp);
-                xp = gf.mul(xp, x_inv);
-            }
-            let mut ld = 0u8;
-            let mut xp = 1u8;
-            for &c in &lambda_deriv {
-                ld ^= gf.mul(c, xp);
-                xp = gf.mul(xp, x_inv);
-            }
-            if ld == 0 {
-                return Err(RsError::DecodeFailure);
-            }
-            let x = gf.alpha_pow(p);
-            let mag = gf.mul(x, gf.div(om, ld));
-            out[idx] ^= mag;
-            fixed += 1;
-        }
-
-        // Verify: corrected word must have zero syndromes.
-        if self.syndromes(&out).iter().any(|&s| s != 0) {
-            return Err(RsError::DecodeFailure);
-        }
-        Ok((out[..self.k].to_vec(), fixed))
-    }
-
     /// Errors-and-erasures decode: correct a received word given `erasures`,
     /// the indices into `recv` the demodulator flagged as unreliable.
     ///
     /// With `f` erasures and `e` additional (unflagged) errors the decode
     /// succeeds whenever `2e + f ≤ n − k` — twice the budget of
-    /// [`Self::decode`] for losses the PHY can localize. With an empty
-    /// erasure list this is exactly the errors-only decoder (the test suite
-    /// checks the two differentially).
+    /// [`Self::decode`] for losses the PHY can localize. [`Self::decode`] is
+    /// this body with an empty erasure list.
     ///
     /// A word that is not exactly n symbols returns
     /// [`RsError::WrongLength`]. Erasure indices are validated first:
@@ -382,24 +286,10 @@ impl RsCode {
         if f > two_t {
             return Err(RsError::TooManyErrors);
         }
-        if f == 0 {
-            // No erasures: the Forney syndrome fold and the Γ factor of the
-            // errata locator are identity work, so this is exactly the
-            // errors-only decode (same syndromes, same BM locator, same
-            // Chien/Forney corrections) — delegate instead of paying the
-            // erasure setup on every call.
-            let (msg, errors_corrected) = self.decode_impl(recv)?;
-            return Ok(ErasureDecode {
-                msg,
-                errors_corrected,
-                erasures_filled: 0,
-                erasures_validated: 0,
-            });
-        }
 
         let synd = self.syndromes(recv);
         if synd.iter().all(|&s| s == 0) {
-            // Already a codeword: the flagged symbols happened to be correct.
+            // Already a codeword: any flagged symbols happened to be correct.
             return Ok(ErasureDecode {
                 msg: recv[..self.k].to_vec(),
                 errors_corrected: 0,

@@ -37,16 +37,23 @@ use std::time::{Duration, Instant};
 
 /// Offsets scanned per detector call in the framer (see module docs).
 const SCAN_BLOCK: usize = 512;
+/// Retained offline-training bases S of the service receiver.
+const TRAINING_BASES: usize = 1;
+/// Framer → worker queue bound (frames).
+const FRAME_QUEUE: usize = 8;
+/// Worker → consumer queue bound (events).
+const OUT_QUEUE: usize = 16;
+/// Frames a worker dequeues per lock acquisition.
+const BATCH: usize = 4;
+/// Detected frames whose window lost more than this fraction of its
+/// samples to ring overruns are dropped instead of decoded.
+const MAX_LOST_FRACTION: f64 = 0.5;
 
 /// Configuration for [`DecodeService::spawn`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// PHY parameters shared by transmitter and receiver.
     pub phy: PhyConfig,
-    /// Nominal liquid-crystal parameters for the receiver model.
-    pub lc: LcParams,
-    /// Retained offline-training bases S for the receiver.
-    pub s: usize,
     /// Protected frame length in bits (what the transmitter modulates).
     pub n_bits: usize,
     /// Payload bytes recovered per frame.
@@ -60,21 +67,11 @@ pub struct ServiceConfig {
     /// Sample ring capacity; when full, oldest unread samples degrade to
     /// erasure placeholders.
     pub ring_capacity: usize,
-    /// Framer → worker queue bound (frames).
-    pub frame_queue: usize,
-    /// Worker → consumer queue bound (events).
-    pub out_queue: usize,
-    /// Frames a worker dequeues per lock acquisition.
-    pub batch: usize,
-    /// Detected frames whose window lost more than this fraction of its
-    /// samples to ring overruns are dropped instead of decoded.
-    pub max_lost_fraction: f64,
 }
 
 impl ServiceConfig {
     /// A config for one link: frame length is derived from the MAC framing
-    /// (`protect` of a `payload_len`-byte payload), queue bounds get
-    /// moderate defaults, one worker.
+    /// (`protect` of a `payload_len`-byte payload), one worker.
     pub fn new(
         phy: PhyConfig,
         payload_len: usize,
@@ -84,18 +81,12 @@ impl ServiceConfig {
         let n_bits = retroturbo_mac::protect(&vec![0u8; payload_len], coding, scramble_seed).len();
         Self {
             phy,
-            lc: LcParams::default(),
-            s: 1,
             n_bits,
             payload_len,
             coding,
             scramble_seed,
             workers: 1,
             ring_capacity: 1 << 16,
-            frame_queue: 8,
-            out_queue: 16,
-            batch: 4,
-            max_lost_fraction: 0.5,
         }
     }
 }
@@ -103,9 +94,8 @@ impl ServiceConfig {
 /// Why a detected frame produced no payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
-    /// Ring overruns destroyed more of the frame window than
-    /// [`ServiceConfig::max_lost_fraction`] allows; the framer dropped it
-    /// without spending decode work.
+    /// Ring overruns destroyed more than half of the frame window; the
+    /// framer dropped it without spending decode work.
     Overrun,
     /// The PHY could not demodulate the window (truncated tail frame, or a
     /// fit failure at the detected offset).
@@ -309,11 +299,11 @@ impl DecodeService {
         assert!(cfg.workers >= 1, "DecodeService: need at least one worker");
         assert!(cfg.n_bits > 0, "DecodeService: n_bits must be positive");
         let ring = Arc::new(SampleRing::new(cfg.ring_capacity));
-        let frame_q = Arc::new(Bounded::<FrameTask>::new(cfg.frame_queue));
-        let out = Arc::new(Bounded::<ServiceEvent>::new(cfg.out_queue));
+        let frame_q = Arc::new(Bounded::<FrameTask>::new(FRAME_QUEUE));
+        let out = Arc::new(Bounded::<ServiceEvent>::new(OUT_QUEUE));
         let stats = Arc::new(Mutex::new(SharedStats {
-            frame_queue_depth: QueueDepth::new(cfg.frame_queue),
-            out_queue_depth: QueueDepth::new(cfg.out_queue),
+            frame_queue_depth: QueueDepth::new(FRAME_QUEUE),
+            out_queue_depth: QueueDepth::new(OUT_QUEUE),
             ..SharedStats::default()
         }));
 
@@ -484,7 +474,7 @@ fn run_framer(
     out: &Bounded<ServiceEvent>,
     stats: &Mutex<SharedStats>,
 ) {
-    let rx = Receiver::new_cached(cfg.phy, &cfg.lc, cfg.s);
+    let rx = Receiver::new_cached(cfg.phy, &LcParams::default(), TRAINING_BASES);
     let spt = cfg.phy.samples_per_slot();
     let frame_len = rx.frame_slots(cfg.n_bits) * spt;
     let span = rx.detect_span();
@@ -566,7 +556,7 @@ fn run_framer(
                     let flagged = frame_span.iter().filter(|&&b| b).count();
                     let degraded = flagged > 0;
 
-                    if (flagged as f64) > cfg.max_lost_fraction * frame_len as f64 {
+                    if (flagged as f64) > MAX_LOST_FRACTION * frame_len as f64 {
                         emit_drop(out, stats, seq, abs_offset, DropReason::Overrun);
                         seq += 1;
                         // Recovery re-scan. When the detection itself sits on
@@ -645,10 +635,10 @@ fn run_worker(
 ) {
     // `new_cached` shares the expensive offline-training state process-wide,
     // so a pool of workers costs one receiver construction, not N.
-    let rx = Receiver::new_cached(cfg.phy, &cfg.lc, cfg.s);
+    let rx = Receiver::new_cached(cfg.phy, &LcParams::default(), TRAINING_BASES);
     let bps = cfg.phy.bits_per_symbol();
-    let mut batch: Vec<FrameTask> = Vec::with_capacity(cfg.batch);
-    while frame_q.pop_batch(cfg.batch, &mut batch) > 0 {
+    let mut batch: Vec<FrameTask> = Vec::with_capacity(BATCH);
+    while frame_q.pop_batch(BATCH, &mut batch) > 0 {
         for task in batch.drain(..) {
             let sig = Signal::new(task.samples, cfg.phy.fs);
             let demod = rx.receive_at(&sig, task.rel_off, cfg.n_bits, &task.mask);

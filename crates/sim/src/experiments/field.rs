@@ -1,5 +1,7 @@
 //! "Real-world" experiment drivers (full ODE link): Fig. 16a–d, Tab. 4 and
-//! the microbenchmark sweeps Fig. 17a/17b.
+//! the microbenchmark sweeps Fig. 17a/17b. All seven run through one body,
+//! `run_field`, on the [`SweepEngine`], whose cached re-noise path is
+//! bit-identical to `LinkSimulator::run_ber` (DESIGN.md §12).
 
 use super::Effort;
 use crate::link::LinkSimulator;
@@ -8,7 +10,6 @@ use crate::scene::{AmbientLight, HumanMobility, Scene};
 use crate::sweep::workloads::{FieldOracle, FieldSweep};
 use crate::sweep::{GridPoint, RefineConfig, SweepEngine};
 use retroturbo_core::PhyConfig;
-use retroturbo_runtime::par_map_seeded;
 
 /// A labelled BER measurement.
 #[derive(Debug, Clone)]
@@ -23,21 +24,53 @@ pub struct BerPoint {
     pub snr_db: f64,
 }
 
-fn run_point(cfg: PhyConfig, scene: Scene, seed: u64, effort: Effort) -> (f64, f64) {
-    let mut sim = LinkSimulator::new(cfg, LinkBudget::fov10(), scene, seed);
-    let snr = sim.effective_snr_db();
-    (sim.run_ber(effort.packets(), effort.payload_bytes()), snr)
+/// One figure curve: its label and the abscissae it is measured at.
+type Curve = (String, Vec<f64>);
+
+/// Curves that all share the abscissae `xs`.
+fn shared_xs(labels: impl IntoIterator<Item = String>, xs: &[f64]) -> Vec<Curve> {
+    labels.into_iter().map(|l| (l, xs.to_vec())).collect()
 }
 
-/// Fig. 16a: BER versus line-of-sight distance at 4 and 8 kbps.
-///
-/// Runs on the [`SweepEngine`]: each `(config, seed)` pair's clean packet
-/// renders are computed once and re-noised at every distance (the per-point
-/// differences — path-loss SNR and ambient σ — act after the ODE). Output
-/// order and values are identical to the pre-engine driver at every thread
-/// count.
+/// The one body of every field figure: measures `curves` curve-major (each
+/// curve's abscissae in order, every cell at the experiment seed) on
+/// `engine`, with `make(curve, x)` building each cell's simulator, and
+/// labels the rows by curve.
+fn run_field(
+    engine: &SweepEngine,
+    curves: &[Curve],
+    effort: Effort,
+    seed: u64,
+    make: impl Fn(usize, f64) -> LinkSimulator + Sync,
+) -> Vec<BerPoint> {
+    let grid = curves
+        .iter()
+        .enumerate()
+        .flat_map(|(curve, (_, xs))| xs.iter().map(move |&x| GridPoint::new(curve, x, seed)))
+        .collect();
+    let workload = FieldSweep {
+        make,
+        n_packets: effort.packets(),
+        payload_bytes: effort.payload_bytes(),
+        oracle: FieldOracle::Fused,
+    };
+    engine
+        .run(&workload, grid)
+        .into_iter()
+        .map(|(p, o)| BerPoint {
+            x: p.x,
+            label: curves[p.curve].0.clone(),
+            ber: o.ber,
+            snr_db: o.snr_db,
+        })
+        .collect()
+}
+
+/// Fig. 16a: BER versus line-of-sight distance at 4 and 8 kbps. Each rate
+/// renders once and is re-noised at every distance (path-loss SNR and
+/// ambient σ act after the ODE).
 pub fn fig16a_ber_vs_distance(distances_m: &[f64], effort: Effort, seed: u64) -> Vec<BerPoint> {
-    fig16a_on_engine(distances_m, effort, seed, &SweepEngine::new(seed))
+    fig16a_ber_vs_distance_refined(distances_m, effort, seed, RefineConfig::off())
 }
 
 /// [`fig16a_ber_vs_distance`] with cliff-adaptive refinement: extra points
@@ -49,70 +82,26 @@ pub fn fig16a_ber_vs_distance_refined(
     seed: u64,
     refine: RefineConfig,
 ) -> Vec<BerPoint> {
-    fig16a_on_engine(
-        distances_m,
+    let rates = [PhyConfig::default_4kbps(), PhyConfig::default_8kbps()];
+    run_field(
+        &SweepEngine::new(seed).with_refinement(refine),
+        &shared_xs(["4kbps".into(), "8kbps".into()], distances_m),
         effort,
         seed,
-        &SweepEngine::new(seed).with_refinement(refine),
+        move |curve, d| {
+            LinkSimulator::new(
+                rates[curve],
+                LinkBudget::fov10(),
+                Scene::default_at(d),
+                seed,
+            )
+        },
     )
 }
 
-/// The fig16a workload: curve 0 = 4 kbps, curve 1 = 8 kbps, x = distance.
-pub(crate) fn fig16a_workload(
-    effort: Effort,
-    seed: u64,
-) -> FieldSweep<impl Fn(usize, f64) -> LinkSimulator + Sync> {
-    FieldSweep {
-        make: move |curve, d| {
-            let cfg = if curve == 0 {
-                PhyConfig::default_4kbps()
-            } else {
-                PhyConfig::default_8kbps()
-            };
-            LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(d), seed)
-        },
-        n_packets: effort.packets(),
-        payload_bytes: effort.payload_bytes(),
-        oracle: FieldOracle::Fused,
-    }
-}
-
-/// The fig16a coarse grid (label-major, matching the historical order).
-pub(crate) fn fig16a_grid(distances_m: &[f64], seed: u64) -> Vec<GridPoint> {
-    let mut grid = Vec::new();
-    for curve in 0..2 {
-        for &d in distances_m {
-            grid.push(GridPoint::new(curve, d, seed));
-        }
-    }
-    grid
-}
-
-fn fig16a_on_engine(
-    distances_m: &[f64],
-    effort: Effort,
-    seed: u64,
-    engine: &SweepEngine,
-) -> Vec<BerPoint> {
-    let workload = fig16a_workload(effort, seed);
-    engine
-        .run(&workload, fig16a_grid(distances_m, seed))
-        .into_iter()
-        .map(|(p, o)| BerPoint {
-            x: p.x,
-            label: if p.curve == 0 { "4kbps" } else { "8kbps" }.into(),
-            ber: o.ber,
-            snr_db: o.snr_db,
-        })
-        .collect()
-}
-
 /// Fig. 16b: BER versus roll misalignment at two distances (inside and
-/// outside the 7.5 m working range, as the paper frames it).
-///
-/// On the engine, every (distance, roll) cell shares ONE render set: roll
-/// rotation, like path loss, acts after the ODE, so the whole figure
-/// re-noises a single cached render.
+/// outside the 7.5 m working range, as the paper frames it). Roll, like
+/// path loss, acts after the ODE, so the whole figure re-noises one render.
 pub fn fig16b_ber_vs_roll(
     rolls_deg: &[f64],
     distances_m: &[f64],
@@ -120,185 +109,125 @@ pub fn fig16b_ber_vs_roll(
     seed: u64,
 ) -> Vec<BerPoint> {
     let cfg = PhyConfig::default_8kbps();
-    let ds: Vec<f64> = distances_m.to_vec();
-    let mut grid = Vec::new();
-    for (curve, _) in ds.iter().enumerate() {
-        for &r in rolls_deg {
-            grid.push(GridPoint::new(curve, r, seed));
-        }
-    }
-    let ds_make = ds.clone();
-    let workload = FieldSweep {
-        make: move |curve: usize, r: f64| {
-            LinkSimulator::new(
-                cfg,
-                LinkBudget::fov10(),
-                Scene::default_at(ds_make[curve]).with_roll(r),
-                seed,
-            )
+    let ds = distances_m.to_vec();
+    run_field(
+        &SweepEngine::new(seed),
+        &shared_xs(distances_m.iter().map(|d| format!("{d} m")), rolls_deg),
+        effort,
+        seed,
+        move |curve, r| {
+            let scene = Scene::default_at(ds[curve]).with_roll(r);
+            LinkSimulator::new(cfg, LinkBudget::fov10(), scene, seed)
         },
-        n_packets: effort.packets(),
-        payload_bytes: effort.payload_bytes(),
-        oracle: FieldOracle::Fused,
-    };
-    SweepEngine::new(seed)
-        .run(&workload, grid)
-        .into_iter()
-        .map(|(p, o)| BerPoint {
-            x: p.x,
-            label: format!("{} m", ds[p.curve]),
-            ber: o.ber,
-            snr_db: o.snr_db,
-        })
-        .collect()
+    )
 }
 
 /// Fig. 16c: BER versus yaw misalignment, with and without channel training
 /// (the training is what calibrates out the yaw-induced symbol deviation).
-///
-/// Training is receiver-side, so the trained and untrained curves share
-/// each yaw's cached render — the engine renders per yaw, not per cell.
+/// Yaw skews the panel, so the engine renders per yaw; training is
+/// receiver-side, so both curves share each yaw's render.
 pub fn fig16c_ber_vs_yaw(yaws_deg: &[f64], effort: Effort, seed: u64) -> Vec<BerPoint> {
     let cfg = PhyConfig::default_8kbps();
-    let mut grid = Vec::new();
-    for curve in 0..2 {
-        for &y in yaws_deg {
-            grid.push(GridPoint::new(curve, y, seed));
-        }
-    }
-    let workload = FieldSweep {
-        make: move |curve: usize, y: f64| {
-            let sim = LinkSimulator::new(
-                cfg,
-                LinkBudget::fov10(),
-                Scene::default_at(2.5).with_yaw(y),
-                seed,
-            );
+    run_field(
+        &SweepEngine::new(seed),
+        &shared_xs(["trained".into(), "no training".into()], yaws_deg),
+        effort,
+        seed,
+        move |curve, y| {
+            let scene = Scene::default_at(2.5).with_yaw(y);
+            let sim = LinkSimulator::new(cfg, LinkBudget::fov10(), scene, seed);
             if curve == 1 {
                 sim.without_training()
             } else {
                 sim
             }
         },
-        n_packets: effort.packets(),
-        payload_bytes: effort.payload_bytes(),
-        oracle: FieldOracle::Fused,
-    };
-    SweepEngine::new(seed)
-        .run(&workload, grid)
-        .into_iter()
-        .map(|(p, o)| BerPoint {
-            x: p.x,
-            label: if p.curve == 0 {
-                "trained".into()
-            } else {
-                "no training".into()
-            },
-            ber: o.ber,
-            snr_db: o.snr_db,
-        })
-        .collect()
+    )
 }
 
-/// Fig. 16d: BER under the three ambient light presets.
-///
-/// Ambient light only raises the residual noise σ, so all three presets
-/// re-noise one cached render on the engine.
+/// Fig. 16d: BER under the three ambient light presets, one curve each at
+/// x = the preset's lux. Ambient light only raises the residual noise σ, so
+/// all three re-noise one render.
 pub fn fig16d_ber_vs_ambient(effort: Effort, seed: u64) -> Vec<BerPoint> {
     let cfg = PhyConfig::default_8kbps();
     let ambients = [AmbientLight::Dark, AmbientLight::Night, AmbientLight::Day];
-    let grid: Vec<GridPoint> = ambients
+    let curves: Vec<Curve> = ambients
         .iter()
-        .enumerate()
-        .map(|(curve, amb)| GridPoint::new(curve, amb.lux(), seed))
+        .map(|a| (format!("{a:?}"), vec![a.lux()]))
         .collect();
-    let workload = FieldSweep {
-        make: move |curve: usize, _x: f64| {
+    run_field(
+        &SweepEngine::new(seed),
+        &curves,
+        effort,
+        seed,
+        move |curve, _| {
             let mut scene = Scene::default_at(5.0);
             scene.ambient = ambients[curve];
             LinkSimulator::new(cfg, LinkBudget::fov10(), scene, seed)
         },
-        n_packets: effort.packets(),
-        payload_bytes: effort.payload_bytes(),
-        oracle: FieldOracle::Fused,
-    };
-    SweepEngine::new(seed)
-        .run(&workload, grid)
-        .into_iter()
-        .map(|(p, o)| BerPoint {
-            x: p.x,
-            label: format!("{:?}", ambients[p.curve]),
-            ber: o.ber,
-            snr_db: o.snr_db,
-        })
-        .collect()
+    )
 }
 
-/// Tab. 4: BER under the five human-mobility cases.
+/// Tab. 4: BER under the five human-mobility cases (x = 0). Mobility
+/// flutter is a post-ODE gain, so all five re-noise one render.
 pub fn tab4_human_mobility(effort: Effort, seed: u64) -> Vec<BerPoint> {
     let cfg = PhyConfig::default_8kbps();
-    par_map_seeded(seed, HumanMobility::all().to_vec(), |_, _, mob| {
-        let mut scene = Scene::default_at(5.0);
-        scene.mobility = mob;
-        let (ber, snr) = run_point(cfg, scene, seed, effort);
-        BerPoint {
-            x: 0.0,
-            label: mob.label().into(),
-            ber,
-            snr_db: snr,
-        }
-    })
+    let mobs = HumanMobility::all();
+    run_field(
+        &SweepEngine::new(seed),
+        &shared_xs(mobs.iter().map(|m| m.label().into()), &[0.0]),
+        effort,
+        seed,
+        move |curve, _| {
+            let mut scene = Scene::default_at(5.0);
+            scene.mobility = mobs[curve];
+            LinkSimulator::new(cfg, LinkBudget::fov10(), scene, seed)
+        },
+    )
 }
 
 /// Fig. 17a: DFE branch count versus distance — K = 1 (hard DFE), K = 16
-/// (the paper's default) and the beam-capped Viterbi reference.
+/// (the paper's default) and the beam-capped Viterbi reference. K is a
+/// receiver knob, so the three curves share each distance's render.
 pub fn fig17a_dfe_branches(distances_m: &[f64], effort: Effort, seed: u64) -> Vec<BerPoint> {
     let cfg = PhyConfig::default_8kbps();
     let viterbi_k = retroturbo_core::Equalizer::viterbi(cfg).branches();
-    let mut points = Vec::new();
-    for (label, k) in [
-        ("K=1".to_string(), 1usize),
-        ("K=16".to_string(), 16),
-        (format!("Viterbi (K={viterbi_k})"), viterbi_k),
-    ] {
-        for &d in distances_m {
-            points.push((label.clone(), k, d));
-        }
-    }
-    par_map_seeded(seed, points, |_, _, (label, k, d)| {
-        let mut sim = LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(d), seed)
-            .with_branches(k);
-        let snr = sim.effective_snr_db();
-        let ber = sim.run_ber(effort.packets(), effort.payload_bytes());
-        BerPoint {
-            x: d,
-            label,
-            ber,
-            snr_db: snr,
-        }
-    })
+    let ks = [1usize, 16, viterbi_k];
+    let labels = [
+        "K=1".into(),
+        "K=16".into(),
+        format!("Viterbi (K={viterbi_k})"),
+    ];
+    run_field(
+        &SweepEngine::new(seed),
+        &shared_xs(labels, distances_m),
+        effort,
+        seed,
+        move |curve, d| {
+            LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(d), seed)
+                .with_branches(ks[curve])
+        },
+    )
 }
 
 /// Fig. 17b: channel-training memory depth (paper's V = our `v_memory` − 1)
-/// versus distance.
+/// versus distance. `v_memory` is outside the render key, so the four
+/// curves share each distance's render.
 pub fn fig17b_training_depth(distances_m: &[f64], effort: Effort, seed: u64) -> Vec<BerPoint> {
-    let mut points = Vec::new();
-    for v_mem in [1usize, 2, 3, 4] {
-        let mut cfg = PhyConfig::default_8kbps();
-        cfg.v_memory = v_mem;
-        for &d in distances_m {
-            points.push((cfg, v_mem, d));
-        }
-    }
-    par_map_seeded(seed, points, |_, _, (cfg, v_mem, d)| {
-        let (ber, snr) = run_point(cfg, Scene::default_at(d), seed, effort);
-        BerPoint {
-            x: d,
-            label: format!("V={}", v_mem - 1),
-            ber,
-            snr_db: snr,
-        }
-    })
+    let v_mems = [1usize, 2, 3, 4];
+    run_field(
+        &SweepEngine::new(seed),
+        &shared_xs(v_mems.iter().map(|v| format!("V={}", v - 1)), distances_m),
+        effort,
+        seed,
+        move |curve, d| {
+            let cfg = PhyConfig {
+                v_memory: v_mems[curve],
+                ..PhyConfig::default_8kbps()
+            };
+            LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(d), seed)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -97,12 +97,6 @@ impl LinkSimulator {
     /// Build the simulator. `seed` fixes both the tag's manufacturing
     /// heterogeneity and the noise streams.
     pub fn new(cfg: PhyConfig, budget: LinkBudget, scene: Scene, seed: u64) -> Self {
-        Self::with_s(cfg, budget, scene, seed, 3)
-    }
-
-    /// Like [`Self::new`] with an explicit number of retained offline
-    /// training bases S.
-    pub fn with_s(cfg: PhyConfig, budget: LinkBudget, scene: Scene, seed: u64, s: usize) -> Self {
         cfg.validate();
         let params = LcParams::default();
         let mut panel = Panel::retroturbo(
@@ -124,7 +118,8 @@ impl LinkSimulator {
             scene,
             retro: Retroreflector::default(),
             modulator: Modulator::new(cfg),
-            receiver: Receiver::new_cached(cfg, &params, s),
+            // S = 3 retained offline-training bases.
+            receiver: Receiver::new_cached(cfg, &params, 3),
             pristine_panel: panel,
             seed,
             backend: Backend::detect(),

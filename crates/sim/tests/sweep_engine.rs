@@ -21,11 +21,14 @@ use retroturbo_runtime::with_threads;
 use retroturbo_sim::sweep::stream::{StreamFormat, SweepStream};
 use retroturbo_sim::sweep::workloads::{BerOut, EmuSweep, FieldOracle, FieldSweep};
 use retroturbo_sim::{
-    EmulatedLink, GridPoint, LinkBudget, LinkSimulator, RefineConfig, Scene, SweepEngine,
+    EmulatedLink, GridPoint, HumanMobility, LinkBudget, LinkSimulator, RefineConfig, Scene,
+    SweepEngine, SweepWorkload,
 };
 
 /// The fig16a-shaped field workload: curve 0 = 4 kbps, curve 1 = 8 kbps,
-/// x = distance, default scene.
+/// x = distance, default scene. Curves 2–4 are 8 kbps variants that keep
+/// curve 1's render key and differ only after the ODE: K = 1 DFE branches,
+/// `v_memory` = 2, and three-walker mobility flutter.
 fn field_workload(
     n_packets: usize,
     payload_bytes: usize,
@@ -39,7 +42,17 @@ fn field_workload(
             } else {
                 PhyConfig::default_8kbps()
             };
-            LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(d), seed)
+            let mut scene = Scene::default_at(d);
+            let sim = |cfg, scene| LinkSimulator::new(cfg, LinkBudget::fov10(), scene, seed);
+            match curve {
+                2 => sim(cfg, scene).with_branches(1),
+                3 => sim(PhyConfig { v_memory: 2, ..cfg }, scene),
+                4 => {
+                    scene.mobility = HumanMobility::ThreeWalkers;
+                    sim(cfg, scene)
+                }
+                _ => sim(cfg, scene),
+            }
         },
         n_packets,
         payload_bytes,
@@ -82,23 +95,31 @@ fn tmp_path(name: &str) -> PathBuf {
 /// The tentpole guarantee: for the full-ODE field workload, re-noising the
 /// cached clean renders is bit-identical at every grid point to BOTH
 /// no-cache oracles — the fused production pipeline and the end-to-end
-/// scalar reference.
+/// scalar reference. The post-ODE variant curves 2–4 re-noise curve 1's
+/// render, which is what lets Fig. 17a/17b and Tab. 4 run on the engine.
 #[test]
 fn field_cache_matches_fused_and_scalar_oracles() {
     let distances = [4.0, 8.0];
     let seed = 11;
-    let cached = SweepEngine::new(seed).run(
-        &field_workload(2, 16, seed, FieldOracle::Fused),
-        field_grid(&distances, seed),
-    );
-    let fused = SweepEngine::new(seed).no_cache().run(
-        &field_workload(2, 16, seed, FieldOracle::Fused),
-        field_grid(&distances, seed),
-    );
-    let scalar = SweepEngine::new(seed).no_cache().run(
-        &field_workload(2, 16, seed, FieldOracle::Scalar),
-        field_grid(&distances, seed),
-    );
+    let grid = || {
+        let mut grid = field_grid(&distances, seed);
+        for curve in 2..5 {
+            for &d in &distances {
+                grid.push(GridPoint::new(curve, d, seed));
+            }
+        }
+        grid
+    };
+    let w = field_workload(2, 16, seed, FieldOracle::Fused);
+    for p in grid().iter().filter(|p| p.curve >= 2) {
+        let base = GridPoint::new(1, p.x, seed);
+        assert_eq!(w.render_key(p), w.render_key(&base), "curve {}", p.curve);
+    }
+    let cached = SweepEngine::new(seed).run(&w, grid());
+    let fused = SweepEngine::new(seed).no_cache().run(&w, grid());
+    let scalar = SweepEngine::new(seed)
+        .no_cache()
+        .run(&field_workload(2, 16, seed, FieldOracle::Scalar), grid());
     assert_eq!(canon(&cached), canon(&fused), "renoise vs fused oracle");
     assert_eq!(canon(&cached), canon(&scalar), "renoise vs scalar oracle");
 }
