@@ -1,6 +1,6 @@
 //! Machine-readable kernel benchmark: times the optimized hot kernels (DFE
 //! branch extension, fingerprint emulation error, the online-training
-//! solve, the SoA panel ODE, the Gram preamble search, the fused packet
+//! solve, the SoA panel ODE, the certified preamble scan, the fused packet
 //! pipeline) against their retained reference implementations, plus the
 //! parallel sweep runtime at 1 vs N threads, and writes
 //! `BENCH_kernels.json` — a `meta` provenance block (default backend, CPU
@@ -32,7 +32,7 @@ use std::time::Instant;
 use retroturbo_bench::{banner, emit_bench_json};
 use retroturbo_coding::RsCode;
 use retroturbo_core::training::{OfflineTraining, OnlineTrainer};
-use retroturbo_core::{Equalizer, Modulator, PhyConfig, PreambleDetector, TagModel};
+use retroturbo_core::{Equalizer, Modulator, PhyConfig, PreambleDetector, PreambleMatch, TagModel};
 use retroturbo_dsp::backend;
 use retroturbo_dsp::noise::NoiseSource;
 use retroturbo_dsp::{Backend, Signal, C64};
@@ -478,76 +478,97 @@ fn main() {
             speedup: p_s / p_v,
         });
     }
-    // --- Preamble search: precomputed Gram vs per-offset lstsq ------------
+    // --- Preamble search: certified moment scan vs per-offset lstsq -------
+    // Two shapes: the sweep's short window at the frame start, and the
+    // streaming framer's 512-offset block over noise with one preamble in
+    // it. Each is gated bit for bit against the per-offset oracle.
     let detector = PreambleDetector::new(&cfg, &model);
     let spt = cfg.samples_per_slot();
     let rx_sig = Signal::new(wave.clone(), cfg.fs);
-    let search_to = 2 * spt;
-    {
-        let a = detector.detect_in_reference(&rx_sig, 0, search_to);
-        let b = detector.detect_in(&rx_sig, 0, search_to);
-        let same = match (&a, &b) {
-            (Some(x), Some(y)) => x.offset == y.offset && x.score.to_bits() == y.score.to_bits(),
-            (None, None) => true,
-            _ => false,
-        };
-        if !same {
-            diverged.push("preamble_search".into());
+    let block = {
+        let rest = wave[0];
+        let mut s = vec![rest; 300];
+        s.extend_from_slice(&wave[..512 + detector.span()]);
+        NoiseSource::new(5).add_awgn(&mut s, 0.02);
+        Signal::new(s, cfg.fs)
+    };
+    let same_match = |a: Option<PreambleMatch>, b: Option<PreambleMatch>| match (a, b) {
+        (Some(x), Some(y)) => x.offset == y.offset && x.score.to_bits() == y.score.to_bits(),
+        (None, None) => true,
+        _ => false,
+    };
+    for (sig, to, kernel_ref, kernel_opt) in [
+        (
+            &rx_sig,
+            2 * spt,
+            "preamble_search_reference",
+            "preamble_search_certified",
+        ),
+        (
+            &block,
+            512,
+            "preamble_search_block_reference",
+            "preamble_search_block",
+        ),
+    ] {
+        if !same_match(
+            detector.detect_in_reference(sig, 0, to),
+            detector.detect_in(sig, 0, to),
+        ) {
+            diverged.push(kernel_opt.into());
         }
+        let (ns_ref, ns_opt) = time_pair_ns(
+            if quick { 1 } else { 3 },
+            reps,
+            || {
+                std::hint::black_box(detector.detect_in_reference(sig, 0, to));
+            },
+            || {
+                std::hint::black_box(detector.detect_in(sig, 0, to));
+            },
+        );
+        records.push(Record {
+            kernel: kernel_ref,
+            backend: default_label,
+            ns_per_iter: ns_ref,
+            ns_per_symbol: None,
+            ns_per_point: None,
+            threads: 1,
+            speedup: 1.0,
+        });
+        records.push(Record {
+            kernel: kernel_opt,
+            backend: default_label,
+            ns_per_iter: ns_opt,
+            ns_per_symbol: None,
+            ns_per_point: None,
+            threads: 1,
+            speedup: ns_ref / ns_opt,
+        });
     }
-    let (pre_ref, pre_gram) = time_pair_ns(
-        if quick { 1 } else { 3 },
-        reps,
-        || {
-            std::hint::black_box(detector.detect_in_reference(&rx_sig, 0, search_to));
-        },
-        || {
-            std::hint::black_box(detector.detect_in(&rx_sig, 0, search_to));
-        },
-    );
-    records.push(Record {
-        kernel: "preamble_search_reference",
-        backend: default_label,
-        ns_per_iter: pre_ref,
-        ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
-        speedup: 1.0,
-    });
-    records.push(Record {
-        kernel: "preamble_search_gram",
-        backend: default_label,
-        ns_per_iter: pre_gram,
-        ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
-        speedup: pre_ref / pre_gram,
-    });
 
-    // --- Gram fit: backend tiers of the preamble search -------------------
-    // The preamble search is a pure loop over `WidelyLinearGram::fit`, so
-    // timing `detect_in` per tier times the fused fit + solve kernel.
+    // --- Gram fit: backend tiers of the exact per-offset fit --------------
+    // `fit_at` over the 512 offsets of the framer block, per tier: the
+    // fused Aᴴy + solve + residual kernel the certified scan refits with.
     if simd_rows {
         let det_s = PreambleDetector::new(&cfg, &model).with_backend(Backend::Scalar);
         let det_v = PreambleDetector::new(&cfg, &model).with_backend(Backend::Simd);
-        let a = det_s.detect_in(&rx_sig, 0, search_to);
-        let b = det_v.detect_in(&rx_sig, 0, search_to);
-        let same = match (&a, &b) {
-            (Some(x), Some(y)) => x.offset == y.offset && x.score.to_bits() == y.score.to_bits(),
-            (None, None) => true,
-            _ => false,
+        let fit_all = |det: &PreambleDetector| {
+            (0..512)
+                .filter_map(|off| det.fit_at(&block, off))
+                .fold(0u64, |h, m| h.rotate_left(7) ^ m.score.to_bits())
         };
-        if !same {
+        if fit_all(&det_s) != fit_all(&det_v) {
             diverged.push("gram_fit_simd".into());
         }
         let (g_s, g_v) = time_pair_ns(
             if quick { 1 } else { 3 },
             reps,
             || {
-                std::hint::black_box(det_s.detect_in(&rx_sig, 0, search_to));
+                std::hint::black_box(fit_all(&det_s));
             },
             || {
-                std::hint::black_box(det_v.detect_in(&rx_sig, 0, search_to));
+                std::hint::black_box(fit_all(&det_v));
             },
         );
         records.push(Record {

@@ -15,11 +15,22 @@
 //! *inverted exactly* to carry every subsequent sample into the reference
 //! frame, simultaneously undoing the `e^{j2Δθ}` roll rotation, amplitude
 //! scaling, DC offset and first-order I/Q imbalance (the conjugate term).
+//!
+//! A search does not run that fit at every offset. It scores the whole
+//! offset range at once from the window moments — two FFT
+//! cross-correlations with the reference, prefix sums for `ΣX` and `Σ|X|²`
+//! — bounds each approximate score's distance to the exact fit's
+//! floating-point result, and refits exactly only the offsets that bound
+//! cannot rule out (DESIGN.md §8, "Certified preamble scan"). The result
+//! is bit-identical to the per-offset oracle [`PreambleDetector::detect_in_reference`].
 
 use crate::frame::Modulator;
 use crate::params::PhyConfig;
 use crate::synth::TagModel;
-use retroturbo_dsp::linalg::{widely_linear_fit, WidelyLinearFit, WidelyLinearGram};
+use retroturbo_dsp::fft::{gamma, Fft};
+use retroturbo_dsp::linalg::{
+    widely_linear_fit, ResidualCertificate, WidelyLinearFit, WidelyLinearGram,
+};
 use retroturbo_dsp::{Backend, Signal, C64};
 use retroturbo_telemetry as telemetry;
 
@@ -83,6 +94,9 @@ pub struct PreambleDetector {
     pub threshold: f64,
     /// Kernel backend. `Scalar`/`Simd` are bit-identical.
     backend: Backend,
+    /// The certified moment scan; `None` when the Gram cannot be certified,
+    /// and every offset of a search is then refit exactly.
+    moments: Option<MomentScan>,
 }
 
 impl PreambleDetector {
@@ -102,12 +116,14 @@ impl PreambleDetector {
         let skip = cfg.l_order * cfg.samples_per_slot();
         let reference = model.render_levels(&pre)[skip..].to_vec();
         let gram = WidelyLinearGram::new(&reference);
+        let moments = MomentScan::new(&reference, &gram);
         Self {
             reference,
             gram,
             skip,
             threshold: 0.92,
             backend: Backend::detect(),
+            moments,
         }
     }
 
@@ -136,7 +152,8 @@ impl PreambleDetector {
     /// Fit the widely-linear map for a frame starting at `offset` (the
     /// match window itself sits `skip` samples later); returns the
     /// correction and the detection score. `None` if the window runs past
-    /// the signal or is degenerate (zero variance).
+    /// the signal, is degenerate (zero variance) or yields a non-finite
+    /// score (a NaN or infinite sample in the window).
     ///
     /// Uses the Gram precomputed in [`Self::new`]; on either tier this is
     /// bit-identical to [`Self::fit_at_reference`] (differential-tested).
@@ -165,7 +182,8 @@ impl PreambleDetector {
         let fit = fit_fn(x);
         let mean: C64 = x.iter().copied().sum::<C64>() / k as f64;
         let var: f64 = x.iter().map(|&z| (z - mean).norm_sqr()).sum();
-        if var < 1e-300 {
+        let score = fit.residual / var;
+        if var < 1e-300 || !score.is_finite() {
             return None;
         }
         Some(PreambleMatch {
@@ -175,14 +193,20 @@ impl PreambleDetector {
                 beta: fit.b,
                 gamma: fit.c,
             },
-            score: fit.residual / var,
+            score,
         })
     }
 
     /// Search `rx` for a *frame start* between sample offsets `[from, to)`.
     /// Returns the best match if its score clears the threshold.
+    ///
+    /// Bit-identical to [`Self::detect_in_reference`]: the certified scan
+    /// refits with [`Self::fit_at`], in ascending offset order under the
+    /// same first-minimum rule, every offset whose score bound does not
+    /// rule it out.
     pub fn detect_in(&self, rx: &Signal, from: usize, to: usize) -> Option<PreambleMatch> {
-        let m = self.detect_with(rx, from, to, |rx, off| self.fit_at(rx, off));
+        let (m, refits) = self.scan(rx, from, to);
+        telemetry::counter_add("preamble.refits", refits as u64);
         match &m {
             Some(b) => {
                 telemetry::counter_inc("preamble.detections");
@@ -196,32 +220,17 @@ impl PreambleDetector {
         m
     }
 
-    /// Oracle for [`Self::detect_in`]: the same scan, re-solving the fit
-    /// from scratch at every offset.
+    /// Oracle for [`Self::detect_in`]: re-solve the fit from scratch at
+    /// every offset and keep the first minimum.
     pub fn detect_in_reference(
         &self,
         rx: &Signal,
         from: usize,
         to: usize,
     ) -> Option<PreambleMatch> {
-        self.detect_with(rx, from, to, |rx, off| self.fit_at_reference(rx, off))
-    }
-
-    fn detect_with(
-        &self,
-        rx: &Signal,
-        from: usize,
-        to: usize,
-        fit_at: impl Fn(&Signal, usize) -> Option<PreambleMatch>,
-    ) -> Option<PreambleMatch> {
-        let k = self.reference.len() + self.skip;
-        if rx.len() < k {
-            return None;
-        }
-        let to = to.min(rx.len() - k + 1);
         let mut best: Option<PreambleMatch> = None;
-        for off in from..to {
-            if let Some(m) = fit_at(rx, off) {
+        for off in self.offsets(rx, from, to) {
+            if let Some(m) = self.fit_at_reference(rx, off) {
                 if best.as_ref().is_none_or(|b| m.score < b.score) {
                     best = Some(m);
                 }
@@ -229,6 +238,294 @@ impl PreambleDetector {
         }
         best.filter(|b| b.score <= self.threshold)
     }
+
+    /// The offsets a search over `[from, to)` visits: those whose fit
+    /// window lies inside `rx`.
+    fn offsets(&self, rx: &Signal, from: usize, to: usize) -> std::ops::Range<usize> {
+        let span = self.span();
+        if rx.len() < span {
+            return 0..0;
+        }
+        from..to.min(rx.len() - span + 1)
+    }
+
+    /// The certified scan behind [`Self::detect_in`]; also returns how many
+    /// offsets it refit exactly.
+    ///
+    /// Every offset gets a bound `lb ≤ score ≤ ub` on what [`Self::fit_at`]
+    /// would return (`lb = −∞` where the bound cannot decide: non-finite
+    /// moments, or a variance not certifiably above the fit's `1e-300`
+    /// cut). With `T* = min(threshold, min ub)`, an offset with `lb > T*`
+    /// either scores above the threshold or strictly above an offset that
+    /// is refit, so it can neither win nor tie; every other offset is refit
+    /// exactly.
+    fn scan(&self, rx: &Signal, from: usize, to: usize) -> (Option<PreambleMatch>, usize) {
+        let offsets = self.offsets(rx, from, to);
+        if offsets.is_empty() {
+            return (None, 0);
+        }
+        let mut candidates: Vec<(usize, f64)> = Vec::new();
+        let mut t_star = self.threshold;
+        match &self.moments {
+            None => candidates.extend(offsets.map(|o| (o, f64::NEG_INFINITY))),
+            Some(ms) => {
+                let k = self.reference.len();
+                let x = &rx.samples()[offsets.start + self.skip..offsets.end - 1 + self.skip + k];
+                ms.bounds(x, offsets.len(), |r, lb, ub| {
+                    t_star = t_star.min(ub);
+                    if lb <= t_star {
+                        candidates.push((offsets.start + r, lb));
+                    }
+                });
+            }
+        }
+        let mut best: Option<PreambleMatch> = None;
+        let mut refits = 0;
+        for (off, lb) in candidates {
+            if lb > t_star {
+                continue;
+            }
+            refits += 1;
+            if let Some(m) = self.fit_at(rx, off) {
+                if best.as_ref().is_none_or(|b| m.score < b.score) {
+                    best = Some(m);
+                }
+            }
+        }
+        (best.filter(|b| b.score <= self.threshold), refits)
+    }
+}
+
+/// The moment form of the per-offset score, certified against
+/// [`PreambleDetector::fit_at`] (DESIGN.md §8).
+///
+/// For a window `X` of `k` samples, `b = [ΣȲX, ΣYX, ΣX]`, `E = Σ|X|²`:
+/// the fit residual is `R = E − bᴴG⁻¹b` ([`ResidualCertificate`]) and the
+/// variance `V = E − |ΣX|²/k`. The two correlations come from FFTs against
+/// reference spectra precomputed here, `ΣX` and `E` from prefix sums that
+/// restart at every chunk; each carries a proven error bound, and the
+/// certificate adds the distance between the exact moments and the fit's
+/// own floating-point result.
+#[derive(Debug, Clone)]
+struct MomentScan {
+    cert: ResidualCertificate,
+    fft: Fft,
+    /// Reference spectra per transform length, ascending.
+    spectra: Vec<Spectra>,
+    /// `|V̂ − V| ≤ var_dev·E` for the variance [`PreambleDetector::fit_at`]
+    /// computes (two-pass mean, then the squared deviations).
+    var_dev: f64,
+}
+
+/// A complex vector split into real and imaginary parts, the layout the
+/// FFT works in.
+#[derive(Debug, Clone, Default)]
+struct Split {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+#[derive(Debug, Clone)]
+struct Spectra {
+    /// Transform length.
+    n: usize,
+    /// `conj(FFT(Y))`: correlating with it yields `ΣȲX` at every offset.
+    y: Split,
+    /// `conj(FFT(Ȳ))`: yields `ΣYX`.
+    y_conj: Split,
+    /// Correlation error per unit input norm: `|ĉ_r − c_r| ≤ corr_err·‖z‖₂`.
+    corr_err: f64,
+}
+
+impl MomentScan {
+    fn new(reference: &[C64], gram: &WidelyLinearGram) -> Option<Self> {
+        let cert = gram.residual_certificate()?;
+        let k = reference.len();
+        let n_min = k.next_power_of_two().max(2);
+        let fft = Fft::new(4 * n_min);
+        let y_norm = reference.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        let spectrum = |n: usize, conj_ref: bool| {
+            let mut sp = Split {
+                re: vec![0.0; n],
+                im: vec![0.0; n],
+            };
+            for (i, &y) in reference.iter().enumerate() {
+                sp.re[i] = y.re;
+                sp.im[i] = if conj_ref { -y.im } else { y.im };
+            }
+            fft.forward(&mut sp.re, &mut sp.im);
+            sp.im.iter_mut().for_each(|v| *v = -*v);
+            sp
+        };
+        let spectra = (0..3)
+            .map(|i| {
+                let n = n_min << i;
+                let (y, y_conj) = (spectrum(n, false), spectrum(n, true));
+                let p_max = [&y, &y_conj]
+                    .iter()
+                    .flat_map(|sp| sp.re.iter().zip(&sp.im))
+                    .map(|(r, i)| r * r + i * i)
+                    .fold(0.0, f64::max)
+                    .sqrt();
+                // Forward error of the data transform and of the stored
+                // spectrum, the pointwise product, and the inverse
+                // transform (DESIGN.md §8), doubled for second-order terms.
+                let eps = Fft::error_bound(n);
+                let corr_err =
+                    2.0 * ((2.0 * eps + 2.0 * gamma(2)) * p_max + eps * (n as f64).sqrt() * y_norm);
+                Spectra {
+                    n,
+                    y,
+                    y_conj,
+                    corr_err,
+                }
+            })
+            .collect();
+        Some(Self {
+            cert,
+            fft,
+            spectra,
+            var_dev: gamma(k + 3) + 2.0 * gamma(2 * k + 4).powi(2),
+        })
+    }
+
+    /// Visit `(r, lb, ub)` for the `count` windows `x[r..r + k]`,
+    /// `r < count`, in ascending order; `x.len() == count + k − 1`.
+    fn bounds(&self, x: &[C64], count: usize, mut visit: impl FnMut(usize, f64, f64)) {
+        let k = x.len() + 1 - count;
+        let mut scratch = Scratch::default();
+        let mut done = 0;
+        while done < count {
+            let left = count - done;
+            let sp = self
+                .spectra
+                .iter()
+                .find(|s| s.n + 1 - k >= left)
+                .unwrap_or(&self.spectra[self.spectra.len() - 1]);
+            let c = left.min(sp.n + 1 - k);
+            self.chunk(
+                &x[done..done + c + k - 1],
+                c,
+                k,
+                sp,
+                &mut scratch,
+                |r, lb, ub| visit(done + r, lb, ub),
+            );
+            done += c;
+        }
+    }
+
+    /// Bounds for one chunk of `c` windows, scored with one length-`n`
+    /// forward transform and two inverse ones.
+    fn chunk(
+        &self,
+        z: &[C64],
+        c: usize,
+        k: usize,
+        sp: &Spectra,
+        s: &mut Scratch,
+        mut visit: impl FnMut(usize, f64, f64),
+    ) {
+        let n = sp.n;
+        let j = z.len();
+        // Transform input, prefix sums and a running count of non-finite
+        // samples; those are zeroed so they cannot spread through the
+        // transform, and every window holding one is refit.
+        let (x, c2) = (&mut s.x, &mut s.corr);
+        for v in [&mut x.re, &mut x.im, &mut c2.re, &mut c2.im] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        s.sum.resize(j + 1, C64::default());
+        s.energy.resize(j + 1, 0.0);
+        s.bad.resize(j + 1, 0);
+        let (mut sum, mut energy, mut l1, mut bad) = (C64::default(), 0.0, 0.0, 0u32);
+        (s.sum[0], s.energy[0], s.bad[0]) = (sum, energy, bad);
+        for (i, &v) in z.iter().enumerate() {
+            let v = if v.is_finite() {
+                v
+            } else {
+                bad += 1;
+                C64::default()
+            };
+            (x.re[i], x.im[i]) = (v.re, v.im);
+            sum += v;
+            energy += v.norm_sqr();
+            l1 += v.re.abs() + v.im.abs();
+            (s.sum[i + 1], s.energy[i + 1], s.bad[i + 1]) = (sum, energy, bad);
+        }
+        // Outside this range a product could underflow or overflow and the
+        // relative error model would not hold; refit everything instead.
+        if !(1e-200..=1e200).contains(&energy) {
+            (0..c).for_each(|r| visit(r, f64::NEG_INFINITY, f64::INFINITY));
+            return;
+        }
+        self.fft.forward(&mut x.re, &mut x.im);
+        // Pointwise products with the two reference spectra (the ΣYX one
+        // first, since the ΣȲX one overwrites the transform in place).
+        let (yr, yi) = (&sp.y.re[..n], &sp.y.im[..n]);
+        let (cr, ci) = (&sp.y_conj.re[..n], &sp.y_conj.im[..n]);
+        for m in 0..n {
+            let (zr, zi) = (x.re[m], x.im[m]);
+            c2.re[m] = zr * cr[m] - zi * ci[m];
+            c2.im[m] = zr * ci[m] + zi * cr[m];
+            x.re[m] = zr * yr[m] - zi * yi[m];
+            x.im[m] = zr * yi[m] + zi * yr[m];
+        }
+        self.fft.inverse(&mut x.re, &mut x.im);
+        self.fft.inverse(&mut c2.re, &mut c2.im);
+        let inv_n = 1.0 / n as f64;
+        let e_corr = sp.corr_err * energy.sqrt();
+        let e_sum = 2.0 * gamma(j + 1) * l1;
+        let e_energy = 2.0 * gamma(j + 3) * energy;
+        let (g2, g4, g8) = (gamma(2), gamma(4), gamma(8));
+        let kf = k as f64;
+        for r in 0..c {
+            if s.bad[r + k] != s.bad[r] {
+                visit(r, f64::NEG_INFINITY, f64::INFINITY);
+                continue;
+            }
+            let sx = s.sum[r + k] - s.sum[r];
+            let ex = s.energy[r + k] - s.energy[r];
+            let b = [
+                C64::new(x.re[r] * inv_n, x.im[r] * inv_n),
+                C64::new(c2.re[r] * inv_n, c2.im[r] * inv_n),
+                sx,
+            ];
+            let sx_abs = sx.re.abs() + sx.im.abs();
+            let e_sx = e_sum + g2 * sx_abs;
+            let e_ex = e_energy + g2 * ex;
+            let (rt, e_r) = self.cert.residual(ex, e_ex, &b, 2.0 * e_corr + e_sx);
+            let sx2 = sx.norm_sqr();
+            let vt = ex - sx2 / kf;
+            let e_v = 2.0
+                * (e_ex
+                    + (2.0 * sx_abs * e_sx + e_sx * e_sx) / kf
+                    + g4 * sx2 / kf
+                    + g2 * vt.abs()
+                    + self.var_dev * (ex + e_ex));
+            let lo = vt - e_v;
+            let lb = ((rt - e_r) / (vt + e_v)).max(0.0) * (1.0 - g8);
+            let ub = (rt + e_r) / lo * (1.0 + g8);
+            if lo >= 1e-300 && lb.is_finite() && ub.is_finite() {
+                visit(r, lb, ub);
+            } else {
+                visit(r, f64::NEG_INFINITY, f64::INFINITY);
+            }
+        }
+    }
+}
+
+/// Per-search buffers of [`MomentScan::bounds`].
+#[derive(Default)]
+struct Scratch {
+    /// The transform input, then the `ΣȲX` correlation.
+    x: Split,
+    /// The `ΣYX` correlation.
+    corr: Split,
+    sum: Vec<C64>,
+    energy: Vec<f64>,
+    bad: Vec<u32>,
 }
 
 /// Apply a preamble correction to a sample slice, producing the corrected
@@ -434,6 +731,154 @@ mod tests {
         ns.add_awgn(sig.samples_mut(), 1.0);
         assert!(det.detect_in_reference(&sig, 0, sig.len()).is_none());
         assert!(det.detect_in(&sig, 0, sig.len()).is_none());
+    }
+
+    fn assert_same(s: Option<PreambleMatch>, f: Option<PreambleMatch>, what: &str) {
+        match (s, f) {
+            (None, None) => {}
+            (Some(s), Some(f)) => {
+                assert_eq!(s.offset, f.offset, "{what}: offset");
+                assert_eq!(s.score.to_bits(), f.score.to_bits(), "{what}: score");
+                for (a, b) in [
+                    (s.fit.alpha, f.fit.alpha),
+                    (s.fit.beta, f.fit.beta),
+                    (s.fit.gamma, f.fit.gamma),
+                ] {
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}: fit");
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}: fit");
+                }
+            }
+            (s, f) => panic!("{what}: reference {s:?} vs certified {f:?}"),
+        }
+    }
+
+    /// Noise of standard deviation `sigma` around a DC level.
+    fn noise(n: usize, dc: C64, sigma: f64, seed: u64) -> Signal {
+        let mut sig = Signal::new(vec![dc; n], cfg().fs);
+        retroturbo_dsp::noise::NoiseSource::new(seed).add_awgn(sig.samples_mut(), sigma);
+        sig
+    }
+
+    #[test]
+    fn certified_bounds_contain_every_exact_score() {
+        // The certificate's promise, offset by offset: wherever the bound
+        // decides (finite lb/ub), the exact fit returns `Some` with a score
+        // inside it.
+        let det = PreambleDetector::new(&cfg(), &model());
+        let ms = det.moments.as_ref().expect("nominal Gram certifies");
+        let k = det.reference_len();
+        let mut signals = vec![
+            make_rx(137, 1.1, 0.8, C64::new(0.1, 0.1), 0.05, 42),
+            make_rx(300, 0.3, 1.0, C64::default(), 1.0, 11),
+            make_rx(50, 2.0, 0.01, C64::new(30.0, -40.0), 1e-4, 5),
+            noise(1500, C64::new(3.0, 1.0), 0.5, 9),
+        ];
+        let mut big = make_rx(200, 0.7, 1e6, C64::default(), 0.0, 0);
+        for (i, z) in big.samples_mut().iter_mut().enumerate() {
+            *z += C64::new((i as f64 * 0.1).sin(), 0.0);
+        }
+        signals.push(big);
+        for rx in &signals {
+            let count = rx.len() - det.span() + 1;
+            let x = &rx.samples()[det.skip..det.skip + count + k - 1];
+            let mut certified = 0;
+            ms.bounds(x, count, |r, lb, ub| {
+                if lb == f64::NEG_INFINITY {
+                    return;
+                }
+                certified += 1;
+                let m = det.fit_at(rx, r).expect("certified offset must fit");
+                assert!(
+                    lb <= m.score && m.score <= ub,
+                    "offset {r}: {lb} ≤ {} ≤ {ub} violated",
+                    m.score
+                );
+            });
+            assert!(
+                certified > count / 2,
+                "bound decided only {certified}/{count}"
+            );
+        }
+    }
+
+    #[test]
+    fn noise_only_block_refits_nothing() {
+        // The framer's shape: 512 offsets of noise. Every score sits near
+        // 1 − 3/k, far above the threshold, so no offset is refit.
+        let det = PreambleDetector::new(&cfg(), &model());
+        let sig = noise(512 + det.span() - 1, C64::new(-0.5, 0.2), 0.3, 17);
+        let (m, refits) = det.scan(&sig, 0, 512);
+        assert!(m.is_none());
+        assert_eq!(refits, 0);
+        assert!(det.detect_in_reference(&sig, 0, 512).is_none());
+    }
+
+    #[test]
+    fn clean_preamble_block_refits_about_one_offset() {
+        let det = PreambleDetector::new(&cfg(), &model());
+        let rx = make_rx(211, 1.1, 0.8, C64::new(0.1, 0.1), 0.01, 42);
+        let (m, refits) = det.scan(&rx, 100, 612.min(rx.len()));
+        assert_same(det.detect_in_reference(&rx, 100, 612), m, "block");
+        assert!(m.is_some());
+        assert!(refits <= 3, "{refits} refits");
+    }
+
+    #[test]
+    fn non_finite_sample_does_not_hide_the_block() {
+        // One NaN (or Inf) inside the *first* fit window used to become the
+        // running best — `m.score < NaN` is never true — and hid a clean
+        // preamble further on. Windows holding it now score `None`.
+        let det = PreambleDetector::new(&cfg(), &model());
+        for bad in [C64::new(f64::NAN, 0.0), C64::new(0.0, f64::INFINITY)] {
+            let mut rx = make_rx(400, 0.3, 1.0, C64::default(), 0.01, 3);
+            rx.samples_mut()[det.skip + 5] = bad;
+            assert!(det.fit_at(&rx, 0).is_none());
+            assert!(det.fit_at_reference(&rx, 0).is_none());
+            let slow = det.detect_in_reference(&rx, 0, 600);
+            let fast = det.detect_in(&rx, 0, 600);
+            assert_eq!(slow.expect("reference lost the preamble").offset, 400);
+            assert_same(slow, fast, "non-finite");
+        }
+    }
+
+    #[test]
+    fn uncertified_gram_refits_every_offset() {
+        // Without a certificate the scan refits every offset and still
+        // returns the oracle's answer.
+        let det = PreambleDetector {
+            moments: None,
+            ..PreambleDetector::new(&cfg(), &model())
+        };
+        let rx = make_rx(137, 1.1, 0.8, C64::new(0.1, 0.1), 0.05, 42);
+        let (m, refits) = det.scan(&rx, 100, 180);
+        assert_eq!(refits, 80);
+        assert_same(det.detect_in_reference(&rx, 100, 180), m, "uncertified");
+    }
+
+    #[test]
+    fn certified_scan_matches_reference_on_edges() {
+        // Constant stretches (the rest level: zero variance), ranges that
+        // run past the signal, single offsets and empty ranges.
+        let det = PreambleDetector::new(&cfg(), &model());
+        let rx = make_rx(400, 0.0, 1.0, C64::default(), 0.0, 0);
+        let len = rx.len();
+        for (from, to) in [
+            (0, 50),
+            (350, 450),
+            (0, len),
+            (399, 400),
+            (400, 401),
+            (len - 1, len),
+            (10, 5),
+        ] {
+            assert_same(
+                det.detect_in_reference(&rx, from, to),
+                det.detect_in(&rx, from, to),
+                &format!("[{from}, {to})"),
+            );
+        }
+        let short = Signal::new(vec![C64::real(1.0); 10], cfg().fs);
+        assert!(det.detect_in(&short, 0, 10).is_none());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Signal-processing substrate for the RetroTurbo reproduction: complex
 //! arithmetic, sampled signals, FIR/biquad filters, rate conversion, AWGN
 //! with a fixed SNR convention, small dense linear algebra (least squares,
-//! widely-linear fits, Jacobi SVD), and the 455 kHz passband carrier chain of
+//! widely-linear fits, Jacobi SVD), a radix-2 FFT with a proven error
+//! bound, and the 455 kHz passband carrier chain of
 //! the reader front end.
 //!
 //! Everything here is deterministic given explicit seeds and carries explicit
@@ -19,6 +20,7 @@
 pub mod backend;
 pub mod carrier;
 pub mod complex;
+pub mod fft;
 pub mod filter;
 pub mod linalg;
 pub mod noise;

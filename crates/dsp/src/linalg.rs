@@ -3,7 +3,8 @@
 //! Three consumers drive the feature set:
 //!
 //! * the preamble detector (§4.3.1) solves a 3-unknown complex least-squares
-//!   fit `min ‖Y − (aX + bX* + c)‖²` for every candidate offset;
+//!   fit `min ‖Y − (aX + bX* + c)‖²` at candidate offsets, and certifies
+//!   moment-based approximations of it everywhere else;
 //! * the online channel trainer (§4.3.3) solves a tall complex least-squares
 //!   system for `2·S·L` basis coefficients;
 //! * the offline channel trainer extracts Karhunen–Loève bases with a
@@ -16,6 +17,7 @@
 
 use crate::backend::{self, Backend};
 use crate::complex::C64;
+use crate::fft::gamma;
 
 // ---------------------------------------------------------------------------
 // Real matrices
@@ -491,8 +493,8 @@ pub fn widely_linear_fit(x: &[C64], y: &[C64]) -> WidelyLinearFit {
 
 /// Precomputed normal-equation factors of the widely-linear design built
 /// from a *fixed* regressor `x` — for detectors that refit the same
-/// reference against many received windows (the preamble search refits at
-/// every candidate offset).
+/// reference against many received windows (the preamble search refits
+/// every candidate offset its certified bound cannot rule out).
 ///
 /// [`widely_linear_fit`] spends most of its time on quantities that depend
 /// only on `x`: building the n×3 design matrix `A = [x, x*, 1]`, forming
@@ -505,7 +507,10 @@ pub fn widely_linear_fit(x: &[C64], y: &[C64]) -> WidelyLinearFit {
 /// operands as [`widely_linear_fit`], so the result is bit-for-bit identical
 /// (differential-tested). The window sums are recomputed fresh per call:
 /// a sliding update across consecutive offsets would change the f64
-/// summation order and break bit-identity, so none is attempted.
+/// summation order. Scans over many offsets instead score the whole range
+/// approximately from its moments and bound the gap to this fit with a
+/// [`ResidualCertificate`] ([`Self::residual_certificate`]), refitting
+/// exactly only where the bound cannot decide.
 #[derive(Debug, Clone)]
 pub struct WidelyLinearGram {
     a: CMat,
@@ -588,6 +593,152 @@ impl WidelyLinearGram {
             c: sol[2],
             residual,
         }
+    }
+
+    /// Certify the moment form of [`Self::fit_with`]'s residual (DESIGN.md
+    /// §8, "Certified preamble scan"): with `G = AᴴA` the exact Gram of the
+    /// stored design, the exact least-squares residual is
+    /// `R = Σ|y|² − bᴴG⁻¹b`, `b = Aᴴy`, and the fit's floating-point residual
+    /// stays within a constant multiple of `Σ|y|²` of it.
+    ///
+    /// `None` when the Gram cannot be certified: a regressor energy outside
+    /// `[1e-100, 1e100]`, a singular or ill-conditioned `G` (any of the
+    /// perturbation bounds reaching ½), or an elimination that would fall
+    /// back to the zero solution. Callers then refit every offset exactly.
+    pub fn residual_certificate(&self) -> Option<ResidualCertificate> {
+        let k = self.a.rows();
+        let g_hat = &self.aha_ridged;
+        // ‖A‖_F²; the energy gate keeps every product in the Gram and in the
+        // scan's moments clear of underflow and overflow.
+        let a2: f64 = self.a.data.iter().map(|z| z.norm_sqr()).sum();
+        if !(1e-100..=1e100).contains(&a2) {
+            return None;
+        }
+        let frob = |m: &[C64]| m.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        let g_hat_f = frob(&g_hat.data);
+        // M̃ ≈ Ĝ⁻¹ column by column through the same elimination `fit_with`
+        // runs: its pivot choice and its zero-solution fallback depend on the
+        // matrix only, so success here means `fit_with` never falls back.
+        let mut m = [C64::default(); 9];
+        for j in 0..3 {
+            let mut e = [C64::default(); 3];
+            e[j] = C64::real(1.0);
+            let col = gauss_solve_c(g_hat, &e)?;
+            for i in 0..3 {
+                m[3 * i + j] = col[i];
+            }
+        }
+        // Hermitian part, so the quadratic form is real by construction.
+        for i in 0..3 {
+            m[4 * i] = C64::real(m[4 * i].re);
+            for j in i + 1..3 {
+                let h = (m[3 * i + j] + m[3 * j + i].conj()) * 0.5;
+                m[3 * i + j] = h;
+                m[3 * j + i] = h.conj();
+            }
+        }
+        let m_f = frob(&m);
+        // φ ≥ ‖I − M̃Ĝ‖_F: the computed residual plus its own rounding.
+        let mut f2 = 0.0;
+        for i in 0..3 {
+            for j in 0..3 {
+                let mut s = C64::real(if i == j { 1.0 } else { 0.0 });
+                for l in 0..3 {
+                    s -= m[3 * i + l] * g_hat[(l, j)];
+                }
+                f2 += s.norm_sqr();
+            }
+        }
+        let phi = f2.sqrt() + gamma(16) * m_f * g_hat_f + gamma(2);
+        // Every perturbation bound must stay at or below ½ (NaN fails).
+        let at_most_half = |v: f64| (v <= 0.5).then_some(());
+        at_most_half(phi)?;
+        // ‖Ĝ⁻¹‖₂ ≤ g_hat_inv, and h_G ≥ ‖Ĝ − G‖_F: the matmul's rounding,
+        // the ridge (1e-12 of the mean diagonal) and its addition.
+        let g_hat_inv = m_f / (1.0 - phi);
+        let h_g = gamma(2 * k + 8) * a2 + 3f64.sqrt() * (1e-12 + gamma(1)) * g_hat_f;
+        at_most_half(g_hat_inv * h_g)?;
+        let g = g_hat_inv / (1.0 - g_hat_inv * h_g); // ≥ ‖G⁻¹‖₂
+        let mu = phi * m_f / (1.0 - phi) + g_hat_inv * g_hat_inv * h_g / (1.0 - g_hat_inv * h_g);
+        // The solve: (G + H)ŝ = b̂ with ‖H‖ ≤ h_G + ‖ΔGE‖ (partial-pivoting
+        // backward error, growth ≤ 4 at n = 3, complex-arithmetic γ).
+        let h = h_g + 24.0 * gamma(48) * g_hat_f;
+        at_most_half(g * h)?;
+        // |ŝ − G⁻¹b| ≤ σ·√E, with b̂ = fl(Aᴴy) off by ≤ γ_{2k+8}·‖A‖_F·√E.
+        let sigma = 2.0 * g * (gamma(2 * k + 8) * a2.sqrt() + h * g.sqrt());
+        // Fitted-value rounding in the residual fold, per unit √E.
+        let delta = gamma(16) * a2.sqrt() * (g.sqrt() + sigma);
+        let t = (g_hat_f + h_g) * sigma * sigma;
+        let fit_dev = gamma(k + 4)
+            + (1.0 + gamma(k + 4)) * (t + 2.0 * delta * (1.0 + t).sqrt() + delta * delta);
+        let cert = ResidualCertificate {
+            m_diag: [m[0].re, m[4].re, m[8].re],
+            m01: m[1],
+            m02: m[2],
+            m12: m[5],
+            mu,
+            g,
+            q_round: gamma(16) * m_f,
+            fit_dev,
+        };
+        [mu, g, cert.q_round, fit_dev]
+            .iter()
+            .all(|v| v.is_finite())
+            .then_some(cert)
+    }
+}
+
+/// The moment form of [`WidelyLinearGram::fit_with`]'s residual with a
+/// proven bound on its distance to the fit's floating-point result; built
+/// by [`WidelyLinearGram::residual_certificate`].
+#[derive(Debug, Clone)]
+pub struct ResidualCertificate {
+    /// Hermitian `M̃ ≈ G⁻¹`: real diagonal and the upper triangle.
+    m_diag: [f64; 3],
+    m01: C64,
+    m02: C64,
+    m12: C64,
+    /// `‖M̃ − G⁻¹‖₂ ≤ mu`.
+    mu: f64,
+    /// `‖G⁻¹‖₂ ≤ g`.
+    g: f64,
+    /// Rounding of the computed quadratic form per unit `|b|²`.
+    q_round: f64,
+    /// `|fit_with(y).residual − (Σ|y|² − bᴴG⁻¹b)| ≤ fit_dev·Σ|y|²`.
+    fit_dev: f64,
+}
+
+impl ResidualCertificate {
+    /// Approximate residual `R̃ = E − bᴴM̃b` from approximate moments, and a
+    /// bound `e` with `|fit_with(y).residual − R̃| ≤ e`.
+    ///
+    /// `energy` approximates `E = Σ|y|²` within `energy_err`; `ahy`
+    /// approximates `b = Aᴴy = [Σx̄y, Σxy, Σy]` within `ahy_err` in the
+    /// 2-norm. The returned bound is twice the first-order sum, which
+    /// dominates every neglected `O(u²)` term.
+    #[inline]
+    pub fn residual(
+        &self,
+        energy: f64,
+        energy_err: f64,
+        ahy: &[C64; 3],
+        ahy_err: f64,
+    ) -> (f64, f64) {
+        let [b0, b1, b2] = *ahy;
+        let bn2 = b0.norm_sqr() + b1.norm_sqr() + b2.norm_sqr();
+        let cross =
+            b0.conj() * self.m01 * b1 + b0.conj() * self.m02 * b2 + b1.conj() * self.m12 * b2;
+        let q = self.m_diag[0] * b0.norm_sqr()
+            + self.m_diag[1] * b1.norm_sqr()
+            + self.m_diag[2] * b2.norm_sqr()
+            + 2.0 * cross.re;
+        let r = energy - q;
+        let e = energy_err
+            + (self.mu + self.q_round) * bn2
+            + self.g * ahy_err * (2.0 * bn2.sqrt() + 3.0 * ahy_err)
+            + gamma(2) * r.abs()
+            + self.fit_dev * (energy + energy_err);
+        (r, 2.0 * e)
     }
 }
 
@@ -874,6 +1025,55 @@ mod tests {
         let fast = WidelyLinearGram::new(&x).fit(&y);
         assert_eq!(slow.residual.to_bits(), fast.residual.to_bits());
         assert_eq!(slow.a.re.to_bits(), fast.a.re.to_bits());
+    }
+
+    #[test]
+    fn residual_certificate_bounds_the_fit() {
+        // The moment form, fed moments accurate to a few ulp, must land
+        // within its bound of the fit's own floating-point residual — for
+        // near-perfect fits, noise-like windows and large DC offsets.
+        let x: Vec<C64> = (0..64)
+            .map(|i| C64::new((i as f64 * 0.37).sin(), (i as f64 * 0.71).cos()))
+            .collect();
+        let gram = WidelyLinearGram::new(&x);
+        let cert = gram
+            .residual_certificate()
+            .expect("generic regressor certifies");
+        for (noise, dc) in [
+            (0.0, 0.0),
+            (1e-6, 0.0),
+            (0.3, 0.0),
+            (2.0, 0.0),
+            (0.01, 50.0),
+        ] {
+            let y: Vec<C64> = x
+                .iter()
+                .enumerate()
+                .map(|(i, &z)| {
+                    let n = C64::new((i as f64 * 2.3).sin(), (i as f64 * 1.9).cos()) * noise;
+                    C64::new(0.4, -0.9) * z + C64::new(0.05, 0.02) * z.conj() + dc + n
+                })
+                .collect();
+            let fit = gram.fit(&y);
+            let energy: f64 = y.iter().map(|z| z.norm_sqr()).sum();
+            let ahy = [
+                y.iter().zip(&x).map(|(&v, &u)| u.conj() * v).sum::<C64>(),
+                y.iter().zip(&x).map(|(&v, &u)| u * v).sum::<C64>(),
+                y.iter().copied().sum::<C64>(),
+            ];
+            let b_norm = ahy.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+            let (r, e) = cert.residual(energy, 1e-13 * energy, &ahy, 1e-13 * b_norm);
+            assert!(
+                (fit.residual - r).abs() <= e,
+                "noise {noise}, dc {dc}: |{} − {r}| > {e}",
+                fit.residual
+            );
+            assert!(e <= 1e-9 * energy, "bound {e} too loose for E = {energy}");
+        }
+        // A constant regressor makes the Gram singular: no certificate.
+        assert!(WidelyLinearGram::new(&[C64::real(1.0); 8])
+            .residual_certificate()
+            .is_none());
     }
 
     #[test]

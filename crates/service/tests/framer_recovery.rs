@@ -90,3 +90,109 @@ fn spurious_hit_in_outage_does_not_shadow_next_preamble() {
         "the genuine frame recovered the wrong payload"
     );
 }
+
+/// Back-to-back frames with no inter-frame gap: each preamble starts on
+/// the sample where the previous frame body ends, so every cut window's
+/// back-margin reaches into the consumed prefix and is clamped at the
+/// framer's live head. Every frame must still decode at its exact offset,
+/// bit for bit as the direct receiver decodes it there.
+#[test]
+fn adjacent_frames_decode_like_the_direct_receiver() {
+    let bed = Testbed::new(loopback_phy(2, 4), PAYLOAD_LEN, Some(CODING), SCRAMBLE).with_snr(35.0);
+    let cfg = *bed.phy();
+    let spt = cfg.samples_per_slot();
+    let rx = Receiver::new_cached(cfg, &LcParams::default(), 1);
+    let frames = 5u64;
+    let lead_in = 200usize;
+
+    let mut stream = bed.idle(lead_in);
+    let mut starts = Vec::new();
+    let mut payloads = Vec::new();
+    for i in 0..frames {
+        let scene = bed.frame(i, RUN_SEED);
+        starts.push(stream.len());
+        stream.extend_from_slice(&scene.samples[scene.offset..]);
+        payloads.push(scene.payload);
+    }
+    let n_bits = bed.frame(0, RUN_SEED).bits.len();
+    let frame_len = rx.frame_slots(n_bits) * spt;
+    // No gap: each body is exactly one framer frame long.
+    for w in starts.windows(2) {
+        assert_eq!(w[1] - w[0], frame_len, "geometry: frames are not adjacent");
+    }
+    stream.extend(bed.idle(2 * frame_len));
+
+    let svc = DecodeService::spawn(bed.service_config());
+    let input = svc.input();
+    input.push(&stream, None);
+    input.close();
+    let mut events = Vec::new();
+    while let Some(ev) = svc.recv() {
+        events.push(ev);
+    }
+    svc.shutdown();
+
+    let direct = retroturbo_dsp::Signal::new(stream, cfg.fs);
+    assert_eq!(events.len(), frames as usize, "events={events:?}");
+    for (i, ev) in events.iter().enumerate() {
+        let f = match ev {
+            ServiceEvent::Frame(f) => f,
+            other => panic!("frame {i}: unexpected {other:?}"),
+        };
+        assert_eq!(f.offset, starts[i] as u64, "frame {i}: offset");
+        assert_eq!(f.payload, payloads[i], "frame {i}: payload");
+        // The direct receiver, searching one slot around the frame start
+        // and decoding there, sees exactly what the service saw.
+        let (off, _) = rx
+            .detect_preamble(&direct, starts[i] - spt, starts[i] + spt + 1)
+            .expect("direct detect failed");
+        assert_eq!(off, starts[i], "frame {i}: direct offset");
+        let want = rx
+            .receive_at(&direct, off, n_bits, &[])
+            .expect("direct decode failed");
+        assert_eq!(
+            f.bits, want.bits,
+            "frame {i}: bits diverge from the direct receiver"
+        );
+    }
+}
+
+/// A NaN burst inside the first fit window of a scan block used to become
+/// the block's running best (`score < NaN` is never true) and hide a real
+/// preamble later in the same block. The burst's windows now score
+/// nothing, and the frame is delivered.
+#[test]
+fn nan_burst_at_block_start_does_not_hide_the_frame() {
+    let bed = Testbed::new(loopback_phy(2, 4), PAYLOAD_LEN, Some(CODING), SCRAMBLE).with_snr(35.0);
+    let cfg = *bed.phy();
+    let scene = bed.frame(0, RUN_SEED);
+    // Scan blocks start at stream offset 0; the first fit window begins
+    // after the L-slot settling skip.
+    let skip = cfg.l_order * cfg.samples_per_slot();
+    let lead_in = 300usize;
+    let mut stream = bed.idle(lead_in);
+    for z in &mut stream[skip..skip + 8] {
+        *z = retroturbo_dsp::C64::new(f64::NAN, f64::NAN);
+    }
+    stream.extend_from_slice(&scene.samples);
+    stream.extend(bed.idle(2 * scene.samples.len()));
+
+    let svc = DecodeService::spawn(bed.service_config());
+    let input = svc.input();
+    input.push(&stream, None);
+    input.close();
+    let mut events = Vec::new();
+    while let Some(ev) = svc.recv() {
+        events.push(ev);
+    }
+    svc.shutdown();
+
+    assert_eq!(events.len(), 1, "events={events:?}");
+    match &events[0] {
+        ServiceEvent::Frame(f) => {
+            assert_eq!(f.offset, (lead_in + scene.offset) as u64);
+            assert_eq!(f.payload, scene.payload);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
