@@ -1,14 +1,14 @@
 //! Machine-readable kernel benchmark: times the optimized hot kernels (DFE
 //! branch extension, fingerprint emulation error, the online-training
 //! solve, the SoA panel ODE, the certified preamble scan, the fused packet
-//! pipeline) against their retained reference implementations, plus the
-//! parallel sweep runtime at 1 vs N threads, and writes
-//! `BENCH_kernels.json` — a `meta` provenance block (default backend, CPU
-//! features) plus one record per measurement with `{kernel, backend,
-//! ns_per_iter, ns_per_symbol, ns_per_point, threads, speedup}` —
-//! to seed the perf trajectory. Backend-tier rows (`*_simd`) time the
-//! ported kernels through the explicit AVX2 tier; they are checksum-gated
-//! against scalar and skipped on hosts without SIMD support.
+//! pipeline) against their retained reference implementations, each vector
+//! kernel's scalar body against its dispatched entry, plus the parallel
+//! sweep runtime at 1 vs N threads, and writes `BENCH_kernels.json` — a
+//! `meta` provenance block (SIMD detection, CPU features) plus one record
+//! per measurement with `{kernel, ns_per_iter, ns_per_symbol,
+//! ns_per_point, threads, speedup}` — to seed the perf trajectory. Every
+//! row runs the kernels the host dispatches to; the `*_scalar` /
+//! `*_dispatch` pairs isolate what the vector bodies buy.
 //! `ns_per_symbol` normalizes frame-scaling kernels (DFE, packet pipeline)
 //! by their payload symbol count and
 //! `ns_per_point` normalizes sweep entries by their grid-point count, so
@@ -16,8 +16,9 @@
 //! size; both are `null` where they do not apply. The full schema contract
 //! is documented in `crates/bench/README.md`.
 //!
-//! Speedup is reference-ns / optimized-ns for kernel pairs, and
-//! 1-thread-ns / N-thread-ns for the sweep (≈1.0 on a single-core host).
+//! Speedup is reference-ns / optimized-ns (scalar-ns / dispatch-ns) for
+//! kernel pairs, and 1-thread-ns / N-thread-ns for the sweep (≈1.0 on a
+//! single-core host).
 //!
 //! Before timing, each reference/optimized pair is run once and its outputs
 //! are checksummed; any divergence is reported and the process exits
@@ -35,9 +36,9 @@ use retroturbo_core::training::{OfflineTraining, OnlineTrainer};
 use retroturbo_core::{Equalizer, Modulator, PhyConfig, PreambleDetector, PreambleMatch, TagModel};
 use retroturbo_dsp::backend;
 use retroturbo_dsp::noise::NoiseSource;
-use retroturbo_dsp::{Backend, Signal, C64};
+use retroturbo_dsp::{Signal, C64};
 use retroturbo_lcm::fingerprint::{relative_error, relative_error_with_energy};
-use retroturbo_lcm::{FingerprintSet, Heterogeneity, LcParams, Panel, PanelKernel};
+use retroturbo_lcm::{FingerprintSet, Heterogeneity, LcParams, LcPixel, Panel, PanelKernel};
 use retroturbo_runtime::with_threads;
 use retroturbo_sim::experiments::field::fig16a_ber_vs_distance;
 use retroturbo_sim::experiments::Effort;
@@ -91,9 +92,7 @@ fn time_pair_ns<A: FnMut(), B: FnMut()>(
 /// One `BENCH_kernels.json` row; see `crates/bench/README.md` for the
 /// schema contract.
 struct Record {
-    kernel: &'static str,
-    /// Kernel backend tier this row ran on (`"scalar"` or `"simd"`).
-    backend: &'static str,
+    kernel: String,
     ns_per_iter: f64,
     /// Per-payload-symbol normalization (`ns_per_iter / symbols`) for
     /// kernels whose work scales with a frame's payload; `None` (emitted as
@@ -107,30 +106,75 @@ struct Record {
     speedup: f64,
 }
 
-/// FNV-1a over the bit patterns of a complex slice — the cross-variant
-/// checksum CI compares to catch reference/optimized divergence.
-fn checksum_c64(xs: &[C64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for z in xs {
-        for b in [z.re.to_bits(), z.im.to_bits()] {
-            h ^= b;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
+/// FNV-1a over a word stream — the cross-variant checksum CI compares to
+/// catch reference/optimized divergence.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
-/// FNV-1a over decided PQAM symbols — the DFE pairs must agree on every
+/// [`fnv`] over the bit patterns of a complex slice.
+fn checksum_c64(xs: &[C64]) -> u64 {
+    fnv(xs.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]))
+}
+
+/// [`fnv`] over the bit patterns of a real slice.
+fn checksum_f64(xs: &[f64]) -> u64 {
+    fnv(xs.iter().map(|x| x.to_bits()))
+}
+
+/// [`fnv`] over decided PQAM symbols — the DFE pairs must agree on every
 /// decision (costs may differ in the last bits; decisions may not).
 fn checksum_symbols(xs: &[retroturbo_core::PqamSymbol]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for s in xs {
-        for b in [s.i as u64, s.q as u64] {
-            h ^= b;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
+    fnv(xs.iter().flat_map(|s| [s.i as u64, s.q as u64]))
+}
+
+/// Gate and time one vector kernel: its `backend::scalar` body against the
+/// dispatched `backend` entry. `run(dispatched, state)` calls one of the
+/// two on `state`; each side starts from its own clone of `init`, and after
+/// one call `sum` must checksum both states equally (the divergence gate).
+/// Emits `{name}_scalar` (speedup 1) and `{name}_dispatch` (scalar ns /
+/// dispatch ns, interleaved batches of `iters` calls).
+#[allow(clippy::too_many_arguments)]
+fn tier_pair<S: Clone>(
+    records: &mut Vec<Record>,
+    diverged: &mut Vec<String>,
+    name: &str,
+    iters: usize,
+    reps: usize,
+    init: S,
+    run: impl Fn(bool, &mut S),
+    sum: impl Fn(&S) -> u64,
+) {
+    let (mut a, mut b) = (init.clone(), init);
+    run(false, &mut a);
+    run(true, &mut b);
+    if sum(&a) != sum(&b) {
+        diverged.push(format!("{name}_dispatch"));
     }
-    h
+    let (ns_s, ns_d) = time_pair_ns(
+        iters,
+        reps,
+        || {
+            run(false, &mut a);
+            std::hint::black_box(&a);
+        },
+        || {
+            run(true, &mut b);
+            std::hint::black_box(&b);
+        },
+    );
+    for (suffix, ns) in [("scalar", ns_s), ("dispatch", ns_d)] {
+        records.push(Record {
+            kernel: format!("{name}_{suffix}"),
+            ns_per_iter: ns,
+            ns_per_symbol: None,
+            ns_per_point: None,
+            threads: 1,
+            speedup: ns_s / ns,
+        });
+    }
 }
 
 fn main() {
@@ -138,25 +182,9 @@ fn main() {
         "bench-kernels",
         "hot-kernel before/after timings -> BENCH_kernels.json",
     );
-    // Pin the process-default backend to Scalar so every legacy row keeps
-    // measuring exactly what it measured before the backend layer existed
-    // (and stays comparable across the committed baselines). The SIMD rows
-    // below opt in per object via `with_backend`. A pre-set
-    // `RETROTURBO_BACKEND` (CI matrix legs) wins over this pin.
-    let forced = if std::env::var("RETROTURBO_BACKEND").is_ok() {
-        Backend::detect()
-    } else {
-        let _ = Backend::force(Backend::Scalar);
-        Backend::detect()
-    };
-    let simd_rows = backend::simd_available();
-    if !simd_rows {
-        eprintln!("# no SIMD support on this host: skipping simd-tier rows");
+    if !backend::simd_available() {
+        eprintln!("# no SIMD support on this host: every row runs the scalar bodies");
     }
-    // Legacy rows run on whatever the process default resolved to — label
-    // them honestly so a `RETROTURBO_BACKEND=simd` CI leg is distinguishable
-    // from the scalar baseline in the archived JSON.
-    let default_label = forced.label();
     // Quick profile (the CI smoke): fewer repetitions, same pairs and
     // checksums.
     let quick = Effort::from_env() == Effort::Quick;
@@ -219,8 +247,7 @@ fn main() {
             },
         );
         records.push(Record {
-            kernel: kernel_ref,
-            backend: default_label,
+            kernel: kernel_ref.into(),
             ns_per_iter: dfe_ref,
             ns_per_symbol: Some(dfe_ref / payload_syms),
             ns_per_point: None,
@@ -228,50 +255,12 @@ fn main() {
             speedup: 1.0,
         });
         records.push(Record {
-            kernel: kernel_opt,
-            backend: default_label,
+            kernel: kernel_opt.into(),
             ns_per_iter: dfe_new,
             ns_per_symbol: Some(dfe_new / payload_syms),
             ns_per_point: None,
             threads: 1,
             speedup: dfe_ref / dfe_new,
-        });
-    }
-
-    // --- DFE: explicit-SIMD lane scoring vs the scalar Gram path ----------
-    // The Simd tier must decide every payload symbol bit-identically to the
-    // scalar Gram path (which the loop above already proved against the
-    // oracle), so the gate here is transitive to the reference.
-    if simd_rows {
-        let eq_s = Equalizer::new(cfg)
-            .with_branches(16)
-            .with_backend(Backend::Scalar);
-        let eq_v = Equalizer::new(cfg)
-            .with_branches(16)
-            .with_backend(Backend::Simd);
-        let a = eq_s.equalize(&wave, &model, &known, frame.payload_slots);
-        let b = eq_v.equalize(&wave, &model, &known, frame.payload_slots);
-        if checksum_symbols(&a) != checksum_symbols(&b) {
-            diverged.push("dfe_decisions_k16_simd".into());
-        }
-        let (dfe_s, dfe_v) = time_pair_ns(
-            3,
-            reps,
-            || {
-                std::hint::black_box(eq_s.equalize(&wave, &model, &known, frame.payload_slots));
-            },
-            || {
-                std::hint::black_box(eq_v.equalize(&wave, &model, &known, frame.payload_slots));
-            },
-        );
-        records.push(Record {
-            kernel: "dfe_equalize_k16_simd",
-            backend: "simd",
-            ns_per_iter: dfe_v,
-            ns_per_symbol: Some(dfe_v / payload_syms),
-            ns_per_point: None,
-            threads: 1,
-            speedup: dfe_s / dfe_v,
         });
     }
 
@@ -296,8 +285,7 @@ fn main() {
         },
     );
     records.push(Record {
-        kernel: "fingerprint_relative_error_reference",
-        backend: default_label,
+        kernel: "fingerprint_relative_error_reference".into(),
         ns_per_iter: fp_ref,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -305,8 +293,7 @@ fn main() {
         speedup: 1.0,
     });
     records.push(Record {
-        kernel: "fingerprint_relative_error_precomputed",
-        backend: default_label,
+        kernel: "fingerprint_relative_error_precomputed".into(),
         ns_per_iter: fp_new,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -336,8 +323,7 @@ fn main() {
         },
     );
     records.push(Record {
-        kernel: "online_training_reference",
-        backend: default_label,
+        kernel: "online_training_reference".into(),
         ns_per_iter: tr_ref,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -345,45 +331,13 @@ fn main() {
         speedup: 1.0,
     });
     records.push(Record {
-        kernel: "online_training_precomputed",
-        backend: default_label,
+        kernel: "online_training_precomputed".into(),
         ns_per_iter: tr_new,
         ns_per_symbol: None,
         ns_per_point: None,
         threads: 1,
         speedup: tr_ref / tr_new,
     });
-
-    // --- Online training: SIMD Gram accumulation vs scalar ----------------
-    // TagModel has no PartialEq; gating on the rendered response of the
-    // trained model compares everything the receiver can observe.
-    if simd_rows {
-        let tr_v = OnlineTrainer::new(cfg, &offline).with_backend(Backend::Simd);
-        let ma = trainer.train(&rx);
-        let mb = tr_v.train(&rx);
-        if checksum_c64(&ma.render_levels(&levels)) != checksum_c64(&mb.render_levels(&levels)) {
-            diverged.push("online_training_simd".into());
-        }
-        let (tn_s, tn_v) = time_pair_ns(
-            3,
-            reps,
-            || {
-                std::hint::black_box(trainer.train(&rx));
-            },
-            || {
-                std::hint::black_box(tr_v.train(&rx));
-            },
-        );
-        records.push(Record {
-            kernel: "online_training_simd",
-            backend: "simd",
-            ns_per_iter: tn_v,
-            ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
-            speedup: tn_s / tn_v,
-        });
-    }
 
     // --- Panel ODE: SoA kernel vs scalar reference loop -------------------
     // The pipeline's usage pattern on each side: the reference path clones
@@ -425,8 +379,7 @@ fn main() {
         },
     );
     records.push(Record {
-        kernel: "panel_simulate_reference",
-        backend: default_label,
+        kernel: "panel_simulate_reference".into(),
         ns_per_iter: panel_ref,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -434,8 +387,7 @@ fn main() {
         speedup: 1.0,
     });
     records.push(Record {
-        kernel: "panel_simulate_soa",
-        backend: default_label,
+        kernel: "panel_simulate_soa".into(),
         ns_per_iter: panel_soa,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -443,41 +395,6 @@ fn main() {
         speedup: panel_ref / panel_soa,
     });
 
-    // --- Panel ODE: explicit backend tiers over the same drive ------------
-    if simd_rows {
-        let mut kv = PanelKernel::from_panel(&pristine).with_backend(Backend::Simd);
-        let mut v_out = vec![C64::default(); n_wave];
-        kv.restore();
-        kv.simulate_into(&cmds, cfg.fs, &mut v_out);
-        kernel.restore();
-        kernel.simulate_into(&cmds, cfg.fs, &mut soa_out);
-        if checksum_c64(&soa_out) != checksum_c64(&v_out) {
-            diverged.push("panel_ode_simd".into());
-        }
-        let (p_s, p_v) = time_pair_ns(
-            if quick { 1 } else { 3 },
-            reps,
-            || {
-                kernel.restore();
-                kernel.simulate_into(&cmds, cfg.fs, &mut soa_out);
-                std::hint::black_box(&soa_out);
-            },
-            || {
-                kv.restore();
-                kv.simulate_into(&cmds, cfg.fs, &mut v_out);
-                std::hint::black_box(&v_out);
-            },
-        );
-        records.push(Record {
-            kernel: "panel_ode_simd",
-            backend: "simd",
-            ns_per_iter: p_v,
-            ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
-            speedup: p_s / p_v,
-        });
-    }
     // --- Preamble search: certified moment scan vs per-offset lstsq -------
     // Two shapes: the sweep's short window at the frame start, and the
     // streaming framer's 512-offset block over noise with one preamble in
@@ -528,8 +445,7 @@ fn main() {
             },
         );
         records.push(Record {
-            kernel: kernel_ref,
-            backend: default_label,
+            kernel: kernel_ref.into(),
             ns_per_iter: ns_ref,
             ns_per_symbol: None,
             ns_per_point: None,
@@ -537,8 +453,7 @@ fn main() {
             speedup: 1.0,
         });
         records.push(Record {
-            kernel: kernel_opt,
-            backend: default_label,
+            kernel: kernel_opt.into(),
             ns_per_iter: ns_opt,
             ns_per_symbol: None,
             ns_per_point: None,
@@ -547,129 +462,195 @@ fn main() {
         });
     }
 
-    // --- Gram fit: backend tiers of the exact per-offset fit --------------
-    // `fit_at` over the 512 offsets of the framer block, per tier: the
-    // fused Aᴴy + solve + residual kernel the certified scan refits with.
-    if simd_rows {
-        let det_s = PreambleDetector::new(&cfg, &model).with_backend(Backend::Scalar);
-        let det_v = PreambleDetector::new(&cfg, &model).with_backend(Backend::Simd);
-        let fit_all = |det: &PreambleDetector| {
-            (0..512)
-                .filter_map(|off| det.fit_at(&block, off))
-                .fold(0u64, |h, m| h.rotate_left(7) ^ m.score.to_bits())
-        };
-        if fit_all(&det_s) != fit_all(&det_v) {
-            diverged.push("gram_fit_simd".into());
-        }
-        let (g_s, g_v) = time_pair_ns(
-            if quick { 1 } else { 3 },
-            reps,
-            || {
-                std::hint::black_box(fit_all(&det_s));
-            },
-            || {
-                std::hint::black_box(fit_all(&det_v));
-            },
-        );
-        records.push(Record {
-            kernel: "gram_fit_simd",
-            backend: "simd",
-            ns_per_iter: g_v,
-            ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
-            speedup: g_s / g_v,
-        });
-    }
-    // --- Filter chain: FIR + biquad front end, per backend tier -----------
-    // Direct `backend::*` calls with an explicit tier (the `Fir`/`Biquad`
-    // wrappers dispatch on the pinned process default). The chain shape
-    // mirrors the reader front end: one narrow FIR pass then one biquad
-    // smoothing pass over the same frame; the decimator is timed separately
-    // below.
+    // --- Vector kernels: scalar body vs dispatched entry -------------------
+    // One pair per kernel in `retroturbo_dsp::backend`: its `scalar::` body
+    // against the public entry, which runs the host's vector body when
+    // `simd_available()` (recorded in `meta`) and the scalar body otherwise.
+    // Inputs are sized like the production call sites: one DFE/training slot
+    // for the slot kernels, the preamble match window for the fit kernels,
+    // a mid-factorization column of a refinement-sized Cholesky, every pixel
+    // of the panel for the ODE step, and the rendered frame for the filters.
     {
         use retroturbo_dsp::filter::{Biquad, Fir};
+        /// `kernel!(d, name(args))`: the dispatched `backend::name` when
+        /// `d`, else the `backend::scalar::name` body (both direct calls).
+        macro_rules! kernel {
+            ($d:expr, $k:ident($($arg:expr),*)) => {
+                if $d {
+                    backend::$k($($arg),*)
+                } else {
+                    backend::scalar::$k($($arg),*)
+                }
+            };
+        }
+        let mut r = NoiseSource::new(13);
+        let mut cvec = |n: usize| -> Vec<C64> {
+            let mut v = vec![C64::default(); n];
+            r.add_awgn(&mut v, 1.0);
+            v
+        };
+        let (slot, slot_a, slot_b) = (cvec(spt), cvec(spt), cvec(spt));
+        let (i0, i1) = (C64::new(0.5, -1.0), C64::new(-0.25, 2.0));
+        let k = detector.reference_len();
+        let (r0, r1, r2, y) = (cvec(k), cvec(k), cvec(k), cvec(k));
+        let rows: Vec<C64> = (0..k).flat_map(|i| [r0[i], r1[i], r2[i]]).collect();
+        let sol = [
+            C64::new(0.9, 0.1),
+            C64::new(0.02, -0.01),
+            C64::new(0.1, 0.0),
+        ];
+        let (chol_n, chol_j) = (64usize, 32usize);
+        let below = cvec((chol_n - chol_j - 1) * chol_n);
+        let prefix = cvec(chol_j);
+        let (s_iters, f_iters) = if quick { (500, 50) } else { (2000, 200) };
+        let (rec, div) = (&mut records, &mut diverged);
+
+        tier_pair(
+            rec,
+            div,
+            "axpy_wr",
+            s_iters,
+            reps,
+            slot_a.clone(),
+            |d, o: &mut Vec<C64>| kernel!(d, axpy_wr(o, &slot, 0.25)),
+            |o| checksum_c64(o),
+        );
+        tier_pair(
+            rec,
+            div,
+            "sub_energy",
+            s_iters,
+            reps,
+            (vec![C64::default(); spt], 0.0),
+            |d, (o, e): &mut (Vec<C64>, f64)| *e = kernel!(d, sub_energy(o, &slot, &slot_a)),
+            |(o, e)| checksum_c64(o) ^ e.to_bits(),
+        );
+        tier_pair(
+            rec,
+            div,
+            "dot_conj2",
+            s_iters,
+            reps,
+            (C64::default(), C64::default()),
+            |d, o: &mut (C64, C64)| *o = kernel!(d, dot_conj2(&slot, &slot_a, &slot_b)),
+            |o| checksum_c64(&[o.0, o.1]),
+        );
+        tier_pair(
+            rec,
+            div,
+            "dotc2",
+            s_iters,
+            reps,
+            (C64::default(), C64::default()),
+            |d, o: &mut (C64, C64)| *o = kernel!(d, dotc2(&slot, &slot_a, &slot_b, i0, i1)),
+            |o| checksum_c64(&[o.0, o.1]),
+        );
+        tier_pair(
+            rec,
+            div,
+            "ahy3",
+            f_iters,
+            reps,
+            [C64::default(); 3],
+            |d, o: &mut [C64; 3]| *o = kernel!(d, ahy3(&r0, &r1, &r2, &y)),
+            |o| checksum_c64(o),
+        );
+        tier_pair(
+            rec,
+            div,
+            "wl_fold_residual",
+            f_iters,
+            reps,
+            0.0,
+            |d, e: &mut f64| *e = kernel!(d, wl_fold_residual(&rows, &sol, &y)),
+            |e| e.to_bits(),
+        );
+        // `inv_ljj = 1` keeps the repeated in-place update from growing.
+        tier_pair(
+            rec,
+            div,
+            "chol_col_update",
+            f_iters,
+            reps,
+            below,
+            |d, o: &mut Vec<C64>| kernel!(d, chol_col_update(o, chol_n, chol_j, &prefix, 1.0)),
+            |o| checksum_c64(o),
+        );
+
+        // Panel ODE step over every pixel of the tag, half of them driven.
+        let pixels: Vec<_> = (0..pristine.module_count())
+            .flat_map(|m| pristine.module(m).pixels())
+            .collect();
+        let mask: Vec<u64> = (0..pixels.len())
+            .map(|i| if i % 2 == 0 { u64::MAX } else { 0 })
+            .collect();
+        let per_pixel = |f: fn(&LcPixel) -> f64| pixels.iter().map(|p| f(p)).collect::<Vec<f64>>();
+        let w = per_pixel(|p| p.weight);
+        let ic = per_pixel(|p| 1.0 / p.params.tau_charge);
+        let iu = per_pixel(|p| 1.0 / p.params.tau_ready_up);
+        let ir = per_pixel(|p| 1.0 / p.params.tau_relax);
+        let id = per_pixel(|p| 1.0 / p.params.tau_ready_down);
+        let de = per_pixel(|p| p.params.delta);
+        let lc_state = (
+            per_pixel(|p| p.state.x),
+            per_pixel(|p| p.state.u),
+            vec![0.0; pixels.len()],
+        );
+        let dt = 1.0 / cfg.fs;
+        tier_pair(
+            rec,
+            div,
+            "lc_rk2_contrib",
+            s_iters,
+            reps,
+            lc_state,
+            |d, (x, u, c): &mut (Vec<f64>, Vec<f64>, Vec<f64>)| {
+                kernel!(
+                    d,
+                    lc_rk2_contrib(x, u, &mask, &w, &ic, &iu, &ir, &id, &de, dt, c)
+                )
+            },
+            |(x, u, c)| fnv([checksum_f64(x), checksum_f64(u), checksum_f64(c)]),
+        );
+
+        // Front-end filters over the rendered frame: a 63-tap FIR, one
+        // biquad, boxcar decimation by 4.
         let fir = Fir::lowpass(4_000.0, cfg.fs, 63);
-        let coeffs = Biquad::lowpass(3_000.0, 0.707, cfg.fs).coeffs();
-        let d = fir.group_delay();
+        let bq = Biquad::lowpass(3_000.0, 0.707, cfg.fs).coeffs();
+        let gd = fir.group_delay();
         let n = wave.len();
-        let mut y_fir = vec![C64::default(); n];
-        let mut y_bq = vec![C64::default(); n];
-        backend::fir_filter_into(Backend::Scalar, fir.taps(), &wave, d, &mut y_fir);
-        backend::biquad_filter_into(Backend::Scalar, &coeffs, &wave, &mut y_bq);
-        let cs_fir = checksum_c64(&y_fir);
-        let cs_bq = checksum_c64(&y_bq);
-        let chain_scalar = time_ns(if quick { 2 } else { 5 }, reps, || {
-            backend::fir_filter_into(Backend::Scalar, fir.taps(), &wave, d, &mut y_fir);
-            backend::biquad_filter_into(Backend::Scalar, &coeffs, &wave, &mut y_bq);
-            std::hint::black_box((&y_fir, &y_bq));
-        });
-        records.push(Record {
-            kernel: "filter_chain",
-            backend: "scalar",
-            ns_per_iter: chain_scalar,
-            ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
-            speedup: 1.0,
-        });
-        if simd_rows {
-            backend::fir_filter_into(Backend::Simd, fir.taps(), &wave, d, &mut y_fir);
-            backend::biquad_filter_into(Backend::Simd, &coeffs, &wave, &mut y_bq);
-            if checksum_c64(&y_fir) != cs_fir || checksum_c64(&y_bq) != cs_bq {
-                diverged.push("filter_chain_simd".into());
-            }
-            let chain_simd = time_ns(if quick { 2 } else { 5 }, reps, || {
-                backend::fir_filter_into(Backend::Simd, fir.taps(), &wave, d, &mut y_fir);
-                backend::biquad_filter_into(Backend::Simd, &coeffs, &wave, &mut y_bq);
-                std::hint::black_box((&y_fir, &y_bq));
-            });
-            records.push(Record {
-                kernel: "filter_chain_simd",
-                backend: "simd",
-                ns_per_iter: chain_simd,
-                ns_per_symbol: None,
-                ns_per_point: None,
-                threads: 1,
-                speedup: chain_scalar / chain_simd,
-            });
-        }
-        // Boxcar decimator, factor 4: scalar vs SIMD, bit-gated.
-        let mut y_dec = vec![C64::default(); n / 4];
-        backend::decimate_into(Backend::Scalar, &wave, 4, &mut y_dec);
-        let cs_dec = checksum_c64(&y_dec);
-        let dec_scalar = time_ns(if quick { 5 } else { 20 }, reps, || {
-            backend::decimate_into(Backend::Scalar, &wave, 4, &mut y_dec);
-            std::hint::black_box(&y_dec);
-        });
-        records.push(Record {
-            kernel: "decimate_boxcar",
-            backend: "scalar",
-            ns_per_iter: dec_scalar,
-            ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
-            speedup: 1.0,
-        });
-        if simd_rows {
-            backend::decimate_into(Backend::Simd, &wave, 4, &mut y_dec);
-            if checksum_c64(&y_dec) != cs_dec {
-                diverged.push("decimate_boxcar_simd".into());
-            }
-            let dec_simd = time_ns(if quick { 5 } else { 20 }, reps, || {
-                backend::decimate_into(Backend::Simd, &wave, 4, &mut y_dec);
-                std::hint::black_box(&y_dec);
-            });
-            records.push(Record {
-                kernel: "decimate_boxcar_simd",
-                backend: "simd",
-                ns_per_iter: dec_simd,
-                ns_per_symbol: None,
-                ns_per_point: None,
-                threads: 1,
-                speedup: dec_scalar / dec_simd,
-            });
-        }
+        tier_pair(
+            rec,
+            div,
+            "fir_filter_into",
+            if quick { 2 } else { 5 },
+            reps,
+            vec![C64::default(); n],
+            |d, o: &mut Vec<C64>| kernel!(d, fir_filter_into(fir.taps(), &wave, gd, o)),
+            |o| checksum_c64(o),
+        );
+        tier_pair(
+            rec,
+            div,
+            "biquad_filter_into",
+            if quick { 20 } else { 50 },
+            reps,
+            (vec![C64::default(); n], (C64::default(), C64::default())),
+            |d, (o, st): &mut (Vec<C64>, (C64, C64))| {
+                *st = kernel!(d, biquad_filter_into(&bq, &wave, o))
+            },
+            |(o, st)| fnv([checksum_c64(o), checksum_c64(&[st.0, st.1])]),
+        );
+        tier_pair(
+            rec,
+            div,
+            "decimate_into",
+            if quick { 5 } else { 20 },
+            reps,
+            vec![C64::default(); n / 4],
+            |d, o: &mut Vec<C64>| kernel!(d, decimate_into(&wave, 4, o)),
+            |o| checksum_c64(o),
+        );
     }
 
     // --- Packet pipeline: fused allocation-free vs allocating reference ---
@@ -705,8 +686,7 @@ fn main() {
         },
     );
     records.push(Record {
-        kernel: "run_packet_reference",
-        backend: default_label,
+        kernel: "run_packet_reference".into(),
         ns_per_iter: pkt_ref,
         ns_per_symbol: Some(pkt_ref / pkt_syms),
         ns_per_point: None,
@@ -714,8 +694,7 @@ fn main() {
         speedup: 1.0,
     });
     records.push(Record {
-        kernel: "run_packet_fused",
-        backend: default_label,
+        kernel: "run_packet_fused".into(),
         ns_per_iter: pkt_fused,
         ns_per_symbol: Some(pkt_fused / pkt_syms),
         ns_per_point: None,
@@ -723,47 +702,6 @@ fn main() {
         speedup: pkt_ref / pkt_fused,
     });
 
-    // --- Packet pipeline: explicit backend tiers --------------------------
-    // Fresh simulators per tier (`with_backend` rewires the receiver and the
-    // panel scratch factory); the scalar `sim` above is the baseline.
-    let o_scalar = sim.run_packet(&mut scratch, &pkt_bits, 2);
-    if simd_rows {
-        let sim_v = LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(3.0), 9)
-            .with_backend(Backend::Simd);
-        let mut scr_v = sim_v.make_scratch();
-        let sv = sim_v.synth_rx(&mut scr_v, &pkt_bits, 1);
-        let ss = sim.synth_rx(&mut scratch, &pkt_bits, 1);
-        if checksum_c64(sv.samples()) != checksum_c64(ss.samples()) {
-            diverged.push("run_packet_simd_waveform".into());
-        }
-        scr_v.give_back(sv.into_samples());
-        scratch.give_back(ss.into_samples());
-        let ov = sim_v.run_packet(&mut scr_v, &pkt_bits, 2);
-        if (ov.bit_errors, ov.bits, ov.detected)
-            != (o_scalar.bit_errors, o_scalar.bits, o_scalar.detected)
-        {
-            diverged.push("run_packet_simd_outcome".into());
-        }
-        let (pk_s, pk_v) = time_pair_ns(
-            1,
-            reps,
-            || {
-                std::hint::black_box(sim.run_packet(&mut scratch, &pkt_bits, 3));
-            },
-            || {
-                std::hint::black_box(sim_v.run_packet(&mut scr_v, &pkt_bits, 3));
-            },
-        );
-        records.push(Record {
-            kernel: "run_packet_simd",
-            backend: "simd",
-            ns_per_iter: pk_v,
-            ns_per_symbol: Some(pk_v / pkt_syms),
-            ns_per_point: None,
-            threads: 1,
-            speedup: pk_s / pk_v,
-        });
-    }
     // --- Waveform synthesis: live render vs cached re-noise (§7.3) -------
     // The sweep engine's core trade: a cache hit replaces the whole
     // per-packet synthesis (panel ODE + channel + fresh AWGN) with a copy of
@@ -795,8 +733,7 @@ fn main() {
             },
         );
         records.push(Record {
-            kernel: "waveform_render_reference",
-            backend: default_label,
+            kernel: "waveform_render_reference".into(),
             ns_per_iter: render_ns,
             ns_per_symbol: Some(render_ns / pkt_syms),
             ns_per_point: None,
@@ -804,8 +741,7 @@ fn main() {
             speedup: 1.0,
         });
         records.push(Record {
-            kernel: "waveform_renoise_cached",
-            backend: default_label,
+            kernel: "waveform_renoise_cached".into(),
             ns_per_iter: renoise_ns,
             ns_per_symbol: Some(renoise_ns / pkt_syms),
             ns_per_point: None,
@@ -846,8 +782,7 @@ fn main() {
         },
     );
     records.push(Record {
-        kernel: "rs_decode_errors_only",
-        backend: default_label,
+        kernel: "rs_decode_errors_only".into(),
         ns_per_iter: rs_plain,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -855,8 +790,7 @@ fn main() {
         speedup: 1.0,
     });
     records.push(Record {
-        kernel: "rs_decode_errata",
-        backend: default_label,
+        kernel: "rs_decode_errata".into(),
         ns_per_iter: rs_errata,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -890,8 +824,7 @@ fn main() {
         std::hint::black_box(imp.apply(&imp_sig, 11));
     });
     records.push(Record {
-        kernel: "impairment_chain_full",
-        backend: default_label,
+        kernel: "impairment_chain_full".into(),
         ns_per_iter: imp_ns,
         ns_per_symbol: None,
         ns_per_point: None,
@@ -914,8 +847,7 @@ fn main() {
     let sweep_points = 4.0;
     let sweep_1 = sweep(1);
     records.push(Record {
-        kernel: "sweep_fig16a_quick",
-        backend: default_label,
+        kernel: "sweep_fig16a_quick".into(),
         ns_per_iter: sweep_1,
         ns_per_symbol: None,
         ns_per_point: Some(sweep_1 / sweep_points),
@@ -925,8 +857,7 @@ fn main() {
     if n_threads > 1 {
         let sweep_n = sweep(n_threads);
         records.push(Record {
-            kernel: "sweep_fig16a_quick",
-            backend: default_label,
+            kernel: "sweep_fig16a_quick".into(),
             ns_per_iter: sweep_n,
             ns_per_symbol: None,
             ns_per_point: Some(sweep_n / sweep_points),
@@ -938,17 +869,16 @@ fn main() {
     }
 
     // --- Emit ------------------------------------------------------------
-    // `{"meta": {...}, "kernels": [...]}`: the meta block records which
-    // backend the legacy rows ran on and what the host CPU offered, so
-    // archived baselines from different hosts/legs stay attributable.
+    // `{"meta": {...}, "kernels": [...]}`: the meta block records whether
+    // the host dispatched to the vector bodies and what its CPU offered, so
+    // archived baselines from different hosts stay attributable.
     let opt = |v: Option<f64>| v.map_or_else(|| "null".into(), |v| format!("{v:.1}"));
     let rows: Vec<String> = records
         .iter()
         .map(|r| {
             format!(
-                "{{\"kernel\": \"{}\", \"backend\": \"{}\", \"ns_per_iter\": {:.1}, \"ns_per_symbol\": {}, \"ns_per_point\": {}, \"threads\": {}, \"speedup\": {:.3}}}",
+                "{{\"kernel\": \"{}\", \"ns_per_iter\": {:.1}, \"ns_per_symbol\": {}, \"ns_per_point\": {}, \"threads\": {}, \"speedup\": {:.3}}}",
                 r.kernel,
-                r.backend,
                 r.ns_per_iter,
                 opt(r.ns_per_symbol),
                 opt(r.ns_per_point),
@@ -957,13 +887,7 @@ fn main() {
             )
         })
         .collect();
-    emit_bench_json(
-        "BENCH_KERNELS_OUT",
-        "BENCH_kernels.json",
-        forced,
-        "kernels",
-        &rows,
-    );
+    emit_bench_json("BENCH_KERNELS_OUT", "BENCH_kernels.json", "kernels", &rows);
 
     if !diverged.is_empty() {
         eprintln!("# FAIL: reference/optimized checksum divergence: {diverged:?}");

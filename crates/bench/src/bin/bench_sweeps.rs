@@ -1,14 +1,12 @@
 //! Machine-readable sweep-engine benchmark: times whole figure sweeps in
 //! three modes — the end-to-end scalar reference oracle, the fused
 //! pipeline without the render cache (the pre-engine driver), and the
-//! engine's cached re-noise path, plus the cached path through the
-//! bit-gated Simd backend tier for field sweeps — and
-//! writes `BENCH_sweeps.json`: a `meta` provenance block plus one record
-//! per `{sweep, mode, threads, points, ms_total, ns_per_point,
-//! speedup}` measurement. `speedup` is each sweep's baseline-mode time
-//! over the row's time (baseline = the sweep's first listed mode), so the
-//! cached row's speedup is the headline engine win. The schema contract is
-//! documented in `crates/bench/README.md`.
+//! engine's cached re-noise path — and writes `BENCH_sweeps.json`: a
+//! `meta` provenance block plus one record per `{sweep, mode, threads,
+//! points, ms_total, ns_per_point, speedup}` measurement. `speedup` is each
+//! sweep's baseline-mode time over the row's time (baseline = the sweep's
+//! first listed mode), so the cached row's speedup is the headline engine
+//! win. The schema contract is documented in `crates/bench/README.md`.
 //!
 //! Before timing, every mode's full result set is serialised bit-exactly
 //! and compared; any divergence between the cached path and its oracles is
@@ -21,7 +19,6 @@ use std::time::Instant;
 
 use retroturbo_bench::{banner, emit_bench_json};
 use retroturbo_core::PhyConfig;
-use retroturbo_dsp::{backend, Backend};
 use retroturbo_sim::experiments::Effort;
 use retroturbo_sim::sweep::workloads::{BerOut, EmuSweep, FieldOracle, FieldSweep};
 use retroturbo_sim::{
@@ -123,7 +120,7 @@ fn run_profile(effort: Effort, records: &mut Vec<Record>, diverged: &mut Vec<Str
     } else {
         &[4.0, 9.0]
     };
-    let field = |oracle: FieldOracle, bk: Backend| FieldSweep {
+    let field = |oracle: FieldOracle| FieldSweep {
         make: move |curve: usize, d: f64| {
             let cfg = if curve == 0 {
                 PhyConfig::default_4kbps()
@@ -131,7 +128,6 @@ fn run_profile(effort: Effort, records: &mut Vec<Record>, diverged: &mut Vec<Str
                 PhyConfig::default_8kbps()
             };
             LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(d), seed)
-                .with_backend(bk)
         },
         n_packets: effort.packets(),
         payload_bytes: effort.payload_bytes(),
@@ -148,7 +144,7 @@ fn run_profile(effort: Effort, records: &mut Vec<Record>, diverged: &mut Vec<Str
     // baseline; the fused no-cache mode is the pre-engine driver. Both must
     // be bit-identical to the cached path.
     {
-        let scalar = field(FieldOracle::Scalar, Backend::detect());
+        let scalar = field(FieldOracle::Scalar);
         let (recs, scalar_canon, div) = measure_sweep(
             name,
             &[("scalar_oracle", SweepEngine::new(seed).no_cache())],
@@ -162,7 +158,7 @@ fn run_profile(effort: Effort, records: &mut Vec<Record>, diverged: &mut Vec<Str
             diverged.push(d);
         }
 
-        let fused = field(FieldOracle::Fused, Backend::detect());
+        let fused = field(FieldOracle::Fused);
         let (mut recs, fused_canon, div) = measure_sweep(
             name,
             &[
@@ -187,28 +183,6 @@ fn run_profile(effort: Effort, records: &mut Vec<Record>, diverged: &mut Vec<Str
             r.speedup = scalar_ms / r.ms_total;
         }
         records.extend(recs);
-
-        // Simd tier of the cached engine. It claims bit-identity end to
-        // end, so its rows must serialise exactly like the scalar oracle's.
-        if backend::simd_available() {
-            let simd = field(FieldOracle::Fused, Backend::Simd);
-            let (mut recs, simd_canon, _) = measure_sweep(
-                name,
-                &[("engine_cached_simd", SweepEngine::new(seed))],
-                &simd,
-                &grid,
-                reps,
-            );
-            if simd_canon != scalar_canon {
-                diverged.push(format!("{name}: simd tier diverged from scalar oracle"));
-            }
-            for r in &mut recs {
-                r.speedup = scalar_ms / r.ms_total;
-            }
-            records.extend(recs);
-        } else {
-            eprintln!("# no SIMD support on this host: skipping {name}/engine_cached_simd");
-        }
     }
 
     // --- fig18a emulated sweep: BER vs SNR per rate (§7.3) ----------------
@@ -256,16 +230,6 @@ fn main() {
         "bench-sweeps",
         "figure-sweep engine timings -> BENCH_sweeps.json",
     );
-    // Pin the process default to Scalar (as `bench_kernels` does) so the
-    // legacy rows stay comparable with pre-backend baselines; the explicit
-    // simd rows opt in via `with_backend`. A pre-set `RETROTURBO_BACKEND`
-    // (CI matrix legs) wins over the pin.
-    let forced = if std::env::var("RETROTURBO_BACKEND").is_ok() {
-        Backend::detect()
-    } else {
-        let _ = Backend::force(Backend::Scalar);
-        Backend::detect()
-    };
     let mut records: Vec<Record> = Vec::new();
     let mut diverged: Vec<String> = Vec::new();
     // The quick rows are the CI-smoke trajectory; a RETRO_FULL=1 run adds
@@ -277,8 +241,8 @@ fn main() {
 
     // --- Emit ------------------------------------------------------------
     // Same `{"meta": {...}, "sweeps": [...]}` provenance shape as
-    // `BENCH_kernels.json`, so archived runs stay attributable to a backend
-    // and host feature set.
+    // `BENCH_kernels.json`, so archived runs stay attributable to a host
+    // feature set.
     let rows: Vec<String> = records
         .iter()
         .map(|r| {
@@ -288,13 +252,7 @@ fn main() {
             )
         })
         .collect();
-    emit_bench_json(
-        "BENCH_SWEEPS_OUT",
-        "BENCH_sweeps.json",
-        forced,
-        "sweeps",
-        &rows,
-    );
+    emit_bench_json("BENCH_SWEEPS_OUT", "BENCH_sweeps.json", "sweeps", &rows);
 
     if !diverged.is_empty() {
         eprintln!("# FAIL: sweep-mode checksum divergence: {diverged:?}");

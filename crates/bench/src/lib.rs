@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use retroturbo_dsp::{backend, Backend};
+use retroturbo_dsp::backend;
 use retroturbo_sim::experiments::Effort;
 
 /// Print a TSV header line.
@@ -44,18 +44,17 @@ pub fn banner(id: &str, what: &str) {
 }
 
 /// Render a `BENCH_*.json` document: the shared `meta` provenance block
-/// (the backend the default-tier rows ran on, runtime SIMD detection, the
-/// host's CPU features, the effort profile) followed by `key` holding one
-/// pre-formatted JSON object per row.
-fn bench_json(default_backend: Backend, quick: bool, key: &str, rows: &[String]) -> String {
+/// (runtime SIMD detection, which decides the kernel body every dispatched
+/// row ran; the host's CPU features; the effort profile) followed by `key`
+/// holding one pre-formatted JSON object per row.
+fn bench_json(quick: bool, key: &str, rows: &[String]) -> String {
     let feats = backend::cpu_features()
         .iter()
         .map(|(name, on)| format!("\"{name}\": {on}"))
         .collect::<Vec<_>>()
         .join(", ");
     let mut json = format!(
-        "{{\n  \"meta\": {{\n    \"default_backend\": \"{}\",\n    \"simd_available\": {},\n    \"cpu_features\": {{{feats}}},\n    \"quick\": {quick}\n  }},\n  \"{key}\": [\n",
-        default_backend.label(),
+        "{{\n  \"meta\": {{\n    \"simd_available\": {},\n    \"cpu_features\": {{{feats}}},\n    \"quick\": {quick}\n  }},\n  \"{key}\": [\n",
         backend::simd_available(),
     );
     for (i, row) in rows.iter().enumerate() {
@@ -70,15 +69,9 @@ fn bench_json(default_backend: Backend, quick: bool, key: &str, rows: &[String])
 /// profile, then `key` holding one pre-formatted JSON object per row — to
 /// the path in env var `out_var` (else `default_path`), and echo it to
 /// stdout.
-pub fn emit_bench_json(
-    out_var: &str,
-    default_path: &str,
-    default_backend: Backend,
-    key: &str,
-    rows: &[String],
-) {
+pub fn emit_bench_json(out_var: &str, default_path: &str, key: &str, rows: &[String]) {
     let quick = Effort::from_env() == Effort::Quick;
-    let json = bench_json(default_backend, quick, key, rows);
+    let json = bench_json(quick, key, rows);
     let path = std::env::var(out_var).unwrap_or_else(|_| default_path.into());
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("# wrote {path}");
@@ -100,9 +93,9 @@ mod tests {
     #[test]
     fn bench_json_shape() {
         let rows = ["{\"a\": 1}".to_string(), "{\"a\": 2}".to_string()];
-        let json = bench_json(Backend::Scalar, true, "kernels", &rows);
+        let json = bench_json(true, "kernels", &rows);
         let head = format!(
-            "{{\n  \"meta\": {{\n    \"default_backend\": \"scalar\",\n    \"simd_available\": {},\n    \"cpu_features\": {{",
+            "{{\n  \"meta\": {{\n    \"simd_available\": {},\n    \"cpu_features\": {{",
             backend::simd_available()
         );
         assert!(json.starts_with(&head), "{json}");
@@ -110,8 +103,6 @@ mod tests {
             json.ends_with("},\n    \"quick\": true\n  },\n  \"kernels\": [\n    {\"a\": 1},\n    {\"a\": 2}\n  ]\n}\n"),
             "{json}"
         );
-        assert!(
-            bench_json(Backend::Scalar, false, "sweeps", &[]).ends_with("\"sweeps\": [\n  ]\n}\n")
-        );
+        assert!(bench_json(false, "sweeps", &[]).ends_with("\"sweeps\": [\n  ]\n}\n"));
     }
 }

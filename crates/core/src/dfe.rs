@@ -22,7 +22,7 @@ use crate::constellation::{Constellation, PqamSymbol};
 use crate::params::PhyConfig;
 use crate::synth::{SlotLevels, TagModel};
 use retroturbo_dsp::backend;
-use retroturbo_dsp::{Backend, C64};
+use retroturbo_dsp::C64;
 use retroturbo_telemetry as telemetry;
 use std::rc::Rc;
 
@@ -222,7 +222,6 @@ impl ScoreBasis {
 /// via [`add_phase_into`]).
 #[allow(clippy::too_many_arguments)]
 fn predict_off_into(
-    bk: Backend,
     model: &TagModel,
     ring: &[SlotLevels],
     g: usize,
@@ -257,7 +256,7 @@ fn predict_off_into(
             // Not yet fired: relaxed contribution (key 0). `s · 1.0` is
             // exact for every f64, so the weighted kernel stays
             // bit-identical to the original plain add.
-            backend::axpy_wr(bk, pred_off, model.modules[module].slot(0, 0), 1.0);
+            backend::axpy_wr(pred_off, model.modules[module].slot(0, 0), 1.0);
             continue;
         }
         let tau = mtau;
@@ -286,7 +285,7 @@ fn predict_off_into(
                 }
                 key |= (level_fires(lev, b, bits) as usize) << age;
             }
-            backend::axpy_wr(bk, pred_off, model.modules[module].slot(key, tau), *w);
+            backend::axpy_wr(pred_off, model.modules[module].slot(key, tau), *w);
             if tau == 0 {
                 fire_h[(is_q as usize) * bits + b] = key >> 1;
             }
@@ -300,7 +299,6 @@ fn predict_off_into(
 /// `tau ≥ 1` and never touch `fire_h`.
 #[allow(clippy::too_many_arguments)]
 fn add_phase_into(
-    bk: Backend,
     model: &TagModel,
     ring: &[SlotLevels],
     g: usize,
@@ -331,7 +329,7 @@ fn add_phase_into(
             for (age, &lev) in levs[..n_ages].iter().enumerate() {
                 key |= (level_fires(lev, b, bits) as usize) << age;
             }
-            backend::axpy_wr(bk, pred, model.modules[module].slot(key, tau), *w);
+            backend::axpy_wr(pred, model.modules[module].slot(key, tau), *w);
         }
     }
 }
@@ -348,14 +346,10 @@ pub struct Equalizer {
     /// extension: a tag rolling *during* a packet drifts the constellation
     /// after the one-shot preamble correction; tracking follows it.
     track_block: Option<usize>,
-    /// Kernel tier for the hot prediction/scoring loops. The Simd tier is
-    /// bit-identical to Scalar, so decisions are backend-invariant.
-    backend: Backend,
 }
 
 impl Equalizer {
-    /// Build an equalizer with the configuration's branch count and the
-    /// process-default backend.
+    /// Build an equalizer with the configuration's branch count.
     pub fn new(cfg: PhyConfig) -> Self {
         cfg.validate();
         Self {
@@ -363,15 +357,7 @@ impl Equalizer {
             k: cfg.k_branches.max(1),
             cfg,
             track_block: None,
-            backend: Backend::detect(),
         }
-    }
-
-    /// Override the kernel backend (benches pin tiers explicitly; normal
-    /// callers keep the process default).
-    pub fn with_backend(mut self, bk: Backend) -> Self {
-        self.backend = bk;
-        self
     }
 
     /// Enable decision-directed channel tracking with the given block length
@@ -576,7 +562,6 @@ impl Equalizer {
                 let ring = &rings[bi * history..(bi + 1) * history];
                 let (pred, fire_h): (&[C64], &[usize]) = if tracked {
                     predict_off_into(
-                        self.backend,
                         model,
                         ring,
                         g,
@@ -595,7 +580,6 @@ impl Equalizer {
                 } else if grouped {
                     if parents[bi] != last_parent {
                         predict_off_into(
-                            self.backend,
                             model,
                             ring,
                             g,
@@ -610,22 +594,10 @@ impl Equalizer {
                         last_parent = parents[bi];
                     }
                     pred_buf.copy_from_slice(&pred_common);
-                    add_phase_into(
-                        self.backend,
-                        model,
-                        ring,
-                        g,
-                        l,
-                        v,
-                        bits,
-                        mask,
-                        &mut pred_buf,
-                        dep_phase,
-                    );
+                    add_phase_into(model, ring, g, l, v, bits, mask, &mut pred_buf, dep_phase);
                     (&pred_buf, &fire_buf)
                 } else {
                     predict_off_into(
-                        self.backend,
                         model,
                         ring,
                         g,
@@ -644,7 +616,7 @@ impl Equalizer {
                 // (tracking gain applied to the model side), and its
                 // energy R = Σ|res|².
                 let r_energy = if unit_gain {
-                    backend::sub_energy(self.backend, &mut res, rx_slot, pred)
+                    backend::sub_energy(&mut res, rx_slot, pred)
                 } else {
                     let mut e = 0.0f64;
                     for ((r, x), p) in res.iter_mut().zip(rx_slot).zip(pred.iter()) {
@@ -666,7 +638,7 @@ impl Equalizer {
                     while b + 2 <= bits {
                         let d0 = basis.delta(phase, axis, b, fire_h[u]);
                         let d1 = basis.delta(phase, axis, b + 1, fire_h[u + 1]);
-                        let (c0, c1) = backend::dot_conj2(self.backend, &res, d0, d1);
+                        let (c0, c1) = backend::dot_conj2(&res, d0, d1);
                         cross[u] = c0;
                         cross[u + 1] = c1;
                         u += 2;

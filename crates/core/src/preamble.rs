@@ -31,7 +31,7 @@ use retroturbo_dsp::fft::{gamma, Fft};
 use retroturbo_dsp::linalg::{
     widely_linear_fit, ResidualCertificate, WidelyLinearFit, WidelyLinearGram,
 };
-use retroturbo_dsp::{Backend, Signal, C64};
+use retroturbo_dsp::{Signal, C64};
 use retroturbo_telemetry as telemetry;
 
 /// The fitted channel map `X ≈ α·Y + β·Y* + γ` and its inverse, used to
@@ -92,8 +92,6 @@ pub struct PreambleDetector {
     /// Matches with a score above this are rejected (noise scores
     /// concentrate near 1 − 3/k; clean preambles near the noise floor).
     pub threshold: f64,
-    /// Kernel backend. `Scalar`/`Simd` are bit-identical.
-    backend: Backend,
     /// The certified moment scan; `None` when the Gram cannot be certified,
     /// and every offset of a search is then refit exactly.
     moments: Option<MomentScan>,
@@ -122,15 +120,8 @@ impl PreambleDetector {
             gram,
             skip,
             threshold: 0.92,
-            backend: Backend::detect(),
             moments,
         }
-    }
-
-    /// Replace the kernel backend (default: [`Backend::detect`]).
-    pub fn with_backend(mut self, bk: Backend) -> Self {
-        self.backend = bk;
-        self
     }
 
     /// Reference length in samples.
@@ -155,10 +146,10 @@ impl PreambleDetector {
     /// the signal, is degenerate (zero variance) or yields a non-finite
     /// score (a NaN or infinite sample in the window).
     ///
-    /// Uses the Gram precomputed in [`Self::new`]; on either tier this is
+    /// Uses the Gram precomputed in [`Self::new`]; on every host this is
     /// bit-identical to [`Self::fit_at_reference`] (differential-tested).
     pub fn fit_at(&self, rx: &Signal, offset: usize) -> Option<PreambleMatch> {
-        self.fit_with(rx, offset, |x| self.gram.fit_with(self.backend, x))
+        self.fit_with(rx, offset, |x| self.gram.fit(x))
     }
 
     /// Oracle for [`Self::fit_at`]: re-solves the widely-linear fit from

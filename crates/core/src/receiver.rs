@@ -12,7 +12,7 @@ use crate::params::PhyConfig;
 use crate::preamble::{correct, PreambleCorrection, PreambleDetector, PreambleMatch};
 use crate::synth::TagModel;
 use crate::training::{OfflineTraining, OnlineTrainer};
-use retroturbo_dsp::{Backend, Signal};
+use retroturbo_dsp::Signal;
 use retroturbo_lcm::LcParams;
 use retroturbo_telemetry as telemetry;
 
@@ -90,8 +90,6 @@ pub struct Receiver {
     k_override: Option<usize>,
     /// Decision-directed channel-tracking window (None = static channel).
     track_block: Option<usize>,
-    /// Kernel backend for every member stage (detector, trainer, DFE).
-    backend: Backend,
 }
 
 impl Receiver {
@@ -117,19 +115,7 @@ impl Receiver {
             online_training: true,
             k_override: None,
             track_block: None,
-            backend: Backend::detect(),
         }
-    }
-
-    /// Replace the kernel backend on every member stage (default:
-    /// [`Backend::detect`]). `Scalar` and `Simd` decode bit-identically.
-    /// Applied after [`Self::new_cached`]'s cache, so the cache key does not
-    /// include it.
-    pub fn with_backend(mut self, bk: Backend) -> Self {
-        self.backend = bk;
-        self.detector = self.detector.with_backend(bk);
-        self.trainer = self.trainer.with_backend(bk);
-        self
     }
 
     /// Like [`Self::new`], but served from a process-wide cache keyed by
@@ -338,7 +324,7 @@ impl Receiver {
             self.nominal.clone()
         };
 
-        let mut eq = Equalizer::new(self.cfg).with_backend(self.backend);
+        let mut eq = Equalizer::new(self.cfg);
         if let Some(k) = self.k_override {
             eq = eq.with_branches(k);
         }

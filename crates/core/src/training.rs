@@ -25,8 +25,9 @@ use crate::params::PhyConfig;
 use crate::pulse::PulseBank;
 use crate::synth::{ModuleModel, TagModel};
 use retroturbo_dsp::backend;
-use retroturbo_dsp::linalg::{chol_solve_c_with, gauss_solve_c, jacobi_svd, lstsq_c, CMat, Mat};
-use retroturbo_dsp::Backend;
+use retroturbo_dsp::linalg::{
+    chol_solve_c, chol_solve_c_scalar, gauss_solve_c, jacobi_svd, lstsq_c, CMat, Mat,
+};
 use retroturbo_dsp::C64;
 use retroturbo_lcm::LcParams;
 use retroturbo_telemetry as telemetry;
@@ -135,9 +136,6 @@ pub struct OnlineTrainer {
     classes: Vec<(usize, usize)>,
     /// `slot_class[g - start][module]` = class index active in that slot.
     slot_class: Vec<Vec<usize>>,
-    /// Kernel tier for the refinement accumulation and Cholesky solve. The
-    /// Simd tier is bit-identical to Scalar.
-    backend: Backend,
 }
 
 impl OnlineTrainer {
@@ -173,15 +171,7 @@ impl OnlineTrainer {
             aha_ridged,
             classes,
             slot_class,
-            backend: Backend::detect(),
         }
-    }
-
-    /// Override the kernel backend (benches pin tiers explicitly; normal
-    /// callers keep the process default).
-    pub fn with_backend(mut self, bk: Backend) -> Self {
-        self.backend = bk;
-        self
     }
 
     /// Binary firing history of `module` ending at global slot `g`, using
@@ -318,7 +308,6 @@ impl OnlineTrainer {
         if self.refine {
             telemetry::counter_add("train.refine_classes", self.classes.len() as u64);
             Self::refine_core(
-                self.backend,
                 cfg,
                 rx,
                 start,
@@ -436,7 +425,6 @@ impl OnlineTrainer {
     /// accumulator is ever `−0.0` when such a term lands).
     #[allow(clippy::too_many_arguments)]
     fn refine_core(
-        bk: Backend,
         cfg: &PhyConfig,
         rx: &[C64],
         start: usize,
@@ -479,7 +467,7 @@ impl OnlineTrainer {
             // identical to the dense matmul. All of row i's chains share
             // the conjugated left factor `seg_i`, so they run two at a time
             // through the paired kernel, each lane seeded with its carried
-            // accumulator (bit-identical on every tier; see
+            // accumulator (bit-identical on every host; see
             // [`retroturbo_dsp::backend`]).
             let bw = &b[row0..row0 + spt];
             for &(i, seg_i) in &active {
@@ -512,7 +500,6 @@ impl OnlineTrainer {
                 let mut c = 0;
                 while c + 2 <= chain_seg.len() {
                     let (r0, r1) = backend::dotc2(
-                        bk,
                         seg_i,
                         chain_seg[c],
                         chain_seg[c + 1],
@@ -550,7 +537,7 @@ impl OnlineTrainer {
             }
         }
 
-        Self::solve_and_apply(bk, aha, ahb, segments, classes);
+        Self::solve_and_apply(chol_solve_c, aha, ahb, segments, classes);
     }
 
     /// The original dense formulation of the refinement stage: materialize
@@ -593,14 +580,15 @@ impl OnlineTrainer {
         let aha = ah.matmul(&a);
         let b = &rx[start * spt..end * spt];
         let ahb = ah.matvec(b);
-        // The oracle path stays on the scalar tier end to end.
-        Self::solve_and_apply(Backend::Scalar, aha, ahb, segments, classes);
+        // The oracle path runs no vector kernel, the solve included.
+        Self::solve_and_apply(chol_solve_c_scalar, aha, ahb, segments, classes);
     }
 
     /// Shared tail of both refinement paths: ridge toward δ = 1 — solve
-    /// `(AᴴA + λI)δ = Aᴴrx + λ·1` — and scale the segments by the fitted δ.
+    /// `(AᴴA + λI)δ = Aᴴrx + λ·1` with `chol` — and scale the segments by
+    /// the fitted δ.
     fn solve_and_apply(
-        bk: Backend,
+        chol: fn(&CMat, &[C64]) -> Option<Vec<C64>>,
         mut aha: CMat,
         mut ahb: Vec<C64>,
         segments: &mut [Vec<Vec<C64>>],
@@ -617,8 +605,7 @@ impl OnlineTrainer {
         // construction, so the Cholesky solve (half the arithmetic of
         // Gaussian elimination) applies; fall back to the pivoted solver on
         // numerical non-definiteness rather than discarding the refinement.
-        let Some(delta) = chol_solve_c_with(bk, &aha, &ahb).or_else(|| gauss_solve_c(&aha, &ahb))
-        else {
+        let Some(delta) = chol(&aha, &ahb).or_else(|| gauss_solve_c(&aha, &ahb)) else {
             return; // singular: keep the mixture estimate
         };
 

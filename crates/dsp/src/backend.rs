@@ -1,25 +1,22 @@
-//! Multi-backend SIMD kernel layer with runtime dispatch (DESIGN.md §13).
+//! SIMD kernel layer with runtime dispatch (DESIGN.md §13).
 //!
-//! Two tiers, selected once per process (or explicitly per component):
+//! Every hot kernel here has two bodies, and the host picks one:
 //!
-//! * [`Backend::Scalar`] — the existing scalar code paths everywhere. They
-//!   remain the **oracle**: every other tier is differential-tested against
-//!   them.
-//! * [`Backend::Simd`] — explicit `std::arch` AVX2 kernels behind runtime
-//!   `is_x86_feature_detected!` dispatch (a couple of cheap NEON kernels on
-//!   aarch64), falling back to scalar wherever no vector path exists. Every
-//!   f64 kernel in this tier is **bit-identical** to its scalar oracle: lanes
-//!   are only used for element-wise maps and for *independent* accumulation
-//!   chains (multiple outputs / rows / dot products), never to reassociate a
-//!   single f64 reduction, and no FMA contraction is used. Complex multiplies
-//!   use the `addsub` formulation, which performs exactly the scalar
-//!   `C64::mul` roundings. Bit-identity means the committed fixtures and all
-//!   `*_reference` differential tests pass unchanged under this tier.
+//! * an explicit `std::arch` AVX2 body (a couple of cheap NEON bodies on
+//!   aarch64), used whenever [`simd_available`] reports the vector unit;
+//! * a scalar body in [`scalar`], used on every other host. The scalar
+//!   bodies are also the **oracle**: every vector body is differential-
+//!   tested against them, and the all-scalar packet oracle calls them
+//!   directly.
 //!
-//! The process-wide default comes from [`Backend::detect`]: the
-//! `RETROTURBO_BACKEND` env var (`scalar` | `simd` | `auto`) with
-//! `auto` resolving to `Simd` when the CPU supports it. A `simd` request on
-//! a host without AVX2 degrades gracefully to `Scalar`.
+//! There is no user-set selection. Every vector body is **bit-identical**
+//! to its scalar body: lanes are only used for element-wise maps and for
+//! *independent* accumulation chains (multiple outputs / rows / dot
+//! products), never to reassociate a single f64 reduction, and no FMA
+//! contraction is used. Complex multiplies use the `addsub` formulation,
+//! which performs exactly the scalar `C64::mul` roundings. So the host's
+//! choice changes speed, never an output: the committed fixtures and all
+//! `*_reference` differential tests pass unchanged on either body.
 //!
 //! This module is the only place in the crate where `unsafe` is allowed:
 //! every unsafe block is an intrinsics path guarded by the runtime feature
@@ -30,77 +27,12 @@ use crate::complex::C64;
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
-// Backend selection
+// Host detection
 // ---------------------------------------------------------------------------
 
-/// Kernel tier. See the module docs for the contract of each variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Scalar f64 oracle paths.
-    Scalar,
-    /// Explicit SIMD f64, bit-identical to `Scalar`.
-    Simd,
-}
-
-static DEFAULT_BACKEND: OnceLock<Backend> = OnceLock::new();
-
-impl Backend {
-    /// Process-wide default backend: resolved once from `RETROTURBO_BACKEND`
-    /// (`scalar` | `simd` | `auto`; unset = `auto`) and the CPU's
-    /// detected features, then cached.
-    pub fn detect() -> Backend {
-        *DEFAULT_BACKEND.get_or_init(|| {
-            Self::from_env_value(std::env::var("RETROTURBO_BACKEND").ok().as_deref())
-        })
-    }
-
-    /// Pin the process-wide default before the first [`Backend::detect`]
-    /// call (benches use this to keep legacy rows on the scalar tier
-    /// regardless of the environment). Returns `Err` with the already-cached
-    /// value if detection has happened.
-    pub fn force(b: Backend) -> Result<(), Backend> {
-        DEFAULT_BACKEND.set(b).map_err(|_| Self::detect())
-    }
-
-    /// Resolve an `RETROTURBO_BACKEND` value (`None` = unset).
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a typo silently running the wrong
-    /// tier would invalidate benchmarks.
-    pub fn from_env_value(v: Option<&str>) -> Backend {
-        match v.map(str::trim) {
-            Some("scalar") => Backend::Scalar,
-            Some("simd") | Some("auto") | Some("") | None => {
-                if simd_available() {
-                    Backend::Simd
-                } else {
-                    Backend::Scalar
-                }
-            }
-            Some(other) => {
-                panic!("RETROTURBO_BACKEND: unknown value {other:?} (expected scalar|simd|auto)")
-            }
-        }
-    }
-
-    /// Stable lowercase name for logs / bench metadata.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Simd => "simd",
-        }
-    }
-
-    /// True when this is the `Simd` tier *and* the CPU supports its vector
-    /// kernels.
-    #[inline]
-    pub fn simd_active(self) -> bool {
-        self == Backend::Simd && simd_available()
-    }
-}
-
-/// True when the host has the vector unit the `Simd` tier targets (AVX2 on
-/// x86-64, baseline NEON on aarch64). Cached after the first call.
+/// True when the host has the vector unit the kernels target (AVX2 on
+/// x86-64, baseline NEON on aarch64). Cached after the first call; every
+/// dispatched kernel checks it per call.
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -139,7 +71,7 @@ pub fn cpu_features() -> Vec<(&'static str, bool)> {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatched f64 kernels (bit-identical contract)
+// Dispatched kernels (bit-identical to `scalar`)
 // ---------------------------------------------------------------------------
 
 /// `dst[i] += src[i] * w` (complex × real axpy — the DFE prediction hot
@@ -148,20 +80,18 @@ pub fn cpu_features() -> Vec<(&'static str, bool)> {
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
-pub fn axpy_wr(bk: Backend, dst: &mut [C64], src: &[C64], w: f64) {
+pub fn axpy_wr(dst: &mut [C64], src: &[C64], w: f64) {
     assert_eq!(dst.len(), src.len(), "axpy_wr: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::axpy_wr(dst, src, w);
         }
         #[cfg(target_arch = "aarch64")]
         return neon::axpy_wr(dst, src, w);
     }
-    for (p, s) in dst.iter_mut().zip(src) {
-        *p += *s * w;
-    }
+    scalar::axpy_wr(dst, src, w)
 }
 
 /// `out[i] = x[i] - p[i]`, returning the residual energy `Σ |out[i]|²`
@@ -171,25 +101,19 @@ pub fn axpy_wr(bk: Backend, dst: &mut [C64], src: &[C64], w: f64) {
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
-pub fn sub_energy(bk: Backend, out: &mut [C64], x: &[C64], p: &[C64]) -> f64 {
+pub fn sub_energy(out: &mut [C64], x: &[C64], p: &[C64]) -> f64 {
     assert_eq!(out.len(), x.len(), "sub_energy: length mismatch");
     assert_eq!(out.len(), p.len(), "sub_energy: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::sub_energy(out, x, p);
         }
         #[cfg(target_arch = "aarch64")]
         return neon::sub_energy(out, x, p);
     }
-    let mut e = 0.0;
-    for ((o, &a), &b) in out.iter_mut().zip(x).zip(p) {
-        let z = a - b;
-        e += z.norm_sqr();
-        *o = z;
-    }
-    e
+    scalar::sub_energy(out, x, p)
 }
 
 /// Two inner products against a shared left factor:
@@ -199,22 +123,17 @@ pub fn sub_energy(bk: Backend, out: &mut [C64], x: &[C64], p: &[C64]) -> f64 {
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
-pub fn dot_conj2(bk: Backend, r: &[C64], d0: &[C64], d1: &[C64]) -> (C64, C64) {
+pub fn dot_conj2(r: &[C64], d0: &[C64], d1: &[C64]) -> (C64, C64) {
     assert_eq!(r.len(), d0.len(), "dot_conj2: length mismatch");
     assert_eq!(r.len(), d1.len(), "dot_conj2: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::dot_conj2(r, d0, d1);
         }
     }
-    let (mut a0, mut a1) = (C64::default(), C64::default());
-    for ((&rt, &x0), &x1) in r.iter().zip(d0).zip(d1) {
-        a0 += rt * x0.conj();
-        a1 += rt * x1.conj();
-    }
-    (a0, a1)
+    scalar::dot_conj2(r, d0, d1)
 }
 
 /// Two running inner products with a shared conjugated left factor:
@@ -226,22 +145,17 @@ pub fn dot_conj2(bk: Backend, r: &[C64], d0: &[C64], d1: &[C64]) -> (C64, C64) {
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
-pub fn dotc2(bk: Backend, a: &[C64], b0: &[C64], b1: &[C64], i0: C64, i1: C64) -> (C64, C64) {
+pub fn dotc2(a: &[C64], b0: &[C64], b1: &[C64], i0: C64, i1: C64) -> (C64, C64) {
     assert_eq!(a.len(), b0.len(), "dotc2: length mismatch");
     assert_eq!(a.len(), b1.len(), "dotc2: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::dotc2(a, b0, b1, i0, i1);
         }
     }
-    let (mut a0, mut a1) = (i0, i1);
-    for ((&at, &x0), &x1) in a.iter().zip(b0).zip(b1) {
-        a0 += at.conj() * x0;
-        a1 += at.conj() * x1;
-    }
-    (a0, a1)
+    scalar::dotc2(a, b0, b1, i0, i1)
 }
 
 /// Three row-dot products against a shared right vector:
@@ -251,24 +165,18 @@ pub fn dotc2(bk: Backend, a: &[C64], b0: &[C64], b1: &[C64], i0: C64, i1: C64) -
 /// # Panics
 /// Panics on length mismatch.
 #[inline]
-pub fn ahy3(bk: Backend, r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64; 3] {
+pub fn ahy3(r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64; 3] {
     assert_eq!(r0.len(), y.len(), "ahy3: length mismatch");
     assert_eq!(r1.len(), y.len(), "ahy3: length mismatch");
     assert_eq!(r2.len(), y.len(), "ahy3: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::ahy3(r0, r1, r2, y);
         }
     }
-    let mut ahb = [C64::default(); 3];
-    for (((&a0, &a1), &a2), &yj) in r0.iter().zip(r1).zip(r2).zip(y) {
-        ahb[0] += a0 * yj;
-        ahb[1] += a1 * yj;
-        ahb[2] += a2 * yj;
-    }
-    ahb
+    scalar::ahy3(r0, r1, r2, y)
 }
 
 /// Fused fitted-value + residual pass of the widely-linear fit: for each row
@@ -278,21 +186,16 @@ pub fn ahy3(bk: Backend, r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64;
 /// # Panics
 /// Panics if `rows.len() != 3 * y.len()`.
 #[inline]
-pub fn wl_fold_residual(bk: Backend, rows: &[C64], sol: &[C64; 3], y: &[C64]) -> f64 {
+pub fn wl_fold_residual(rows: &[C64], sol: &[C64; 3], y: &[C64]) -> f64 {
     assert_eq!(rows.len(), 3 * y.len(), "wl_fold_residual: shape mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::wl_fold_residual(rows, sol, y);
         }
     }
-    let mut residual = 0.0;
-    for (row, &yi) in rows.chunks_exact(3).zip(y) {
-        let f = C64::default() + row[0] * sol[0] + row[1] * sol[1] + row[2] * sol[2];
-        residual += (f - yi).norm_sqr();
-    }
-    residual
+    scalar::wl_fold_residual(rows, sol, y)
 }
 
 /// Column-`j` update of the row-oriented Cholesky factorization: for every
@@ -303,38 +206,21 @@ pub fn wl_fold_residual(bk: Backend, rows: &[C64], sol: &[C64; 3], y: &[C64]) ->
 /// # Panics
 /// Panics if `below` is not a multiple of `n` or `prefix_j` shorter than `j`.
 #[inline]
-pub fn chol_col_update(
-    bk: Backend,
-    below: &mut [C64],
-    n: usize,
-    j: usize,
-    prefix_j: &[C64],
-    inv_ljj: f64,
-) {
+pub fn chol_col_update(below: &mut [C64], n: usize, j: usize, prefix_j: &[C64], inv_ljj: f64) {
     assert!(
         below.len().is_multiple_of(n),
         "chol_col_update: ragged rows"
     );
     assert!(prefix_j.len() >= j, "chol_col_update: short prefix");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::chol_col_update(below, n, j, prefix_j, inv_ljj);
         }
     }
-    for row_i in below.chunks_exact_mut(n) {
-        let mut s = row_i[j];
-        for (&x, &yv) in row_i[..j].iter().zip(prefix_j) {
-            s -= x * yv.conj();
-        }
-        row_i[j] = s.scale(inv_ljj);
-    }
+    scalar::chol_col_update(below, n, j, prefix_j, inv_ljj)
 }
-
-// ---------------------------------------------------------------------------
-// Panel RK2 kernels (liquid-crystal dynamics, see retroturbo-lcm)
-// ---------------------------------------------------------------------------
 
 /// One RK2 midpoint step of the liquid-crystal dynamics for every pixel,
 /// writing the optical contribution `contrib[p] = w[p]·(2·x⁺[p] − 1)`.
@@ -343,7 +229,7 @@ pub fn chol_col_update(
 /// `dx = ((1−x)·u)·inv_c`, `du = (1−u)·inv_uc`; discharging
 /// `dx = ((−x)·((1−x)+δ))·inv_r`, `du = (−u)·inv_ud`; both stages clamped to
 /// `[0, 1]`), selected per pixel by `drive_mask` (`u64::MAX` = field on,
-/// `0` = off). Bit-identity with the scalar panel loop is differential-
+/// `0` = off). Bit-identity with the reference panel loop is differential-
 /// tested in `retroturbo-lcm`.
 ///
 /// # Panics
@@ -351,7 +237,6 @@ pub fn chol_col_update(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn lc_rk2_contrib(
-    bk: Backend,
     x: &mut [f64],
     u: &mut [f64],
     drive_mask: &[u64],
@@ -381,9 +266,9 @@ pub fn lc_rk2_contrib(
         .all(|&l| l == n),
         "lc_rk2_contrib: length mismatch"
     );
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::lc_rk2_contrib(
                 x,
@@ -400,7 +285,7 @@ pub fn lc_rk2_contrib(
             );
         }
     }
-    lc_rk2_contrib_scalar(
+    scalar::lc_rk2_range(
         0..n,
         x,
         u,
@@ -416,53 +301,6 @@ pub fn lc_rk2_contrib(
     );
 }
 
-/// Scalar tail/fallback of [`lc_rk2_contrib`], over an index range.
-#[allow(clippy::too_many_arguments)]
-fn lc_rk2_contrib_scalar(
-    range: std::ops::Range<usize>,
-    x: &mut [f64],
-    u: &mut [f64],
-    drive_mask: &[u64],
-    w: &[f64],
-    inv_charge: &[f64],
-    inv_ready_up: &[f64],
-    inv_relax: &[f64],
-    inv_ready_down: &[f64],
-    delta: &[f64],
-    dt: f64,
-    contrib: &mut [f64],
-) {
-    let derivs = |xp: f64, up: f64, p: usize, on: bool| -> (f64, f64) {
-        if on {
-            (
-                (1.0 - xp) * up * inv_charge[p],
-                (1.0 - up) * inv_ready_up[p],
-            )
-        } else {
-            (
-                -xp * (1.0 - xp + delta[p]) * inv_relax[p],
-                -up * inv_ready_down[p],
-            )
-        }
-    };
-    for p in range {
-        let on = drive_mask[p] != 0;
-        let (dx1, du1) = derivs(x[p], u[p], p, on);
-        let mx = (x[p] + 0.5 * dt * dx1).clamp(0.0, 1.0);
-        let mu = (u[p] + 0.5 * dt * du1).clamp(0.0, 1.0);
-        let (dx2, du2) = derivs(mx, mu, p, on);
-        let xn = (x[p] + dt * dx2).clamp(0.0, 1.0);
-        let un = (u[p] + dt * du2).clamp(0.0, 1.0);
-        x[p] = xn;
-        u[p] = un;
-        contrib[p] = w[p] * (2.0 * xn - 1.0);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FIR / biquad / decimator kernels
-// ---------------------------------------------------------------------------
-
 /// Delay-compensated FIR convolution: `out[i] = Σ_k x[i + d − k]·taps[k]`
 /// with out-of-range inputs skipped (zero-padded edges), `out.len() ==
 /// x.len()`. Outputs are independent chains, vectorized in pairs over the
@@ -470,38 +308,16 @@ fn lc_rk2_contrib_scalar(
 ///
 /// # Panics
 /// Panics if `out.len() != x.len()`.
-pub fn fir_filter_into(bk: Backend, taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
+pub fn fir_filter_into(taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
     assert_eq!(out.len(), x.len(), "fir_filter_into: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::fir_filter(taps, x, d, out);
         }
     }
-    fir_filter_scalar(0..x.len(), taps, x, d, out);
-}
-
-/// Scalar edge/fallback of [`fir_filter_into`]: the original bounds-checked
-/// loop, restricted to `range`.
-fn fir_filter_scalar(
-    range: std::ops::Range<usize>,
-    taps: &[f64],
-    x: &[C64],
-    d: usize,
-    out: &mut [C64],
-) {
-    let n = x.len();
-    for i in range {
-        let mut acc = C64::default();
-        for (k, &t) in taps.iter().enumerate() {
-            let idx = i as isize + d as isize - k as isize;
-            if idx >= 0 && (idx as usize) < n {
-                acc += x[idx as usize] * t;
-            }
-        }
-        out[i] = acc;
-    }
+    scalar::fir_range(0..x.len(), taps, x, d, out);
 }
 
 /// Normalized biquad coefficients (`a0 = 1`).
@@ -521,28 +337,21 @@ pub struct BiquadCoeffs {
 
 /// Direct-form-II-transposed biquad over a whole buffer from zero state,
 /// returning the final `(z1, z2)` delay state. The recurrence is inherently
-/// serial across samples; the SIMD tier runs the `[re, im]` pair as one
+/// serial across samples; the vector body runs the `[re, im]` pair as one
 /// 2-lane vector (bit-identical: purely element-wise).
 ///
 /// # Panics
 /// Panics if `out.len() != x.len()`.
-pub fn biquad_filter_into(bk: Backend, c: &BiquadCoeffs, x: &[C64], out: &mut [C64]) -> (C64, C64) {
+pub fn biquad_filter_into(c: &BiquadCoeffs, x: &[C64], out: &mut [C64]) -> (C64, C64) {
     assert_eq!(out.len(), x.len(), "biquad_filter_into: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is baseline on x86-64.
         unsafe {
             return avx2::biquad_filter(c, x, out);
         }
     }
-    let (mut z1, mut z2) = (C64::default(), C64::default());
-    for (o, &xi) in out.iter_mut().zip(x) {
-        let y = xi * c.b0 + z1;
-        z1 = xi * c.b1 - y * c.a1 + z2;
-        z2 = xi * c.b2 - y * c.a2;
-        *o = y;
-    }
-    (z1, z2)
+    scalar::biquad_filter_into(c, x, out)
 }
 
 /// Boxcar decimation by `m`: `out[o] = (Σ_{k<m} x[o·m + k]) / m`, summed in
@@ -551,19 +360,257 @@ pub fn biquad_filter_into(bk: Backend, c: &BiquadCoeffs, x: &[C64], out: &mut [C
 ///
 /// # Panics
 /// Panics if `m == 0` or `out.len() != x.len() / m`.
-pub fn decimate_into(bk: Backend, x: &[C64], m: usize, out: &mut [C64]) {
+pub fn decimate_into(x: &[C64], m: usize, out: &mut [C64]) {
     assert!(m > 0, "decimate_into: factor must be >= 1");
     assert_eq!(out.len(), x.len() / m, "decimate_into: length mismatch");
-    if bk.simd_active() {
+    if simd_available() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_active() implies AVX2 was detected at runtime.
+        // SAFETY: simd_available() implies AVX2 was detected at runtime.
         unsafe {
             return avx2::decimate(x, m, out);
         }
     }
-    let inv = 1.0 / m as f64;
-    for (o, c) in out.iter_mut().zip(x.chunks_exact(m)) {
-        *o = c.iter().copied().sum::<C64>().scale(inv);
+    scalar::decimate_into(x, m, out)
+}
+
+// ---------------------------------------------------------------------------
+// Scalar bodies: the non-SIMD path and the oracle
+// ---------------------------------------------------------------------------
+
+/// The scalar body of every dispatched kernel above, with the same
+/// signature, contract and panics. Hosts without the vector unit run these;
+/// the differential tests and the all-scalar packet oracle call them
+/// directly.
+pub mod scalar {
+    use super::BiquadCoeffs;
+    use crate::complex::C64;
+
+    /// Scalar body of [`super::axpy_wr`].
+    pub fn axpy_wr(dst: &mut [C64], src: &[C64], w: f64) {
+        assert_eq!(dst.len(), src.len(), "axpy_wr: length mismatch");
+        for (p, s) in dst.iter_mut().zip(src) {
+            *p += *s * w;
+        }
+    }
+
+    /// Scalar body of [`super::sub_energy`].
+    pub fn sub_energy(out: &mut [C64], x: &[C64], p: &[C64]) -> f64 {
+        assert_eq!(out.len(), x.len(), "sub_energy: length mismatch");
+        assert_eq!(out.len(), p.len(), "sub_energy: length mismatch");
+        let mut e = 0.0;
+        for ((o, &a), &b) in out.iter_mut().zip(x).zip(p) {
+            let z = a - b;
+            e += z.norm_sqr();
+            *o = z;
+        }
+        e
+    }
+
+    /// Scalar body of [`super::dot_conj2`].
+    pub fn dot_conj2(r: &[C64], d0: &[C64], d1: &[C64]) -> (C64, C64) {
+        assert_eq!(r.len(), d0.len(), "dot_conj2: length mismatch");
+        assert_eq!(r.len(), d1.len(), "dot_conj2: length mismatch");
+        let (mut a0, mut a1) = (C64::default(), C64::default());
+        for ((&rt, &x0), &x1) in r.iter().zip(d0).zip(d1) {
+            a0 += rt * x0.conj();
+            a1 += rt * x1.conj();
+        }
+        (a0, a1)
+    }
+
+    /// Scalar body of [`super::dotc2`].
+    pub fn dotc2(a: &[C64], b0: &[C64], b1: &[C64], i0: C64, i1: C64) -> (C64, C64) {
+        assert_eq!(a.len(), b0.len(), "dotc2: length mismatch");
+        assert_eq!(a.len(), b1.len(), "dotc2: length mismatch");
+        let (mut a0, mut a1) = (i0, i1);
+        for ((&at, &x0), &x1) in a.iter().zip(b0).zip(b1) {
+            a0 += at.conj() * x0;
+            a1 += at.conj() * x1;
+        }
+        (a0, a1)
+    }
+
+    /// Scalar body of [`super::ahy3`].
+    pub fn ahy3(r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64; 3] {
+        assert_eq!(r0.len(), y.len(), "ahy3: length mismatch");
+        assert_eq!(r1.len(), y.len(), "ahy3: length mismatch");
+        assert_eq!(r2.len(), y.len(), "ahy3: length mismatch");
+        let mut ahb = [C64::default(); 3];
+        for (((&a0, &a1), &a2), &yj) in r0.iter().zip(r1).zip(r2).zip(y) {
+            ahb[0] += a0 * yj;
+            ahb[1] += a1 * yj;
+            ahb[2] += a2 * yj;
+        }
+        ahb
+    }
+
+    /// Scalar body of [`super::wl_fold_residual`].
+    pub fn wl_fold_residual(rows: &[C64], sol: &[C64; 3], y: &[C64]) -> f64 {
+        assert_eq!(rows.len(), 3 * y.len(), "wl_fold_residual: shape mismatch");
+        let mut residual = 0.0;
+        for (row, &yi) in rows.chunks_exact(3).zip(y) {
+            let f = C64::default() + row[0] * sol[0] + row[1] * sol[1] + row[2] * sol[2];
+            residual += (f - yi).norm_sqr();
+        }
+        residual
+    }
+
+    /// Scalar body of [`super::chol_col_update`].
+    pub fn chol_col_update(below: &mut [C64], n: usize, j: usize, prefix_j: &[C64], inv_ljj: f64) {
+        assert!(
+            below.len().is_multiple_of(n),
+            "chol_col_update: ragged rows"
+        );
+        assert!(prefix_j.len() >= j, "chol_col_update: short prefix");
+        for row_i in below.chunks_exact_mut(n) {
+            let mut s = row_i[j];
+            for (&x, &yv) in row_i[..j].iter().zip(prefix_j) {
+                s -= x * yv.conj();
+            }
+            row_i[j] = s.scale(inv_ljj);
+        }
+    }
+
+    /// Scalar body of [`super::lc_rk2_contrib`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn lc_rk2_contrib(
+        x: &mut [f64],
+        u: &mut [f64],
+        drive_mask: &[u64],
+        w: &[f64],
+        inv_charge: &[f64],
+        inv_ready_up: &[f64],
+        inv_relax: &[f64],
+        inv_ready_down: &[f64],
+        delta: &[f64],
+        dt: f64,
+        contrib: &mut [f64],
+    ) {
+        let n = x.len();
+        assert!(
+            [
+                u.len(),
+                drive_mask.len(),
+                w.len(),
+                inv_charge.len(),
+                inv_ready_up.len(),
+                inv_relax.len(),
+                inv_ready_down.len(),
+                delta.len(),
+                contrib.len(),
+            ]
+            .iter()
+            .all(|&l| l == n),
+            "lc_rk2_contrib: length mismatch"
+        );
+        lc_rk2_range(
+            0..n,
+            x,
+            u,
+            drive_mask,
+            w,
+            inv_charge,
+            inv_ready_up,
+            inv_relax,
+            inv_ready_down,
+            delta,
+            dt,
+            contrib,
+        );
+    }
+
+    /// [`lc_rk2_contrib`] over a pixel range (the vector body's tail).
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn lc_rk2_range(
+        range: std::ops::Range<usize>,
+        x: &mut [f64],
+        u: &mut [f64],
+        drive_mask: &[u64],
+        w: &[f64],
+        inv_charge: &[f64],
+        inv_ready_up: &[f64],
+        inv_relax: &[f64],
+        inv_ready_down: &[f64],
+        delta: &[f64],
+        dt: f64,
+        contrib: &mut [f64],
+    ) {
+        let derivs = |xp: f64, up: f64, p: usize, on: bool| -> (f64, f64) {
+            if on {
+                (
+                    (1.0 - xp) * up * inv_charge[p],
+                    (1.0 - up) * inv_ready_up[p],
+                )
+            } else {
+                (
+                    -xp * (1.0 - xp + delta[p]) * inv_relax[p],
+                    -up * inv_ready_down[p],
+                )
+            }
+        };
+        for p in range {
+            let on = drive_mask[p] != 0;
+            let (dx1, du1) = derivs(x[p], u[p], p, on);
+            let mx = (x[p] + 0.5 * dt * dx1).clamp(0.0, 1.0);
+            let mu = (u[p] + 0.5 * dt * du1).clamp(0.0, 1.0);
+            let (dx2, du2) = derivs(mx, mu, p, on);
+            let xn = (x[p] + dt * dx2).clamp(0.0, 1.0);
+            let un = (u[p] + dt * du2).clamp(0.0, 1.0);
+            x[p] = xn;
+            u[p] = un;
+            contrib[p] = w[p] * (2.0 * xn - 1.0);
+        }
+    }
+
+    /// Scalar body of [`super::fir_filter_into`].
+    pub fn fir_filter_into(taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
+        assert_eq!(out.len(), x.len(), "fir_filter_into: length mismatch");
+        fir_range(0..x.len(), taps, x, d, out);
+    }
+
+    /// [`fir_filter_into`] restricted to the outputs in `range`: the
+    /// bounds-checked loop (the vector body's edges).
+    pub(super) fn fir_range(
+        range: std::ops::Range<usize>,
+        taps: &[f64],
+        x: &[C64],
+        d: usize,
+        out: &mut [C64],
+    ) {
+        let n = x.len();
+        for i in range {
+            let mut acc = C64::default();
+            for (k, &t) in taps.iter().enumerate() {
+                let idx = i as isize + d as isize - k as isize;
+                if idx >= 0 && (idx as usize) < n {
+                    acc += x[idx as usize] * t;
+                }
+            }
+            out[i] = acc;
+        }
+    }
+
+    /// Scalar body of [`super::biquad_filter_into`].
+    pub fn biquad_filter_into(c: &BiquadCoeffs, x: &[C64], out: &mut [C64]) -> (C64, C64) {
+        assert_eq!(out.len(), x.len(), "biquad_filter_into: length mismatch");
+        let (mut z1, mut z2) = (C64::default(), C64::default());
+        for (o, &xi) in out.iter_mut().zip(x) {
+            let y = xi * c.b0 + z1;
+            z1 = xi * c.b1 - y * c.a1 + z2;
+            z2 = xi * c.b2 - y * c.a2;
+            *o = y;
+        }
+        (z1, z2)
+    }
+
+    /// Scalar body of [`super::decimate_into`].
+    pub fn decimate_into(x: &[C64], m: usize, out: &mut [C64]) {
+        assert!(m > 0, "decimate_into: factor must be >= 1");
+        assert_eq!(out.len(), x.len() / m, "decimate_into: length mismatch");
+        let inv = 1.0 / m as f64;
+        for (o, c) in out.iter_mut().zip(x.chunks_exact(m)) {
+            *o = c.iter().copied().sum::<C64>().scale(inv);
+        }
     }
 }
 
@@ -906,7 +953,7 @@ mod avx2 {
             );
             p += 4;
         }
-        super::lc_rk2_contrib_scalar(
+        super::scalar::lc_rk2_range(
             p..n,
             x,
             u,
@@ -931,10 +978,10 @@ mod avx2 {
         let lo = nt.saturating_sub(1).saturating_sub(d).min(n);
         let hi = if n > d { n - 1 - d } else { 0 };
         if n == 0 || lo >= n || hi < lo {
-            super::fir_filter_scalar(0..n, taps, x, d, out);
+            super::scalar::fir_range(0..n, taps, x, d, out);
             return;
         }
-        super::fir_filter_scalar(0..lo, taps, x, d, out);
+        super::scalar::fir_range(0..lo, taps, x, d, out);
         let xp = pf(x);
         let op = pfm(out);
         let mut i = lo;
@@ -960,7 +1007,7 @@ mod avx2 {
             out[i] = acc;
             i += 1;
         }
-        super::fir_filter_scalar(i..n, taps, x, d, out);
+        super::scalar::fir_range(i..n, taps, x, d, out);
     }
 
     /// SSE2 biquad: the `[re, im]` pair as one 2-lane vector, same
@@ -1073,6 +1120,9 @@ mod neon {
 
 #[cfg(test)]
 mod tests {
+    //! Each test runs the public dispatched entry against its `scalar::`
+    //! body and compares bits. On a SIMD host that proves the vector body
+    //! the host runs; elsewhere both sides are the scalar body.
     use super::*;
 
     /// Deterministic pseudo-random stream (no external deps).
@@ -1124,46 +1174,8 @@ mod tests {
         );
     }
 
-    fn simd_or_skip() -> bool {
-        if !simd_available() {
-            eprintln!("skipping: no SIMD on this host");
-            return false;
-        }
-        true
-    }
-
-    #[test]
-    fn env_resolution() {
-        assert_eq!(Backend::from_env_value(Some("scalar")), Backend::Scalar);
-        let auto = Backend::from_env_value(None);
-        assert_eq!(auto, Backend::from_env_value(Some("auto")));
-        assert_eq!(auto, Backend::from_env_value(Some("simd")));
-        if simd_available() {
-            assert_eq!(auto, Backend::Simd);
-        } else {
-            assert_eq!(auto, Backend::Scalar);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown value")]
-    fn env_rejects_typos() {
-        let _ = Backend::from_env_value(Some("sse9"));
-    }
-
-    /// The deleted reduced-precision tier's name must fail loudly, so a
-    /// stale script cannot silently run a different tier.
-    #[test]
-    #[should_panic(expected = "expected scalar|simd|auto")]
-    fn env_rejects_removed_f32_tier() {
-        let _ = Backend::from_env_value(Some("f32"));
-    }
-
     #[test]
     fn axpy_bit_identical() {
-        if !simd_or_skip() {
-            return;
-        }
         let mut r = Lcg(7);
         for n in [0usize, 1, 2, 3, 5, 8, 20, 33] {
             let src = {
@@ -1175,8 +1187,8 @@ mod tests {
             for w in [0.0, -0.0, 1.0, -3.5e-8, 2.7e12] {
                 let mut a = base.clone();
                 let mut b = base.clone();
-                axpy_wr(Backend::Scalar, &mut a, &src, w);
-                axpy_wr(Backend::Simd, &mut b, &src, w);
+                scalar::axpy_wr(&mut a, &src, w);
+                axpy_wr(&mut b, &src, w);
                 for (x, y) in a.iter().zip(&b) {
                     assert_bits_eq(*x, *y, &format!("axpy n={n} w={w}"));
                 }
@@ -1186,9 +1198,6 @@ mod tests {
 
     #[test]
     fn sub_energy_bit_identical() {
-        if !simd_or_skip() {
-            return;
-        }
         let mut r = Lcg(11);
         for n in [0usize, 1, 2, 7, 20, 31] {
             let mut x = cvec(&mut r, n);
@@ -1196,8 +1205,8 @@ mod tests {
             let p = cvec(&mut r, n);
             let mut oa = vec![C64::default(); n];
             let mut ob = vec![C64::default(); n];
-            let ea = sub_energy(Backend::Scalar, &mut oa, &x, &p);
-            let eb = sub_energy(Backend::Simd, &mut ob, &x, &p);
+            let ea = scalar::sub_energy(&mut oa, &x, &p);
+            let eb = sub_energy(&mut ob, &x, &p);
             assert_eq!(ea.to_bits(), eb.to_bits(), "energy n={n}");
             for (a, b) in oa.iter().zip(&ob) {
                 assert_bits_eq(*a, *b, &format!("sub n={n}"));
@@ -1207,22 +1216,19 @@ mod tests {
 
     #[test]
     fn dots_bit_identical() {
-        if !simd_or_skip() {
-            return;
-        }
         let mut r = Lcg(13);
         for n in [0usize, 1, 3, 20, 48] {
             let mut a = cvec(&mut r, n);
             spice(&mut a);
             let b0 = cvec(&mut r, n);
             let b1 = cvec(&mut r, n);
-            let (s0, s1) = dot_conj2(Backend::Scalar, &a, &b0, &b1);
-            let (v0, v1) = dot_conj2(Backend::Simd, &a, &b0, &b1);
+            let (s0, s1) = scalar::dot_conj2(&a, &b0, &b1);
+            let (v0, v1) = dot_conj2(&a, &b0, &b1);
             assert_bits_eq(s0, v0, &format!("dot_conj2[0] n={n}"));
             assert_bits_eq(s1, v1, &format!("dot_conj2[1] n={n}"));
             let (j0, j1) = (C64::new(0.25, -3.0), C64::new(-0.0, 1e-12));
-            let (s0, s1) = dotc2(Backend::Scalar, &a, &b0, &b1, j0, j1);
-            let (v0, v1) = dotc2(Backend::Simd, &a, &b0, &b1, j0, j1);
+            let (s0, s1) = scalar::dotc2(&a, &b0, &b1, j0, j1);
+            let (v0, v1) = dotc2(&a, &b0, &b1, j0, j1);
             assert_bits_eq(s0, v0, &format!("dotc2[0] n={n}"));
             assert_bits_eq(s1, v1, &format!("dotc2[1] n={n}"));
         }
@@ -1230,9 +1236,6 @@ mod tests {
 
     #[test]
     fn ahy3_and_residual_bit_identical() {
-        if !simd_or_skip() {
-            return;
-        }
         let mut r = Lcg(17);
         for n in [1usize, 2, 3, 19, 48] {
             let mut r0 = cvec(&mut r, n);
@@ -1240,24 +1243,21 @@ mod tests {
             let r1 = cvec(&mut r, n);
             let r2 = cvec(&mut r, n);
             let y = cvec(&mut r, n);
-            let sa = ahy3(Backend::Scalar, &r0, &r1, &r2, &y);
-            let sb = ahy3(Backend::Simd, &r0, &r1, &r2, &y);
+            let sa = scalar::ahy3(&r0, &r1, &r2, &y);
+            let sb = ahy3(&r0, &r1, &r2, &y);
             for k in 0..3 {
                 assert_bits_eq(sa[k], sb[k], &format!("ahy3[{k}] n={n}"));
             }
             let rows: Vec<C64> = (0..n).flat_map(|i| [r0[i], r1[i], r2[i]]).collect();
             let sol = [r.c64(), r.c64(), r.c64()];
-            let ra = wl_fold_residual(Backend::Scalar, &rows, &sol, &y);
-            let rb = wl_fold_residual(Backend::Simd, &rows, &sol, &y);
+            let ra = scalar::wl_fold_residual(&rows, &sol, &y);
+            let rb = wl_fold_residual(&rows, &sol, &y);
             assert_eq!(ra.to_bits(), rb.to_bits(), "residual n={n}");
         }
     }
 
     #[test]
     fn chol_update_bit_identical() {
-        if !simd_or_skip() {
-            return;
-        }
         let mut r = Lcg(19);
         for (n, j, rows) in [(5usize, 0usize, 3usize), (8, 3, 5), (8, 7, 1), (12, 6, 4)] {
             let mut a = cvec(&mut r, rows * n);
@@ -1265,8 +1265,8 @@ mod tests {
             let mut b = a.clone();
             let prefix = cvec(&mut r, j);
             let inv = 0.37;
-            chol_col_update(Backend::Scalar, &mut a, n, j, &prefix, inv);
-            chol_col_update(Backend::Simd, &mut b, n, j, &prefix, inv);
+            scalar::chol_col_update(&mut a, n, j, &prefix, inv);
+            chol_col_update(&mut b, n, j, &prefix, inv);
             for (x, y) in a.iter().zip(&b) {
                 assert_bits_eq(*x, *y, &format!("chol n={n} j={j} rows={rows}"));
             }
@@ -1275,9 +1275,6 @@ mod tests {
 
     #[test]
     fn lc_rk2_bit_identical() {
-        if !simd_or_skip() {
-            return;
-        }
         let mut r = Lcg(23);
         for n in [1usize, 4, 5, 9, 32] {
             let mut x: Vec<f64> = (0..n).map(|_| r.f64().abs()).collect();
@@ -1299,33 +1296,11 @@ mod tests {
             let mut cb = vec![0.0; n];
             // Several steps to let state evolve.
             for _ in 0..50 {
-                lc_rk2_contrib(
-                    Backend::Scalar,
-                    &mut xa,
-                    &mut ua,
-                    &mask,
-                    &w,
-                    &ic,
-                    &iu,
-                    &ir,
-                    &id,
-                    &de,
-                    dt,
-                    &mut ca,
+                scalar::lc_rk2_contrib(
+                    &mut xa, &mut ua, &mask, &w, &ic, &iu, &ir, &id, &de, dt, &mut ca,
                 );
                 lc_rk2_contrib(
-                    Backend::Simd,
-                    &mut x,
-                    &mut u,
-                    &mask,
-                    &w,
-                    &ic,
-                    &iu,
-                    &ir,
-                    &id,
-                    &de,
-                    dt,
-                    &mut cb,
+                    &mut x, &mut u, &mask, &w, &ic, &iu, &ir, &id, &de, dt, &mut cb,
                 );
             }
             for i in 0..n {
@@ -1338,9 +1313,6 @@ mod tests {
 
     #[test]
     fn fir_biquad_decimate_bit_identical() {
-        if !simd_or_skip() {
-            return;
-        }
         let mut r = Lcg(29);
         for (n, nt) in [(1usize, 5usize), (8, 3), (64, 9), (200, 31), (10, 31)] {
             let taps: Vec<f64> = (0..nt).map(|_| r.f64()).collect();
@@ -1349,8 +1321,8 @@ mod tests {
             spice(&mut x);
             let mut oa = vec![C64::default(); n];
             let mut ob = vec![C64::default(); n];
-            fir_filter_into(Backend::Scalar, &taps, &x, d, &mut oa);
-            fir_filter_into(Backend::Simd, &taps, &x, d, &mut ob);
+            scalar::fir_filter_into(&taps, &x, d, &mut oa);
+            fir_filter_into(&taps, &x, d, &mut ob);
             for (i, (a, b)) in oa.iter().zip(&ob).enumerate() {
                 assert_bits_eq(*a, *b, &format!("fir n={n} nt={nt} i={i}"));
             }
@@ -1365,8 +1337,8 @@ mod tests {
         let x = cvec(&mut r, 257);
         let mut oa = vec![C64::default(); 257];
         let mut ob = vec![C64::default(); 257];
-        biquad_filter_into(Backend::Scalar, &c, &x, &mut oa);
-        biquad_filter_into(Backend::Simd, &c, &x, &mut ob);
+        scalar::biquad_filter_into(&c, &x, &mut oa);
+        biquad_filter_into(&c, &x, &mut ob);
         for (a, b) in oa.iter().zip(&ob) {
             assert_bits_eq(*a, *b, "biquad");
         }
@@ -1374,8 +1346,8 @@ mod tests {
             let x = cvec(&mut r, 61);
             let mut oa = vec![C64::default(); 61 / m];
             let mut ob = vec![C64::default(); 61 / m];
-            decimate_into(Backend::Scalar, &x, m, &mut oa);
-            decimate_into(Backend::Simd, &x, m, &mut ob);
+            scalar::decimate_into(&x, m, &mut oa);
+            decimate_into(&x, m, &mut ob);
             for (a, b) in oa.iter().zip(&ob) {
                 assert_bits_eq(*a, *b, &format!("decimate m={m}"));
             }

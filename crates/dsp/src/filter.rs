@@ -92,18 +92,11 @@ impl Fir {
     /// Convolve, returning a signal of the same length as the input
     /// (zero-padded edges, group delay compensated).
     ///
-    /// Dispatches through the process-default [`Backend`]; the SIMD interior
-    /// kernel is bit-identical to the scalar loop, so callers need no wiring
-    /// to stay reproducible.
+    /// Runs the host's kernel body; the SIMD interior is bit-identical to
+    /// the scalar loop, so the output does not depend on the host.
     pub fn filter(&self, x: &[C64]) -> Vec<C64> {
         let mut y = vec![C64::default(); x.len()];
-        crate::backend::fir_filter_into(
-            crate::backend::Backend::detect(),
-            &self.taps,
-            x,
-            self.group_delay(),
-            &mut y,
-        );
+        crate::backend::fir_filter_into(&self.taps, x, self.group_delay(), &mut y);
         y
     }
 
@@ -186,19 +179,14 @@ impl Biquad {
 
     /// Process a whole buffer, resetting state first.
     ///
-    /// Dispatches through the process-default [`Backend`]: the recurrence is
-    /// serial across samples, but the `[re, im]` pair runs as one 2-lane
-    /// vector, bit-identical to [`Self::step`] (purely element-wise ops in
-    /// the same order).
+    /// Runs the host's kernel body: the recurrence is serial across
+    /// samples, but the `[re, im]` pair runs as one 2-lane vector,
+    /// bit-identical to [`Self::step`] (purely element-wise ops in the same
+    /// order).
     pub fn filter(&mut self, x: &[C64]) -> Vec<C64> {
         self.reset();
         let mut y = vec![C64::default(); x.len()];
-        let (z1, z2) = crate::backend::biquad_filter_into(
-            crate::backend::Backend::detect(),
-            &self.coeffs(),
-            x,
-            &mut y,
-        );
+        let (z1, z2) = crate::backend::biquad_filter_into(&self.coeffs(), x, &mut y);
         self.z1 = z1;
         self.z2 = z2;
         y

@@ -29,6 +29,5 @@ pub mod signal;
 pub mod stats;
 pub mod window;
 
-pub use backend::Backend;
 pub use complex::{C64, J};
 pub use signal::Signal;

@@ -15,7 +15,7 @@
 //! and one-sided Jacobi SVD — are the right tools; no external linear algebra
 //! crate is needed.
 
-use crate::backend::{self, Backend};
+use crate::backend;
 use crate::complex::C64;
 use crate::fft::gamma;
 
@@ -371,14 +371,25 @@ pub fn gauss_solve_c(a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
 /// triangle of `A` is read. Returns `None` when a pivot is not strictly
 /// positive (the matrix is not numerically positive-definite); callers that
 /// cannot guarantee definiteness should fall back to [`gauss_solve_c`].
+///
+/// The column update runs the host's kernel body, which is bit-identical to
+/// the scalar one (see [`crate::backend`]).
 pub fn chol_solve_c(a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
-    chol_solve_c_with(Backend::detect(), a, b)
+    chol_solve_by(backend::chol_col_update, a, b)
 }
 
-/// [`chol_solve_c`] with an explicit kernel backend. The SIMD column update
-/// is bit-identical to the scalar one (see [`crate::backend`]), so every
-/// caller gets the same factorization regardless of tier.
-pub fn chol_solve_c_with(bk: Backend, a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
+/// [`chol_solve_c`] on the scalar column update alone, for oracles that must
+/// run no vector kernel (the all-scalar packet reference).
+pub fn chol_solve_c_scalar(a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
+    chol_solve_by(backend::scalar::chol_col_update, a, b)
+}
+
+/// The Cholesky solve body, generic over the column update.
+fn chol_solve_by(
+    col_update: fn(&mut [C64], usize, usize, &[C64], f64),
+    a: &CMat,
+    b: &[C64],
+) -> Option<Vec<C64>> {
     assert_eq!(a.rows(), a.cols(), "chol_solve_c: matrix must be square");
     assert_eq!(a.rows(), b.len(), "chol_solve_c: rhs length mismatch");
     let n = a.rows();
@@ -400,7 +411,7 @@ pub fn chol_solve_c_with(bk: Backend, a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
         row_j[j] = C64::real(ljj);
         // `s / ljj` is `s.scale(1.0 / ljj)` (see `Div<f64> for C64`), so the
         // reciprocal can be hoisted without changing a bit.
-        backend::chol_col_update(bk, below, n, j, &row_j[..j], 1.0 / ljj);
+        col_update(below, n, j, &row_j[..j], 1.0 / ljj);
     }
     // Forward solve L·y = b, then back solve Lᴴ·x = y.
     let mut y = b.to_vec();
@@ -555,20 +566,14 @@ impl WidelyLinearGram {
     }
 
     /// Fit `y ≈ a·x + b·x* + c` against the fixed regressor; bit-identical
-    /// to `widely_linear_fit(x, y)`.
+    /// to `widely_linear_fit(x, y)`. The SIMD `Aᴴy` and residual kernels are
+    /// bit-identical to the scalar fused loops (see [`crate::backend`]),
+    /// which in turn match `CMat::matvec` / `dist_sqr` fold order, so this
+    /// holds on every host.
     ///
     /// # Panics
     /// Panics if `y.len() != self.n_samples()`.
     pub fn fit(&self, y: &[C64]) -> WidelyLinearFit {
-        self.fit_with(Backend::detect(), y)
-    }
-
-    /// [`Self::fit`] with an explicit kernel backend. The SIMD `Aᴴy` and
-    /// residual kernels are bit-identical to the scalar fused loops (see
-    /// [`crate::backend`]), which in turn match `CMat::matvec` / `dist_sqr`
-    /// fold order — so this stays bit-identical to `widely_linear_fit` on
-    /// every tier.
-    pub fn fit_with(&self, bk: Backend, y: &[C64]) -> WidelyLinearFit {
         assert_eq!(y.len(), self.a.rows(), "WidelyLinearGram::fit: length");
         let n = y.len();
         // Aᴴy fused into one pass over y with one accumulator per row. Each
@@ -578,7 +583,7 @@ impl WidelyLinearGram {
         // materialising the result vector.
         let (r0, r12) = self.ah.data.split_at(n);
         let (r1, r2) = r12.split_at(n);
-        let ahb = backend::ahy3(bk, r0, r1, r2, y);
+        let ahb = backend::ahy3(r0, r1, r2, y);
         let sol = gauss_solve_c(&self.aha_ridged, &ahb).unwrap_or_else(|| vec![C64::default(); 3]);
         // Fitted value and residual fused into one pass: each row's fitted
         // sample folds the stored design coefficients in matvec order, and
@@ -586,7 +591,7 @@ impl WidelyLinearGram {
         // same ascending order as `dist_sqr` — again bit-identical, with no
         // n-length temporary.
         let sol3 = [sol[0], sol[1], sol[2]];
-        let residual = backend::wl_fold_residual(bk, &self.a.data, &sol3, y);
+        let residual = backend::wl_fold_residual(&self.a.data, &sol3, y);
         WidelyLinearFit {
             a: sol[0],
             b: sol[1],
@@ -595,7 +600,7 @@ impl WidelyLinearGram {
         }
     }
 
-    /// Certify the moment form of [`Self::fit_with`]'s residual (DESIGN.md
+    /// Certify the moment form of [`Self::fit`]'s residual (DESIGN.md
     /// §8, "Certified preamble scan"): with `G = AᴴA` the exact Gram of the
     /// stored design, the exact least-squares residual is
     /// `R = Σ|y|² − bᴴG⁻¹b`, `b = Aᴴy`, and the fit's floating-point residual
@@ -616,9 +621,9 @@ impl WidelyLinearGram {
         }
         let frob = |m: &[C64]| m.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
         let g_hat_f = frob(&g_hat.data);
-        // M̃ ≈ Ĝ⁻¹ column by column through the same elimination `fit_with`
+        // M̃ ≈ Ĝ⁻¹ column by column through the same elimination `fit`
         // runs: its pivot choice and its zero-solution fallback depend on the
-        // matrix only, so success here means `fit_with` never falls back.
+        // matrix only, so success here means `fit` never falls back.
         let mut m = [C64::default(); 9];
         for j in 0..3 {
             let mut e = [C64::default(); 3];
@@ -688,7 +693,7 @@ impl WidelyLinearGram {
     }
 }
 
-/// The moment form of [`WidelyLinearGram::fit_with`]'s residual with a
+/// The moment form of [`WidelyLinearGram::fit`]'s residual with a
 /// proven bound on its distance to the fit's floating-point result; built
 /// by [`WidelyLinearGram::residual_certificate`].
 #[derive(Debug, Clone)]
@@ -704,13 +709,13 @@ pub struct ResidualCertificate {
     g: f64,
     /// Rounding of the computed quadratic form per unit `|b|²`.
     q_round: f64,
-    /// `|fit_with(y).residual − (Σ|y|² − bᴴG⁻¹b)| ≤ fit_dev·Σ|y|²`.
+    /// `|fit(y).residual − (Σ|y|² − bᴴG⁻¹b)| ≤ fit_dev·Σ|y|²`.
     fit_dev: f64,
 }
 
 impl ResidualCertificate {
     /// Approximate residual `R̃ = E − bᴴM̃b` from approximate moments, and a
-    /// bound `e` with `|fit_with(y).residual − R̃| ≤ e`.
+    /// bound `e` with `|fit(y).residual − R̃| ≤ e`.
     ///
     /// `energy` approximates `E = Σ|y|²` within `energy_err`; `ahy`
     /// approximates `b = Aᴴy = [Σx̄y, Σxy, Σy]` within `ahy_err` in the
@@ -933,6 +938,11 @@ mod tests {
         for (c, g) in xc.iter().zip(&xg) {
             assert!(c.dist(*g) < 1e-9, "chol {c} vs gauss {g}");
         }
+        // The oracle's all-scalar solve lands on the same bits.
+        let xs = chol_solve_c_scalar(&a, &rhs).unwrap();
+        let bits =
+            |v: &[C64]| -> Vec<_> { v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect() };
+        assert_eq!(bits(&xc), bits(&xs));
     }
 
     #[test]

@@ -18,10 +18,10 @@ use crate::signal::Signal;
 /// Panics if `m == 0`.
 pub fn decimate(x: &Signal, m: usize) -> Signal {
     assert!(m > 0, "decimate: factor must be >= 1");
-    // Dispatches through the process-default backend; the SIMD boxcar is
-    // bit-identical to the scalar chunked sum (`z / m` is `z.scale(1.0/m)`).
+    // The SIMD boxcar is bit-identical to the scalar chunked sum
+    // (`z / m` is `z.scale(1.0/m)`).
     let mut out = vec![C64::default(); x.samples().len() / m];
-    crate::backend::decimate_into(crate::backend::Backend::detect(), x.samples(), m, &mut out);
+    crate::backend::decimate_into(x.samples(), m, &mut out);
     Signal::new(out, x.sample_rate() / m as f64)
 }
 

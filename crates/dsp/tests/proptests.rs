@@ -151,14 +151,16 @@ proptest! {
     }
 }
 
-// --- Backend differential suite: filter chain across tiers -----------------
+// --- Backend differential suite: filter chain, dispatch vs scalar ----------
 //
-// The Simd tier's contract is bit-identity with the Scalar tier over ANY
-// input, not just the committed fixtures — including denormal-magnitude
-// samples (where a flush-to-zero vector unit would diverge) and huge
-// magnitudes near the overflow edge.
+// The dispatched kernels' contract is bit-identity with their `scalar`
+// bodies over ANY input, not just the committed fixtures — including
+// denormal-magnitude samples (where a flush-to-zero vector unit would
+// diverge) and huge magnitudes near the overflow edge. Each case calls the
+// public dispatched entry, so on a SIMD host the dispatch itself is what
+// gets proven.
 
-use retroturbo_dsp::backend::{self, Backend, BiquadCoeffs};
+use retroturbo_dsp::backend::{self, scalar, BiquadCoeffs};
 use retroturbo_dsp::filter::{Biquad, Fir};
 
 /// A sample component spanning normal, denormal, zero, and huge magnitudes
@@ -208,9 +210,9 @@ fn bits(xs: &[C64]) -> Vec<(u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// FIR: the SIMD kernel must match the scalar kernel bit-for-bit on
-    /// random taps and edge-magnitude signals, and the dispatching `Fir`
-    /// wrapper must land on the same bits regardless of the detected tier.
+    /// FIR: the dispatched kernel must match the scalar body bit-for-bit on
+    /// random taps and edge-magnitude signals, and so must the `Fir`
+    /// wrapper.
     #[test]
     fn fir_simd_bit_identical_to_scalar(
         taps in proptest::collection::vec(-2.0f64..2.0, 1..24),
@@ -220,13 +222,13 @@ proptest! {
         let d = fir.group_delay();
         let mut y_s = vec![C64::default(); xs.len()];
         let mut y_v = vec![C64::default(); xs.len()];
-        backend::fir_filter_into(Backend::Scalar, fir.taps(), &xs, d, &mut y_s);
-        backend::fir_filter_into(Backend::Simd, fir.taps(), &xs, d, &mut y_v);
+        scalar::fir_filter_into(fir.taps(), &xs, d, &mut y_s);
+        backend::fir_filter_into(fir.taps(), &xs, d, &mut y_v);
         prop_assert_eq!(bits(&y_s), bits(&y_v));
         prop_assert_eq!(bits(&fir.filter(&xs)), bits(&y_s));
     }
 
-    /// Biquad: the vectorized recurrence must match both the scalar kernel
+    /// Biquad: the dispatched recurrence must match both the scalar body
     /// and the literal per-sample `step` loop bit-for-bit, including the
     /// returned final delay-line state.
     #[test]
@@ -236,8 +238,8 @@ proptest! {
     ) {
         let mut y_s = vec![C64::default(); xs.len()];
         let mut y_v = vec![C64::default(); xs.len()];
-        let st_s = backend::biquad_filter_into(Backend::Scalar, &c, &xs, &mut y_s);
-        let st_v = backend::biquad_filter_into(Backend::Simd, &c, &xs, &mut y_v);
+        let st_s = scalar::biquad_filter_into(&c, &xs, &mut y_s);
+        let st_v = backend::biquad_filter_into(&c, &xs, &mut y_v);
         prop_assert_eq!(bits(&y_s), bits(&y_v));
         prop_assert_eq!(bits(&[st_s.0, st_s.1]), bits(&[st_v.0, st_v.1]));
         // Independent oracle: the per-sample step loop.
@@ -246,7 +248,7 @@ proptest! {
         prop_assert_eq!(bits(&y_ref), bits(&y_s));
     }
 
-    /// Boxcar decimator: SIMD vs scalar bit-identity, anchored to the
+    /// Boxcar decimator: dispatch vs scalar bit-identity, anchored to the
     /// `resample::decimate` reference.
     #[test]
     fn decimate_simd_bit_identical_to_scalar(
@@ -256,8 +258,8 @@ proptest! {
         prop_assume!(xs.len() / m >= 1);
         let mut y_s = vec![C64::default(); xs.len() / m];
         let mut y_v = vec![C64::default(); xs.len() / m];
-        backend::decimate_into(Backend::Scalar, &xs, m, &mut y_s);
-        backend::decimate_into(Backend::Simd, &xs, m, &mut y_v);
+        scalar::decimate_into(&xs, m, &mut y_s);
+        backend::decimate_into(&xs, m, &mut y_v);
         prop_assert_eq!(bits(&y_s), bits(&y_v));
         let r = decimate(&Signal::new(xs.clone(), 40_000.0), m);
         prop_assert_eq!(bits(r.samples()), bits(&y_s));

@@ -30,7 +30,7 @@
 
 use crate::dynamics::{LcRates, LcState};
 use crate::panel::{DriveCommand, Panel};
-use retroturbo_dsp::{backend, Backend, C64};
+use retroturbo_dsp::{backend, C64};
 use retroturbo_optics::PolAngle;
 
 /// Flat struct-of-arrays panel state with precomputed optics coefficients.
@@ -75,9 +75,6 @@ pub struct PanelKernel {
     gain: Vec<f64>,
     /// Pixel range of module `m` is `pixel_start[m]..pixel_start[m + 1]`.
     pixel_start: Vec<usize>,
-    /// Kernel backend. Both tiers are bit-identical to
-    /// [`Panel::simulate_reference`].
-    backend: Backend,
 }
 
 impl PanelKernel {
@@ -105,7 +102,6 @@ impl PanelKernel {
             coeff: Vec::with_capacity(n_modules),
             gain: Vec::with_capacity(n_modules),
             pixel_start: Vec::with_capacity(n_modules + 1),
-            backend: Backend::detect(),
         };
         for m in 0..n_modules {
             let bank = panel.module(m);
@@ -133,12 +129,6 @@ impl PanelKernel {
         k.snap_u = k.u.clone();
         k.snap_driven = k.driven.clone();
         k
-    }
-
-    /// Replace the kernel backend (default: [`Backend::detect`]).
-    pub fn with_backend(mut self, bk: Backend) -> Self {
-        self.backend = bk;
-        self
     }
 
     /// Restore the pixel state captured at construction (the snapshot/restore
@@ -220,7 +210,6 @@ impl PanelKernel {
             // addition: the fold below replays the reference's exact
             // `acc += w·(2x−1)` sequence, pixels most-significant-first.
             backend::lc_rk2_contrib(
-                self.backend,
                 &mut self.x,
                 &mut self.u,
                 &self.drive_mask,
@@ -449,30 +438,6 @@ mod tests {
         let ref_sig = p_ref.simulate_reference(&cmds, n, FS);
         let soa_sig = p_soa.simulate(&cmds, n, FS);
         assert_eq!(bits_of(ref_sig.samples()), bits_of(soa_sig.samples()));
-    }
-
-    #[test]
-    fn simd_backend_bit_identical_to_scalar() {
-        if !backend::simd_available() {
-            eprintln!("skipping: SIMD backend unavailable on this host");
-            return;
-        }
-        let p = Panel::retroturbo(2, 4, LcParams::default(), Heterogeneity::typical(), 11);
-        let cmds = demo_commands();
-        let mut ks = PanelKernel::from_panel(&p).with_backend(Backend::Scalar);
-        let mut kv = PanelKernel::from_panel(&p).with_backend(Backend::Simd);
-        let mut a = vec![C64::new(0.0, 0.0); 900];
-        let mut b = a.clone();
-        ks.simulate_into(&cmds, FS, &mut a);
-        kv.simulate_into(&cmds, FS, &mut b);
-        assert_eq!(bits_of(&a), bits_of(&b));
-        let sb = |k: &PanelKernel| -> Vec<(u64, u64)> {
-            k.x.iter()
-                .zip(&k.u)
-                .map(|(x, u)| (x.to_bits(), u.to_bits()))
-                .collect()
-        };
-        assert_eq!(sb(&ks), sb(&kv), "end state diverged");
     }
 
     #[test]

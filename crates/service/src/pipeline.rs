@@ -516,9 +516,13 @@ fn run_framer(
                 // demod drops.
                 avail - span as u64 + 1
             };
-            // Buffer indices from here on; `head` stands in for `base`,
-            // and back-margins clamp at it as they would at the start of
-            // a fully compacted buffer.
+            // Buffer indices from here on; `head` stands in for `base`.
+            // Back-margins need no clamp at `head`: a block hit sits at
+            // least `lead` past it, or `head` is 0 at the stream start (the
+            // retire step below never moves `base` past `pos - lead`), so
+            // the refinement scan never reaches the consumed prefix. A window's back-margin may, but
+            // `assembly[..head]` still holds those stream samples until
+            // compaction, and the decode reads nothing before the hit.
             let from = head + (pos - base) as usize;
             let to = head + (block_end - base) as usize;
             let sig = Signal::new(std::mem::take(&mut assembly), cfg.phy.fs);
@@ -530,7 +534,7 @@ fn run_framer(
                 // what pins the streaming offset to the whole-signal
                 // detection the direct receiver path performs.
                 Some((off, _)) => {
-                    let lo = off.saturating_sub(lead).max(head);
+                    let lo = off.saturating_sub(lead);
                     let hi = (off + lead + 1).min(sig.len().saturating_sub(span) + 1);
                     rx.detect_preamble(&sig, lo, hi).map(|(o, _)| o)
                 }
@@ -548,7 +552,7 @@ fn run_framer(
                     // Cut the window: `lead` samples of back-margin, the
                     // frame body, `slack` samples of forward margin —
                     // clamped at the stream tail.
-                    let win_start = off.saturating_sub(lead).max(head);
+                    let win_start = off.saturating_sub(lead);
                     let win_end = (off + frame_len + slack).min(assembly.len());
                     let mask: Vec<bool> = unreliable[win_start..win_end].to_vec();
                     let body_end = (off - win_start + frame_len).min(mask.len());

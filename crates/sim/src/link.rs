@@ -10,7 +10,7 @@ use crate::link_budget::LinkBudget;
 use crate::scene::Scene;
 use retroturbo_core::{Modulator, PhyConfig, Receiver, RxError, RxResult};
 use retroturbo_dsp::noise::{sigma_for_snr, NoiseSource};
-use retroturbo_dsp::{Backend, Signal, C64};
+use retroturbo_dsp::{Signal, C64};
 use retroturbo_lcm::{Heterogeneity, LcParams, Panel, PanelKernel};
 use retroturbo_optics::retro::{yaw_pixel_skew, Retroreflector};
 
@@ -89,8 +89,6 @@ pub struct LinkSimulator {
     receiver: Receiver,
     pristine_panel: Panel,
     seed: u64,
-    /// Kernel backend for the panel ODE and the receiver stages.
-    backend: Backend,
 }
 
 impl LinkSimulator {
@@ -122,17 +120,7 @@ impl LinkSimulator {
             receiver: Receiver::new_cached(cfg, &params, 3),
             pristine_panel: panel,
             seed,
-            backend: Backend::detect(),
         }
-    }
-
-    /// Replace the kernel backend on the tag ODE kernel and every receiver
-    /// stage (default: [`Backend::detect`], overridable process-wide via
-    /// `RETROTURBO_BACKEND`). `Scalar`/`Simd` are bit-identical.
-    pub fn with_backend(mut self, bk: Backend) -> Self {
-        self.backend = bk;
-        self.receiver = self.receiver.with_backend(bk);
-        self
     }
 
     /// Override the DFE branch count.
@@ -200,7 +188,7 @@ impl LinkSimulator {
     /// kernel snapshot plus the reusable channel buffer).
     pub fn make_scratch(&self) -> PacketScratch {
         PacketScratch {
-            kernel: PanelKernel::from_panel(&self.pristine_panel).with_backend(self.backend),
+            kernel: PanelKernel::from_panel(&self.pristine_panel),
             rx: Vec::new(),
         }
     }
