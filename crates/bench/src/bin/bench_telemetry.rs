@@ -25,6 +25,11 @@ const REQUIRED: &[&str] = &[
     "preamble.margin",
     "dfe.slots",
     "dfe.residual",
+    "dfe.predictions",
+    "dfe.score.predict",
+    "dfe.score.cross",
+    "dfe.score.aggregate",
+    "dfe.score.select",
     "rs.erasure_decodes",
     "rx.detect",
     "rx.train",

@@ -178,30 +178,9 @@ impl Biquad {
     }
 
     /// Process a whole buffer, resetting state first.
-    ///
-    /// Runs the host's kernel body: the recurrence is serial across
-    /// samples, but the `[re, im]` pair runs as one 2-lane vector,
-    /// bit-identical to [`Self::step`] (purely element-wise ops in the same
-    /// order).
     pub fn filter(&mut self, x: &[C64]) -> Vec<C64> {
         self.reset();
-        let mut y = vec![C64::default(); x.len()];
-        let (z1, z2) = crate::backend::biquad_filter_into(&self.coeffs(), x, &mut y);
-        self.z1 = z1;
-        self.z2 = z2;
-        y
-    }
-
-    /// The normalized coefficients as a [`crate::backend::BiquadCoeffs`]
-    /// bundle (for direct kernel calls and differential tests).
-    pub fn coeffs(&self) -> crate::backend::BiquadCoeffs {
-        crate::backend::BiquadCoeffs {
-            b0: self.b0,
-            b1: self.b1,
-            b2: self.b2,
-            a1: self.a1,
-            a2: self.a2,
-        }
+        x.iter().map(|&s| self.step(s)).collect()
     }
 
     /// Clear internal state.

@@ -160,8 +160,8 @@ proptest! {
 // public dispatched entry, so on a SIMD host the dispatch itself is what
 // gets proven.
 
-use retroturbo_dsp::backend::{self, scalar, BiquadCoeffs};
-use retroturbo_dsp::filter::{Biquad, Fir};
+use retroturbo_dsp::backend::{self, scalar};
+use retroturbo_dsp::filter::Fir;
 
 /// A sample component spanning normal, denormal, zero, and huge magnitudes
 /// (the compat proptest has no `prop_oneof`, so edge values are picked by
@@ -181,24 +181,6 @@ fn edge_component() -> impl Strategy<Value = f64> {
 /// Complex samples spanning normal, denormal, and near-overflow magnitudes.
 fn c64_edges() -> impl Strategy<Value = C64> {
     (edge_component(), edge_component()).prop_map(|(r, i)| C64::new(r, i))
-}
-
-/// Stable-by-construction biquad coefficients: poles at radius < 0.98.
-fn biquad_coeffs() -> impl Strategy<Value = BiquadCoeffs> {
-    (
-        -2.0f64..2.0,
-        -2.0f64..2.0,
-        -2.0f64..2.0,
-        0.0f64..0.98,
-        0.0f64..std::f64::consts::PI,
-    )
-        .prop_map(|(b0, b1, b2, r, th)| BiquadCoeffs {
-            b0,
-            b1,
-            b2,
-            a1: -2.0 * r * th.cos(),
-            a2: r * r,
-        })
 }
 
 fn bits(xs: &[C64]) -> Vec<(u64, u64)> {
@@ -226,26 +208,6 @@ proptest! {
         backend::fir_filter_into(fir.taps(), &xs, d, &mut y_v);
         prop_assert_eq!(bits(&y_s), bits(&y_v));
         prop_assert_eq!(bits(&fir.filter(&xs)), bits(&y_s));
-    }
-
-    /// Biquad: the dispatched recurrence must match both the scalar body
-    /// and the literal per-sample `step` loop bit-for-bit, including the
-    /// returned final delay-line state.
-    #[test]
-    fn biquad_simd_bit_identical_to_step_loop(
-        c in biquad_coeffs(),
-        xs in proptest::collection::vec(c64_edges(), 1..96),
-    ) {
-        let mut y_s = vec![C64::default(); xs.len()];
-        let mut y_v = vec![C64::default(); xs.len()];
-        let st_s = scalar::biquad_filter_into(&c, &xs, &mut y_s);
-        let st_v = backend::biquad_filter_into(&c, &xs, &mut y_v);
-        prop_assert_eq!(bits(&y_s), bits(&y_v));
-        prop_assert_eq!(bits(&[st_s.0, st_s.1]), bits(&[st_v.0, st_v.1]));
-        // Independent oracle: the per-sample step loop.
-        let mut bq = Biquad::new(c.b0, c.b1, c.b2, c.a1, c.a2);
-        let y_ref: Vec<C64> = xs.iter().map(|&x| bq.step(x)).collect();
-        prop_assert_eq!(bits(&y_ref), bits(&y_s));
     }
 
     /// Boxcar decimator: dispatch vs scalar bit-identity, anchored to the
