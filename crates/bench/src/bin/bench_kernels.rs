@@ -1,24 +1,22 @@
 //! Machine-readable kernel benchmark: times the optimized hot kernels (DFE
 //! branch extension, fingerprint emulation error, the online-training
 //! solve, the SoA panel ODE, the certified preamble scan, the fused packet
-//! pipeline) against their retained reference implementations, each vector
-//! kernel's scalar body against its dispatched entry, plus the parallel
-//! sweep runtime at 1 vs N threads, and writes `BENCH_kernels.json` — a
-//! `meta` provenance block (SIMD detection, CPU features) plus one record
-//! per measurement with `{kernel, ns_per_iter, ns_per_symbol,
-//! ns_per_point, threads, speedup}` — to seed the perf trajectory. Every
-//! row runs the kernels the host dispatches to; the `*_scalar` /
-//! `*_dispatch` pairs isolate what the vector bodies buy.
+//! pipeline) against their retained reference implementations, and each
+//! vector kernel's scalar body against its dispatched entry, and writes
+//! `BENCH_kernels.json` — a `meta` provenance block (SIMD detection, CPU
+//! features) plus one record per measurement with `{kernel, ns_per_iter,
+//! ns_per_symbol, ns_per_point, threads, speedup}` — to seed the perf
+//! trajectory. Every row runs the kernels the host dispatches to; the
+//! `*_scalar` / `*_dispatch` pairs isolate what the vector bodies buy.
 //! `ns_per_symbol` normalizes frame-scaling kernels (DFE, packet pipeline)
-//! by their payload symbol count and
-//! `ns_per_point` normalizes sweep entries by their grid-point count, so
-//! trajectories stay comparable if a PR changes the benchmark workload
-//! size; both are `null` where they do not apply. The full schema contract
-//! is documented in `crates/bench/README.md`.
+//! by their payload symbol count, so trajectories stay comparable if a PR
+//! changes the benchmark workload size; it is `null` where it does not
+//! apply. The full schema contract is documented in
+//! `crates/bench/README.md`.
 //!
 //! Speedup is reference-ns / optimized-ns (scalar-ns / dispatch-ns) for
-//! kernel pairs, and 1-thread-ns / N-thread-ns for the sweep (≈1.0 on a
-//! single-core host).
+//! kernel pairs. Whole-sweep timing and thread scaling are perfbench's
+//! `sweep` workload.
 //!
 //! Before timing, each reference/optimized pair is run once and its outputs
 //! are checksummed; any divergence is reported and the process exits
@@ -39,8 +37,6 @@ use retroturbo_dsp::noise::NoiseSource;
 use retroturbo_dsp::{Signal, C64};
 use retroturbo_lcm::fingerprint::{relative_error, relative_error_with_energy};
 use retroturbo_lcm::{FingerprintSet, Heterogeneity, LcParams, LcPixel, Panel, PanelKernel};
-use retroturbo_runtime::with_threads;
-use retroturbo_sim::experiments::field::fig16a_ber_vs_distance;
 use retroturbo_sim::experiments::Effort;
 use retroturbo_sim::{ImpairmentConfig, LinkBudget, LinkSimulator, Scene};
 
@@ -96,13 +92,8 @@ struct Record {
     ns_per_iter: f64,
     /// Per-payload-symbol normalization (`ns_per_iter / symbols`) for
     /// kernels whose work scales with a frame's payload; `None` (emitted as
-    /// JSON `null`) for fixed-size kernels and sweeps.
+    /// JSON `null`) for fixed-size kernels.
     ns_per_symbol: Option<f64>,
-    /// Per-grid-point normalization (`ns_per_iter / points`) for sweep
-    /// entries, so trajectories survive grid-size changes; `None` (JSON
-    /// `null`) for non-sweep kernels.
-    ns_per_point: Option<f64>,
-    threads: usize,
     speedup: f64,
 }
 
@@ -170,8 +161,6 @@ fn tier_pair<S: Clone>(
             kernel: format!("{name}_{suffix}"),
             ns_per_iter: ns,
             ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
             speedup: ns_s / ns,
         });
     }
@@ -268,16 +257,12 @@ fn main() {
             kernel: kernel_ref.into(),
             ns_per_iter: dfe_ref,
             ns_per_symbol: Some(dfe_ref / payload_syms),
-            ns_per_point: None,
-            threads: 1,
             speedup: 1.0,
         });
         records.push(Record {
             kernel: kernel_opt.into(),
             ns_per_iter: dfe_new,
             ns_per_symbol: Some(dfe_new / payload_syms),
-            ns_per_point: None,
-            threads: 1,
             speedup: dfe_ref / dfe_new,
         });
     }
@@ -306,16 +291,12 @@ fn main() {
         kernel: "fingerprint_relative_error_reference".into(),
         ns_per_iter: fp_ref,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: 1.0,
     });
     records.push(Record {
         kernel: "fingerprint_relative_error_precomputed".into(),
         ns_per_iter: fp_new,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: fp_ref / fp_new,
     });
 
@@ -344,16 +325,12 @@ fn main() {
         kernel: "online_training_reference".into(),
         ns_per_iter: tr_ref,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: 1.0,
     });
     records.push(Record {
         kernel: "online_training_precomputed".into(),
         ns_per_iter: tr_new,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: tr_ref / tr_new,
     });
 
@@ -400,16 +377,12 @@ fn main() {
         kernel: "panel_simulate_reference".into(),
         ns_per_iter: panel_ref,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: 1.0,
     });
     records.push(Record {
         kernel: "panel_simulate_soa".into(),
         ns_per_iter: panel_soa,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: panel_ref / panel_soa,
     });
 
@@ -466,16 +439,12 @@ fn main() {
             kernel: kernel_ref.into(),
             ns_per_iter: ns_ref,
             ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
             speedup: 1.0,
         });
         records.push(Record {
             kernel: kernel_opt.into(),
             ns_per_iter: ns_opt,
             ns_per_symbol: None,
-            ns_per_point: None,
-            threads: 1,
             speedup: ns_ref / ns_opt,
         });
     }
@@ -698,16 +667,12 @@ fn main() {
         kernel: "run_packet_reference".into(),
         ns_per_iter: pkt_ref,
         ns_per_symbol: Some(pkt_ref / pkt_syms),
-        ns_per_point: None,
-        threads: 1,
         speedup: 1.0,
     });
     records.push(Record {
         kernel: "run_packet_fused".into(),
         ns_per_iter: pkt_fused,
         ns_per_symbol: Some(pkt_fused / pkt_syms),
-        ns_per_point: None,
-        threads: 1,
         speedup: pkt_ref / pkt_fused,
     });
 
@@ -745,16 +710,12 @@ fn main() {
             kernel: "waveform_render_reference".into(),
             ns_per_iter: render_ns,
             ns_per_symbol: Some(render_ns / pkt_syms),
-            ns_per_point: None,
-            threads: 1,
             speedup: 1.0,
         });
         records.push(Record {
             kernel: "waveform_renoise_cached".into(),
             ns_per_iter: renoise_ns,
             ns_per_symbol: Some(renoise_ns / pkt_syms),
-            ns_per_point: None,
-            threads: 1,
             speedup: render_ns / renoise_ns,
         });
     }
@@ -794,16 +755,12 @@ fn main() {
         kernel: "rs_decode_errors_only".into(),
         ns_per_iter: rs_plain,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: 1.0,
     });
     records.push(Record {
         kernel: "rs_decode_errata".into(),
         ns_per_iter: rs_errata,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: rs_plain / rs_errata,
     });
 
@@ -836,62 +793,25 @@ fn main() {
         kernel: "impairment_chain_full".into(),
         ns_per_iter: imp_ns,
         ns_per_symbol: None,
-        ns_per_point: None,
-        threads: 1,
         speedup: 1.0,
     });
-
-    // --- Parallel sweep runtime: fig16a at 1 vs N threads -----------------
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let sweep = |threads: usize| {
-        time_ns(1, if quick { 1 } else { 3 }, || {
-            with_threads(threads, || {
-                std::hint::black_box(fig16a_ber_vs_distance(&[4.0, 9.0], Effort::Quick, 7));
-            });
-        })
-    };
-    // 2 distances × 2 rate curves.
-    let sweep_points = 4.0;
-    let sweep_1 = sweep(1);
-    records.push(Record {
-        kernel: "sweep_fig16a_quick".into(),
-        ns_per_iter: sweep_1,
-        ns_per_symbol: None,
-        ns_per_point: Some(sweep_1 / sweep_points),
-        threads: 1,
-        speedup: 1.0,
-    });
-    if n_threads > 1 {
-        let sweep_n = sweep(n_threads);
-        records.push(Record {
-            kernel: "sweep_fig16a_quick".into(),
-            ns_per_iter: sweep_n,
-            ns_per_symbol: None,
-            ns_per_point: Some(sweep_n / sweep_points),
-            threads: n_threads,
-            speedup: sweep_1 / sweep_n,
-        });
-    } else {
-        eprintln!("# single-core host: skipping multi-thread sweep measurement");
-    }
 
     // --- Emit ------------------------------------------------------------
     // `{"meta": {...}, "kernels": [...]}`: the meta block records whether
     // the host dispatched to the vector bodies and what its CPU offered, so
-    // archived baselines from different hosts stay attributable.
+    // archived baselines from different hosts stay attributable. Every row
+    // is single-threaded and per-kernel, so `ns_per_point` (once the sweep
+    // rows' per-grid-point cost) and `threads` are fixed, kept so archived
+    // files and new runs share one schema.
     let opt = |v: Option<f64>| v.map_or_else(|| "null".into(), |v| format!("{v:.1}"));
     let rows: Vec<String> = records
         .iter()
         .map(|r| {
             format!(
-                "{{\"kernel\": \"{}\", \"ns_per_iter\": {:.1}, \"ns_per_symbol\": {}, \"ns_per_point\": {}, \"threads\": {}, \"speedup\": {:.3}}}",
+                "{{\"kernel\": \"{}\", \"ns_per_iter\": {:.1}, \"ns_per_symbol\": {}, \"ns_per_point\": null, \"threads\": 1, \"speedup\": {:.3}}}",
                 r.kernel,
                 r.ns_per_iter,
                 opt(r.ns_per_symbol),
-                opt(r.ns_per_point),
-                r.threads,
                 r.speedup,
             )
         })

@@ -1,19 +1,13 @@
 //! Robustness sweep: BER / FER / goodput and the errors-and-erasures decode
 //! margin along each impairment axis (clock ppm, ADC bits, blockage duty,
-//! mid-frame SNR ramp), TSV to stdout plus `BENCH_robustness.json` for the
-//! CI artifact (override the path with `BENCH_ROBUSTNESS_OUT`).
-
-use std::io::Write as _;
+//! mid-frame SNR ramp), TSV to stdout.
 
 use retroturbo_bench::{banner, fmt, header};
 use retroturbo_sim::experiments::robustness::robustness_sweep;
 use retroturbo_sim::experiments::Effort;
 
 fn main() {
-    banner(
-        "robustness",
-        "graceful degradation under impairments -> BENCH_robustness.json",
-    );
+    banner("robustness", "graceful degradation under impairments");
     let rows = robustness_sweep(30.0, Effort::from_env(), 5);
     header(&[
         "axis",
@@ -38,29 +32,4 @@ fn main() {
             r.symbols_corrected
         );
     }
-
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"axis\": \"{}\", \"value\": {}, \"ber\": {:.6}, \"fer\": {:.4}, \
-             \"goodput\": {:.4}, \"erasures_flagged\": {}, \"erasures_filled\": {}, \
-             \"symbols_corrected\": {}}}{}\n",
-            r.axis,
-            r.value,
-            r.ber,
-            r.fer,
-            r.goodput,
-            r.erasures_flagged,
-            r.erasures_filled,
-            r.symbols_corrected,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    let path =
-        std::env::var("BENCH_ROBUSTNESS_OUT").unwrap_or_else(|_| "BENCH_robustness.json".into());
-    let mut f = std::fs::File::create(&path).expect("create BENCH_robustness.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_robustness.json");
-    eprintln!("# wrote {path}");
 }

@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness: one binary per table/figure of the paper
 //! (`src/bin/…`, printing the same rows/series the paper reports, TSV to
-//! stdout), plus the `bench_kernels`/`bench_sweeps` microbenchmarks, which
-//! write `BENCH_*.json` through [`emit_bench_json`] and exit nonzero when a
+//! stdout), plus the `bench_kernels` microbenchmark, which writes
+//! `BENCH_kernels.json` through [`emit_bench_json`] and exits nonzero when a
 //! reference/optimized checksum pair diverges.
 //!
 //! Binaries default to a quick profile; set `RETRO_FULL=1` for the

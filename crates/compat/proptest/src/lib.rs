@@ -409,8 +409,9 @@ macro_rules! prop_assume {
     };
 }
 
-/// Define property tests: each `fn name(arg in strategy, …) { body }` becomes
-/// a `#[test]` running `cases` deterministic cases.
+/// Define property tests: each `#[test] fn name(arg in strategy, …) { body }`
+/// runs `cases` deterministic cases. As in proptest, the body's own
+/// attributes (its `#[test]` included) are forwarded unchanged.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -429,7 +430,6 @@ macro_rules! __proptest_body {
         fn $name:ident($($arg:pat_param in $strat:expr),* $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
             // Per-test deterministic seed: the test name's bytes.

@@ -41,11 +41,6 @@ pub struct FramePlan {
 }
 
 impl FramePlan {
-    /// Slot index where the training section starts.
-    pub fn training_start(&self) -> usize {
-        self.preamble_slots
-    }
-
     /// Slot index where the payload starts.
     pub fn payload_start(&self) -> usize {
         self.preamble_slots + self.training_slots

@@ -1,5 +1,6 @@
-//! Modulation-scheme analysis: the performance index D and optimal-parameter
-//! search of §5.
+//! Modulation-scheme analysis: the performance index D and the candidate
+//! grid of §5's optimal-parameter search (Tab. 3's driver in
+//! `retroturbo-sim` runs the search over it).
 //!
 //! A scheme's performance index is the minimum Euclidean distance between
 //! the waveforms of any two distinct data sequences, computed through the
@@ -156,15 +157,6 @@ pub fn relative_threshold_db(d: f64, d_ref: f64) -> f64 {
     10.0 * (d_ref / d).log10()
 }
 
-/// One candidate configuration found by the parameter search.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchResult {
-    /// The configuration.
-    pub cfg: PhyConfig,
-    /// Its performance index.
-    pub d: f64,
-}
-
 /// Enumerate (L, P, T) combinations achieving `rate_bps`, returning those
 /// whose slot duration is at least 2 samples and no longer than `t_max`.
 /// The per-candidate sample rate is adjusted (near `fs`) so each slot is an
@@ -202,31 +194,6 @@ pub fn candidate_configs(rate_bps: f64, fs: f64, t_max: f64) -> Vec<PhyConfig> {
         }
     }
     out
-}
-
-/// Search the candidate set for the configuration maximizing D at a target
-/// rate. `make_model` builds the emulation model for a candidate (typically
-/// [`TagModel::nominal`]).
-pub fn optimal_config<F>(
-    rate_bps: f64,
-    fs: f64,
-    n_slots: usize,
-    n_probes: usize,
-    seed: u64,
-    mut make_model: F,
-) -> Option<SearchResult>
-where
-    F: FnMut(&PhyConfig) -> TagModel,
-{
-    let mut best: Option<SearchResult> = None;
-    for cfg in candidate_configs(rate_bps, fs, 4e-3) {
-        let model = make_model(&cfg);
-        let d = min_distance(&cfg, &model, n_slots, n_probes, seed);
-        if best.as_ref().is_none_or(|b| d > b.d) {
-            best = Some(SearchResult { cfg, d });
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -107,22 +107,6 @@ impl Mat {
         }
         out
     }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)] * x[j]).sum())
-            .collect()
-    }
-
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Mat {
@@ -138,73 +122,6 @@ impl std::ops::IndexMut<(usize, usize)> for Mat {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         &mut self.data[i * self.cols + j]
     }
-}
-
-/// Solve the square system `A x = b` by Gaussian elimination with partial
-/// pivoting. Returns `None` if `A` is (numerically) singular.
-pub fn gauss_solve(a: &Mat, b: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(a.rows(), a.cols(), "gauss_solve: matrix must be square");
-    assert_eq!(a.rows(), b.len(), "gauss_solve: rhs length mismatch");
-    let n = a.rows();
-    let mut m = a.clone();
-    let mut v = b.to_vec();
-
-    for k in 0..n {
-        // Partial pivot.
-        let (piv, pmax) = (k..n)
-            .map(|i| (i, m[(i, k)].abs()))
-            .max_by(|x, y| x.1.total_cmp(&y.1))?;
-        if pmax < 1e-300 {
-            return None;
-        }
-        if piv != k {
-            for j in 0..n {
-                let t = m[(k, j)];
-                m[(k, j)] = m[(piv, j)];
-                m[(piv, j)] = t;
-            }
-            v.swap(k, piv);
-        }
-        for i in k + 1..n {
-            let f = m[(i, k)] / m[(k, k)];
-            if f == 0.0 {
-                continue;
-            }
-            for j in k..n {
-                let t = m[(k, j)] * f;
-                m[(i, j)] -= t;
-            }
-            v[i] -= v[k] * f;
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = v[i];
-        for j in i + 1..n {
-            s -= m[(i, j)] * x[j];
-        }
-        x[i] = s / m[(i, i)];
-    }
-    Some(x)
-}
-
-/// Least-squares solution of the (possibly tall) system `A x ≈ b` via the
-/// normal equations with a small Tikhonov ridge for conditioning.
-///
-/// Returns `None` if even the regularized system is singular.
-pub fn lstsq(a: &Mat, b: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(a.rows(), b.len(), "lstsq: rhs length mismatch");
-    let at = a.t();
-    let mut ata = at.matmul(a);
-    let atb = at.matvec(b);
-    // Ridge scaled to the matrix magnitude keeps near-rank-deficient systems
-    // (e.g. online training with correlated patterns) solvable and stable.
-    let ridge = 1e-12 * ata.fro_norm().max(1e-300) / ata.rows() as f64;
-    for i in 0..ata.rows() {
-        ata[(i, i)] += ridge;
-    }
-    gauss_solve(&ata, &atb)
 }
 
 // ---------------------------------------------------------------------------
@@ -854,45 +771,6 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
-    }
-
-    #[test]
-    fn gauss_solves_2x2() {
-        let a = Mat::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
-        let x = gauss_solve(&a, &[5.0, 10.0]).unwrap();
-        assert!(close(x[0], 1.0, 1e-12));
-        assert!(close(x[1], 3.0, 1e-12));
-    }
-
-    #[test]
-    fn gauss_detects_singular() {
-        let a = Mat::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
-        assert!(gauss_solve(&a, &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn gauss_needs_pivoting() {
-        // Zero on the initial diagonal forces a row swap.
-        let a = Mat::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let x = gauss_solve(&a, &[2.0, 3.0]).unwrap();
-        assert!(close(x[0], 3.0, 1e-12));
-        assert!(close(x[1], 2.0, 1e-12));
-    }
-
-    #[test]
-    fn lstsq_recovers_line() {
-        // Fit y = 2x + 1 from noiseless points.
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let mut a = Mat::zeros(4, 2);
-        let mut b = vec![0.0; 4];
-        for (i, &x) in xs.iter().enumerate() {
-            a[(i, 0)] = x;
-            a[(i, 1)] = 1.0;
-            b[i] = 2.0 * x + 1.0;
-        }
-        let sol = lstsq(&a, &b).unwrap();
-        assert!(close(sol[0], 2.0, 1e-9));
-        assert!(close(sol[1], 1.0, 1e-9));
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl Signal {
         self.mix_at(0, &other.samples);
     }
 
-    /// Append samples to the end of the signal.
-    pub fn extend_from(&mut self, more: &[C64]) {
-        self.samples.extend_from_slice(more);
-    }
-
     /// Normalized mean-square error against a reference of equal length.
     ///
     /// # Panics

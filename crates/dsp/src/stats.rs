@@ -73,11 +73,6 @@ impl Accumulator {
         }
     }
 
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (+∞ when empty).
     pub fn min(&self) -> f64 {
         self.min

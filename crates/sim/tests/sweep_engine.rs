@@ -126,9 +126,11 @@ fn field_cache_matches_fused_and_scalar_oracles() {
 
 /// Same guarantee for the emulated (§7.3) workload: every SNR point of a
 /// curve re-noises one cached render set, bit-identical to live synthesis.
+/// Runs a reduced config on both curves, then Fig. 18a's 4 and 8 kbps
+/// defaults.
 #[test]
 fn emulated_cache_matches_no_cache_oracle() {
-    let cfg = PhyConfig {
+    let reduced = PhyConfig {
         l_order: 4,
         pqam_order: 16,
         t_slot: 0.5e-3,
@@ -138,21 +140,26 @@ fn emulated_cache_matches_no_cache_oracle() {
         preamble_slots: 12,
         training_rounds: 2,
     };
-    let workload = EmuSweep {
-        make: move |curve: usize, snr: f64| EmulatedLink::new(cfg, snr, 7 + curve as u64),
-        n_packets: 2,
-        payload_bytes: 16,
-        data_seed: 42,
-    };
-    let mut grid = Vec::new();
-    for curve in 0..2 {
-        for snr in [12.0, 20.0, 50.0] {
-            grid.push(GridPoint::new(curve, snr, 7));
+    let defaults = [PhyConfig::default_4kbps(), PhyConfig::default_8kbps()];
+    for cfgs in [[reduced, reduced], defaults] {
+        let workload = EmuSweep {
+            make: move |curve: usize, snr: f64| {
+                EmulatedLink::new(cfgs[curve], snr, 7 + curve as u64)
+            },
+            n_packets: 2,
+            payload_bytes: 16,
+            data_seed: 42,
+        };
+        let mut grid = Vec::new();
+        for curve in 0..2 {
+            for snr in [12.0, 20.0, 50.0] {
+                grid.push(GridPoint::new(curve, snr, 7));
+            }
         }
+        let cached = SweepEngine::new(7).run(&workload, grid.clone());
+        let live = SweepEngine::new(7).no_cache().run(&workload, grid);
+        assert_eq!(canon(&cached), canon(&live), "{cfgs:?}");
     }
-    let cached = SweepEngine::new(7).run(&workload, grid.clone());
-    let live = SweepEngine::new(7).no_cache().run(&workload, grid);
-    assert_eq!(canon(&cached), canon(&live));
 }
 
 /// Refined runs are supersets of the coarse grid: the coarse rows come

@@ -11,6 +11,10 @@
 //!
 //! To regenerate after an intentional workload change, run with
 //! `TELEMETRY_INERT_REGEN=1` and commit the rewritten fixtures.
+//!
+//! The same two configs also gate the instrumentation itself: with the
+//! feature on, one instrumented workload must emit every [`REQUIRED`]
+//! metric family; with it off, the registry must stay empty.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -20,6 +24,7 @@ use retroturbo_sim::experiments::field::fig16a_ber_vs_distance;
 use retroturbo_sim::experiments::robustness::sweep_over;
 use retroturbo_sim::experiments::Effort;
 use retroturbo_sim::ImpairmentConfig;
+use retroturbo_telemetry as telemetry;
 
 /// The telemetry registry is process-global; the fingerprint test resets
 /// and reads it, so every test in this binary serialises on this lock to
@@ -269,8 +274,6 @@ fn repeat_runs_are_bit_identical() {
 /// no-op build this degenerates to checking the snapshot stays empty.
 #[test]
 fn telemetry_fingerprint_is_thread_invariant() {
-    use retroturbo_telemetry as telemetry;
-
     let _g = registry_guard();
     // The `runtime.worker*` gauges intentionally describe the execution
     // environment (worker count, wall-clock throughput) and so *should*
@@ -298,4 +301,75 @@ fn telemetry_fingerprint_is_thread_invariant() {
         assert!(f1.is_empty(), "no-op build produced metrics");
     }
     assert_eq!(f1, f4, "registry fingerprint depends on thread count");
+}
+
+/// Metric families one robustness sweep point plus one field-link point
+/// must emit: preamble margin, the DFE slot, residual, prediction and
+/// score-stage probes, RS erasure decodes, the per-stage receive latencies
+/// and the ARQ loop.
+const REQUIRED: &[&str] = &[
+    "preamble.margin",
+    "dfe.slots",
+    "dfe.residual",
+    "dfe.predictions",
+    "dfe.score.predict",
+    "dfe.score.cross",
+    "dfe.score.aggregate",
+    "dfe.score.select",
+    "rs.erasure_decodes",
+    "rx.detect",
+    "rx.train",
+    "rx.equalize",
+    "rx.demap",
+    "arq.exchanges",
+];
+
+/// A tripwire against instrumentation silently falling out of the
+/// pipeline: with the feature compiled in, every [`REQUIRED`] family is in
+/// the snapshot; compiled out, the snapshot is empty.
+#[test]
+fn instrumented_point_emits_every_required_family() {
+    use retroturbo_core::PhyConfig;
+    use retroturbo_sim::{LinkBudget, LinkSimulator, Scene};
+
+    let _g = registry_guard();
+    telemetry::reset();
+    // One blockage point exercises training, the DFE, erasure flagging, RS
+    // errors-and-erasures and the ARQ loop.
+    let grid = vec![(
+        "blockage_duty",
+        0.1,
+        ImpairmentConfig {
+            blockage_duty: 0.1,
+            blockage_len: 150,
+            ..ImpairmentConfig::none()
+        },
+    )];
+    sweep_over(grid, 30.0, 4, 24, 7);
+    // The impaired link pins the frame offset and trains offline, so a
+    // short full-pipeline run covers the rest: the preamble search and
+    // per-packet online training.
+    let cfg = PhyConfig {
+        l_order: 4,
+        pqam_order: 16,
+        t_slot: 0.5e-3,
+        fs: 40_000.0,
+        v_memory: 3,
+        k_branches: 8,
+        preamble_slots: 12,
+        training_rounds: 2,
+    };
+    LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(4.0), 42).run_ber(2, 16);
+
+    let snap = telemetry::snapshot();
+    if telemetry::enabled() {
+        let missing: Vec<&str> = REQUIRED
+            .iter()
+            .copied()
+            .filter(|name| snap.get(name).is_none())
+            .collect();
+        assert!(missing.is_empty(), "missing metric families: {missing:?}");
+    } else {
+        assert!(snap.metrics.is_empty(), "no-op build produced metrics");
+    }
 }

@@ -134,16 +134,6 @@ pub fn bucket_of(v: f64) -> u8 {
     (e + 32).clamp(1, 63) as u8
 }
 
-/// Inclusive lower bound of a bucket produced by [`bucket_of`]
-/// (`f64::NEG_INFINITY` for bucket 0).
-pub fn bucket_lower_bound(index: u8) -> f64 {
-    if index == 0 {
-        f64::NEG_INFINITY
-    } else {
-        ((index.min(63) as i32 - 32) as f64).exp2()
-    }
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
