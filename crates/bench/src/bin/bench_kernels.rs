@@ -455,10 +455,9 @@ fn main() {
     // `simd_available()` (recorded in `meta`) and the scalar body otherwise.
     // Inputs are sized like the production call sites: one DFE/training slot
     // for the slot kernels, the preamble match window for the fit kernels,
-    // a mid-factorization column of a refinement-sized Cholesky, every pixel
-    // of the panel for the ODE step, and the rendered frame for the filters.
+    // a mid-factorization column of a refinement-sized Cholesky and every
+    // pixel of the panel for the ODE step.
     {
-        use retroturbo_dsp::filter::Fir;
         /// `kernel!(d, name(args))`: the dispatched `backend::name` when
         /// `d`, else the `backend::scalar::name` body (both direct calls).
         macro_rules! kernel {
@@ -602,32 +601,6 @@ fn main() {
                 )
             },
             |(x, u, c)| fnv([checksum_f64(x), checksum_f64(u), checksum_f64(c)]),
-        );
-
-        // Front-end filters over the rendered frame: a 63-tap FIR, boxcar
-        // decimation by 4.
-        let fir = Fir::lowpass(4_000.0, cfg.fs, 63);
-        let gd = fir.group_delay();
-        let n = wave.len();
-        tier_pair(
-            rec,
-            div,
-            "fir_filter_into",
-            if quick { 2 } else { 5 },
-            reps,
-            vec![C64::default(); n],
-            |d, o: &mut Vec<C64>| kernel!(d, fir_filter_into(fir.taps(), &wave, gd, o)),
-            |o| checksum_c64(o),
-        );
-        tier_pair(
-            rec,
-            div,
-            "decimate_into",
-            if quick { 5 } else { 20 },
-            reps,
-            vec![C64::default(); n / 4],
-            |d, o: &mut Vec<C64>| kernel!(d, decimate_into(&wave, 4, o)),
-            |o| checksum_c64(o),
         );
     }
 

@@ -94,18 +94,6 @@ impl Gf256 {
         self.log[a as usize]
     }
 
-    /// `a^p` for a non-negative exponent.
-    pub fn pow(&self, a: u8, p: u32) -> u8 {
-        if p == 0 {
-            return 1;
-        }
-        if a == 0 {
-            return 0;
-        }
-        let e = (self.log[a as usize] as u64 * p as u64) % 255;
-        self.exp[e as usize]
-    }
-
     /// Evaluate polynomial `poly` (coefficients highest-degree-first) at `x`
     /// by Horner's rule.
     pub fn poly_eval(&self, poly: &[u8], x: u8) -> u8 {
@@ -195,18 +183,6 @@ mod tests {
         assert_eq!(gf.alpha_pow(8), 0x1D);
         assert_eq!(gf.alpha_pow(0), 1);
         assert_eq!(gf.alpha_pow(255), 1);
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        let gf = Gf256::new();
-        let mut acc = 1u8;
-        for p in 0..20u32 {
-            assert_eq!(gf.pow(7, p), acc);
-            acc = gf.mul(acc, 7);
-        }
-        assert_eq!(gf.pow(0, 0), 1);
-        assert_eq!(gf.pow(0, 5), 0);
     }
 
     #[test]

@@ -34,14 +34,8 @@ impl Scrambler {
         b == 1
     }
 
-    /// Scramble (or descramble — same operation) a bit buffer in place.
-    pub fn scramble_bits(&mut self, bits: &mut [bool]) {
-        for b in bits {
-            *b ^= self.next_bit();
-        }
-    }
-
-    /// Scramble a byte buffer in place, MSB-first within each byte.
+    /// Scramble (or descramble — same operation) a byte buffer in place,
+    /// MSB-first within each byte.
     pub fn scramble_bytes(&mut self, bytes: &mut [u8]) {
         for byte in bytes {
             let mut ks = 0u8;
@@ -53,36 +47,9 @@ impl Scrambler {
     }
 }
 
-/// Longest run of identical values in a bit slice (0 for empty input).
-pub fn longest_run(bits: &[bool]) -> usize {
-    let mut best = 0usize;
-    let mut cur = 0usize;
-    let mut prev: Option<bool> = None;
-    for &b in bits {
-        if Some(b) == prev {
-            cur += 1;
-        } else {
-            cur = 1;
-            prev = Some(b);
-        }
-        best = best.max(cur);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn involution_bits() {
-        let mut data: Vec<bool> = (0..1000).map(|i| i % 5 == 0).collect();
-        let orig = data.clone();
-        Scrambler::new(0x5B).scramble_bits(&mut data);
-        assert_ne!(data, orig, "scrambling must change the data");
-        Scrambler::new(0x5B).scramble_bits(&mut data);
-        assert_eq!(data, orig, "descrambling must restore the data");
-    }
 
     #[test]
     fn involution_bytes() {
@@ -96,9 +63,14 @@ mod tests {
     #[test]
     fn breaks_long_runs() {
         // All-zero input (worst DC stress) must come out with short runs.
-        let mut bits = vec![false; 4096];
-        Scrambler::new(0x7F).scramble_bits(&mut bits);
-        let run = longest_run(&bits);
+        let mut bytes = vec![0u8; 512];
+        Scrambler::new(0x7F).scramble_bytes(&mut bytes);
+        let bits = crate::gray::bytes_to_bits(&bytes);
+        let run = bits
+            .chunk_by(|a, b| a == b)
+            .map(<[bool]>::len)
+            .max()
+            .unwrap();
         assert!(run <= 16, "longest run after scrambling: {run}");
         // And roughly balanced.
         let ones = bits.iter().filter(|&&b| b).count();
@@ -117,10 +89,10 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = vec![false; 64];
-        let mut b = vec![false; 64];
-        Scrambler::new(0x11).scramble_bits(&mut a);
-        Scrambler::new(0x2F).scramble_bits(&mut b);
+        let mut a = [0u8; 8];
+        let mut b = [0u8; 8];
+        Scrambler::new(0x11).scramble_bytes(&mut a);
+        Scrambler::new(0x2F).scramble_bytes(&mut b);
         assert_ne!(a, b);
     }
 
@@ -128,12 +100,5 @@ mod tests {
     #[should_panic(expected = "seed must be nonzero")]
     fn zero_seed_rejected() {
         let _ = Scrambler::new(0x80); // 0 in the low 7 bits
-    }
-
-    #[test]
-    fn longest_run_basics() {
-        assert_eq!(longest_run(&[]), 0);
-        assert_eq!(longest_run(&[true]), 1);
-        assert_eq!(longest_run(&[true, true, false, true, true, true]), 3);
     }
 }

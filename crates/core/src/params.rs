@@ -138,11 +138,6 @@ impl PhyConfig {
         self.bits_per_symbol() as f64 / self.t_slot
     }
 
-    /// DSM symbol duration W = L·T, seconds.
-    pub fn symbol_duration(&self) -> f64 {
-        self.l_order as f64 * self.t_slot
-    }
-
     /// Stable fingerprint over every field (configs with equal fingerprints
     /// are equal up to f64 bit patterns). Used as a cache-key component by
     /// the sweep engine and the process-wide receiver cache.
@@ -218,7 +213,6 @@ mod tests {
         assert_eq!(c.levels_per_axis(), 4);
         assert_eq!(c.bits_per_module(), 2);
         assert_eq!(c.bits_per_symbol(), 4);
-        assert!((c.symbol_duration() - 4e-3).abs() < 1e-12); // W = 4 ms (Tab. 1)
     }
 
     #[test]

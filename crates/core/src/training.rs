@@ -195,30 +195,38 @@ impl OnlineTrainer {
         Modulator::training_fired(cfg, module, round)
     }
 
+    /// The pilot history key of `module` at global slot `g`, with `tau`,
+    /// the slots since the module's latest firing slot `g − tau`: bit `age`
+    /// of the key is [`Self::known_fired`] at the `age`-th firing slot
+    /// before that one, for the V most recent (fewer near slot 0).
+    fn known_key(cfg: &PhyConfig, module: usize, g: usize) -> (usize, usize) {
+        let l = cfg.l_order;
+        let tau = (g - module % l) % l;
+        let f_latest = g - tau;
+        let mut key = 0usize;
+        for age in 0..cfg.v_memory {
+            let fs = f_latest as isize - (age * l) as isize;
+            if fs < 0 {
+                break;
+            }
+            key |= (Self::known_fired(cfg, module, fs as usize) as usize) << age;
+        }
+        (tau, key)
+    }
+
     /// The pilot design matrix: column (module, s) = that module's expected
     /// waveform over the window if its bank were basis s with unit gain.
     /// Depends only on the configuration and bases, never on the packet.
     fn build_design(cfg: &PhyConfig, basis_banks: &[PulseBank], start: usize, end: usize) -> CMat {
         let l = cfg.l_order;
         let spt = cfg.samples_per_slot();
-        let v = cfg.v_memory;
         let s_count = basis_banks.len();
         let n_rows = (end - start) * spt;
         let n_cols = 2 * l * s_count;
         let mut a = CMat::zeros(n_rows, n_cols);
         for module in 0..2 * l {
-            let phase = module % l;
             for g in start..end {
-                let tau = (g - phase) % l;
-                let f_latest = g - tau;
-                let mut key = 0usize;
-                for age in 0..v {
-                    let fs = f_latest as isize - (age * l) as isize;
-                    if fs < 0 {
-                        break;
-                    }
-                    key |= (Self::known_fired(cfg, module, fs as usize) as usize) << age;
-                }
+                let (tau, key) = Self::known_key(cfg, module, g);
                 let row0 = (g - start) * spt;
                 for (s, bank) in basis_banks.iter().enumerate() {
                     let col = module * s_count + s;
@@ -247,17 +255,7 @@ impl OnlineTrainer {
         let mut slot_class = vec![vec![0usize; n_modules]; end - start];
         for g in start..end {
             for module in 0..n_modules {
-                let phase = module % l;
-                let tau = (g - phase) % l;
-                let f_latest = g - tau;
-                let mut key = 0usize;
-                for age in 0..v {
-                    let fs = f_latest as isize - (age * l) as isize;
-                    if fs < 0 {
-                        break;
-                    }
-                    key |= (Self::known_fired(cfg, module, fs as usize) as usize) << age;
-                }
+                let (_, key) = Self::known_key(cfg, module, g);
                 if class_of[module][key] == usize::MAX {
                     class_of[module][key] = classes.len();
                     classes.push((module, key));

@@ -304,44 +304,6 @@ pub fn lc_rk2_contrib(
     );
 }
 
-/// Delay-compensated FIR convolution: `out[i] = Σ_k x[i + d − k]·taps[k]`
-/// with out-of-range inputs skipped (zero-padded edges), `out.len() ==
-/// x.len()`. Outputs are independent chains, vectorized in pairs over the
-/// fully-in-bounds interior.
-///
-/// # Panics
-/// Panics if `out.len() != x.len()`.
-pub fn fir_filter_into(taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
-    assert_eq!(out.len(), x.len(), "fir_filter_into: length mismatch");
-    if simd_available() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_available() implies AVX2 was detected at runtime.
-        unsafe {
-            return avx2::fir_filter(taps, x, d, out);
-        }
-    }
-    scalar::fir_range(0..x.len(), taps, x, d, out);
-}
-
-/// Boxcar decimation by `m`: `out[o] = (Σ_{k<m} x[o·m + k]) / m`, summed in
-/// ascending order from complex zero. Outputs are independent chains,
-/// vectorized in pairs.
-///
-/// # Panics
-/// Panics if `m == 0` or `out.len() != x.len() / m`.
-pub fn decimate_into(x: &[C64], m: usize, out: &mut [C64]) {
-    assert!(m > 0, "decimate_into: factor must be >= 1");
-    assert_eq!(out.len(), x.len() / m, "decimate_into: length mismatch");
-    if simd_available() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_available() implies AVX2 was detected at runtime.
-        unsafe {
-            return avx2::decimate(x, m, out);
-        }
-    }
-    scalar::decimate_into(x, m, out)
-}
-
 // ---------------------------------------------------------------------------
 // Scalar bodies: the non-SIMD path and the oracle
 // ---------------------------------------------------------------------------
@@ -526,44 +488,6 @@ pub mod scalar {
             x[p] = xn;
             u[p] = un;
             contrib[p] = w[p] * (2.0 * xn - 1.0);
-        }
-    }
-
-    /// Scalar body of [`super::fir_filter_into`].
-    pub fn fir_filter_into(taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
-        assert_eq!(out.len(), x.len(), "fir_filter_into: length mismatch");
-        fir_range(0..x.len(), taps, x, d, out);
-    }
-
-    /// [`fir_filter_into`] restricted to the outputs in `range`: the
-    /// bounds-checked loop (the vector body's edges).
-    pub(super) fn fir_range(
-        range: std::ops::Range<usize>,
-        taps: &[f64],
-        x: &[C64],
-        d: usize,
-        out: &mut [C64],
-    ) {
-        let n = x.len();
-        for i in range {
-            let mut acc = C64::default();
-            for (k, &t) in taps.iter().enumerate() {
-                let idx = i as isize + d as isize - k as isize;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += x[idx as usize] * t;
-                }
-            }
-            out[i] = acc;
-        }
-    }
-
-    /// Scalar body of [`super::decimate_into`].
-    pub fn decimate_into(x: &[C64], m: usize, out: &mut [C64]) {
-        assert!(m > 0, "decimate_into: factor must be >= 1");
-        assert_eq!(out.len(), x.len() / m, "decimate_into: length mismatch");
-        let inv = 1.0 / m as f64;
-        for (o, c) in out.iter_mut().zip(x.chunks_exact(m)) {
-            *o = c.iter().copied().sum::<C64>().scale(inv);
         }
     }
 }
@@ -941,75 +865,6 @@ mod avx2 {
             contrib,
         );
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fir_filter(taps: &[f64], x: &[C64], d: usize, out: &mut [C64]) {
-        let n = x.len();
-        let nt = taps.len();
-        // Interior outputs (every tap index in bounds): idx = i + d − k spans
-        // [i + d − (nt−1), i + d], so i ∈ [nt−1−d, n−1−d].
-        let lo = nt.saturating_sub(1).saturating_sub(d).min(n);
-        let hi = if n > d { n - 1 - d } else { 0 };
-        if n == 0 || lo >= n || hi < lo {
-            super::scalar::fir_range(0..n, taps, x, d, out);
-            return;
-        }
-        super::scalar::fir_range(0..lo, taps, x, d, out);
-        let xp = pf(x);
-        let op = pfm(out);
-        let mut i = lo;
-        while i + 2 <= hi + 1 {
-            let mut acc = _mm256_setzero_pd();
-            let base = i + d;
-            for (k, &t) in taps.iter().enumerate() {
-                let tv = _mm256_set1_pd(t);
-                let xv = _mm256_loadu_pd(xp.add(2 * (base - k)));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(xv, tv));
-            }
-            _mm256_storeu_pd(op.add(2 * i), acc);
-            i += 2;
-        }
-        if i <= hi {
-            // Single interior output: full window, no bounds checks needed,
-            // same ascending-k accumulation.
-            let mut acc = C64::default();
-            let base = i + d;
-            for (k, &t) in taps.iter().enumerate() {
-                acc += x[base - k] * t;
-            }
-            out[i] = acc;
-            i += 1;
-        }
-        super::scalar::fir_range(i..n, taps, x, d, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn decimate(x: &[C64], m: usize, out: &mut [C64]) {
-        let no = out.len();
-        let xp = pf(x);
-        let op = pfm(out);
-        let inv = _mm256_set1_pd(1.0 / m as f64);
-        let mut o = 0;
-        while o + 2 <= no {
-            let mut acc = _mm256_setzero_pd();
-            let b0 = 2 * o * m;
-            let b1 = 2 * (o + 1) * m;
-            for k in 0..m {
-                acc = _mm256_add_pd(acc, pair(xp.add(b0 + 2 * k), xp.add(b1 + 2 * k)));
-            }
-            _mm256_storeu_pd(op.add(2 * o), _mm256_mul_pd(acc, inv));
-            o += 2;
-        }
-        let inv_s = 1.0 / m as f64;
-        while o < no {
-            out[o] = x[o * m..(o + 1) * m]
-                .iter()
-                .copied()
-                .sum::<C64>()
-                .scale(inv_s);
-            o += 1;
-        }
-    }
 }
 
 /// Sign-flip helper shared with the AVX2 module (kept here so the module can
@@ -1255,34 +1110,6 @@ mod tests {
                 assert_eq!(xa[i].to_bits(), x[i].to_bits(), "x[{i}] n={n}");
                 assert_eq!(ua[i].to_bits(), u[i].to_bits(), "u[{i}] n={n}");
                 assert_eq!(ca[i].to_bits(), cb[i].to_bits(), "contrib[{i}] n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn fir_decimate_bit_identical() {
-        let mut r = Lcg(29);
-        for (n, nt) in [(1usize, 5usize), (8, 3), (64, 9), (200, 31), (10, 31)] {
-            let taps: Vec<f64> = (0..nt).map(|_| r.f64()).collect();
-            let d = (nt - 1) / 2;
-            let mut x = cvec(&mut r, n);
-            spice(&mut x);
-            let mut oa = vec![C64::default(); n];
-            let mut ob = vec![C64::default(); n];
-            scalar::fir_filter_into(&taps, &x, d, &mut oa);
-            fir_filter_into(&taps, &x, d, &mut ob);
-            for (i, (a, b)) in oa.iter().zip(&ob).enumerate() {
-                assert_bits_eq(*a, *b, &format!("fir n={n} nt={nt} i={i}"));
-            }
-        }
-        for m in [1usize, 2, 3, 7] {
-            let x = cvec(&mut r, 61);
-            let mut oa = vec![C64::default(); 61 / m];
-            let mut ob = vec![C64::default(); 61 / m];
-            scalar::decimate_into(&x, m, &mut oa);
-            decimate_into(&x, m, &mut ob);
-            for (a, b) in oa.iter().zip(&ob) {
-                assert_bits_eq(*a, *b, &format!("decimate m={m}"));
             }
         }
     }

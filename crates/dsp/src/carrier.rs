@@ -51,14 +51,40 @@ impl PassbandConfig {
         self.fs / self.decimation as f64
     }
 
-    /// Fundamental-component amplitude of the carrier for unit drive: a 0/1
-    /// square wave has a 2/π fundamental; the raised sinusoid has 1/2.
-    pub fn carrier_gain(&self) -> f64 {
+    /// Carrier value at passband sample `i` for unit drive. The square
+    /// carrier is on for the first half of each period, decided from the
+    /// sample's phase `i·fc/fs` rather than the sign of a float sine, so a
+    /// sample on an exact zero crossing is not flipped by rounding (at the
+    /// default 8 samples per period every period has exactly 4 on).
+    fn carrier_at(&self, i: usize) -> f64 {
         if self.square_carrier {
-            2.0 / std::f64::consts::PI
+            let cycles = i as f64 * (self.carrier_hz / self.fs);
+            if cycles - cycles.floor() < 0.5 {
+                1.0
+            } else {
+                0.0
+            }
         } else {
-            0.5
+            let t = i as f64 * (1.0 / self.fs);
+            0.5 * (1.0 + (2.0 * std::f64::consts::PI * self.carrier_hz * t).sin())
         }
+    }
+
+    /// Fundamental-component amplitude of the sampled carrier for unit
+    /// drive. The raised sinusoid has 1/2. For the square carrier it is the
+    /// magnitude of the sampled waveform's Fourier coefficient at the
+    /// carrier over 64 periods: `(2/N)/sin(π/N)` for `N` samples per period
+    /// (≈ 0.653 at N = 8), not the continuous wave's 2/π.
+    pub fn carrier_gain(&self) -> f64 {
+        if !self.square_carrier {
+            return 0.5;
+        }
+        let n = (64.0 * self.fs / self.carrier_hz).round() as usize;
+        let w = 2.0 * std::f64::consts::PI * self.carrier_hz / self.fs;
+        let acc: C64 = (0..n)
+            .map(|i| C64::cis(-w * i as f64) * self.carrier_at(i))
+            .sum();
+        2.0 * acc.abs() / n as f64
     }
 }
 
@@ -99,25 +125,11 @@ impl PassbandChain {
             (intensity.sample_rate() - self.cfg.fs).abs() < 1e-3,
             "modulate: intensity must be at the passband rate"
         );
-        let dt = 1.0 / self.cfg.fs;
-        let w = 2.0 * std::f64::consts::PI * self.cfg.carrier_hz;
         let out: Vec<C64> = intensity
             .samples()
             .iter()
             .enumerate()
-            .map(|(i, z)| {
-                let t = i as f64 * dt;
-                let carrier = if self.cfg.square_carrier {
-                    if (w * t).sin() >= 0.0 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                } else {
-                    0.5 * (1.0 + (w * t).sin())
-                };
-                C64::real(z.re * carrier)
-            })
+            .map(|(i, z)| C64::real(z.re * self.cfg.carrier_at(i)))
             .collect();
         Signal::new(out, self.cfg.fs)
     }

@@ -1,7 +1,7 @@
 //! # retroturbo-dsp
 //!
 //! Signal-processing substrate for the RetroTurbo reproduction: complex
-//! arithmetic, sampled signals, FIR/biquad filters, rate conversion, AWGN
+//! arithmetic, sampled signals, FIR filters, rate conversion, AWGN
 //! with a fixed SNR convention, small dense linear algebra (least squares,
 //! widely-linear fits, Jacobi SVD), a radix-2 FFT with a proven error
 //! bound, and the 455 kHz passband carrier chain of

@@ -18,10 +18,12 @@ use crate::signal::Signal;
 /// Panics if `m == 0`.
 pub fn decimate(x: &Signal, m: usize) -> Signal {
     assert!(m > 0, "decimate: factor must be >= 1");
-    // The SIMD boxcar is bit-identical to the scalar chunked sum
-    // (`z / m` is `z.scale(1.0/m)`).
-    let mut out = vec![C64::default(); x.samples().len() / m];
-    crate::backend::decimate_into(x.samples(), m, &mut out);
+    let inv = 1.0 / m as f64;
+    let out = x
+        .samples()
+        .chunks_exact(m)
+        .map(|c| c.iter().copied().sum::<C64>().scale(inv))
+        .collect();
     Signal::new(out, x.sample_rate() / m as f64)
 }
 

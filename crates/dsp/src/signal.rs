@@ -6,7 +6,7 @@
 //! samples turns unit mistakes into loud assertion failures instead of silent
 //! garbage.
 
-use crate::complex::{dist_sqr, norm_sqr, C64};
+use crate::complex::C64;
 
 /// A uniformly sampled complex signal.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,22 +88,6 @@ impl Signal {
         self.samples
     }
 
-    /// Time of sample `i` in seconds.
-    #[inline]
-    pub fn time_of(&self, i: usize) -> f64 {
-        i as f64 / self.sample_rate
-    }
-
-    /// Index of time `t` (floor). Times before zero clamp to 0.
-    #[inline]
-    pub fn index_of(&self, t: f64) -> usize {
-        if t <= 0.0 {
-            0
-        } else {
-            (t * self.sample_rate) as usize
-        }
-    }
-
     /// Real parts of all samples.
     pub fn re(&self) -> Vec<f64> {
         self.samples.iter().map(|z| z.re).collect()
@@ -112,36 +96,6 @@ impl Signal {
     /// Imaginary parts of all samples.
     pub fn im(&self) -> Vec<f64> {
         self.samples.iter().map(|z| z.im).collect()
-    }
-
-    /// Mean of the samples (DC component).
-    pub fn mean(&self) -> C64 {
-        if self.samples.is_empty() {
-            return C64::default();
-        }
-        self.samples.iter().sum::<C64>() / self.samples.len() as f64
-    }
-
-    /// Average power `Σ|z|²/N`.
-    pub fn power(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        norm_sqr(&self.samples) / self.samples.len() as f64
-    }
-
-    /// Root-mean-square amplitude.
-    pub fn rms(&self) -> f64 {
-        self.power().sqrt()
-    }
-
-    /// Subtract the DC component in place and return the removed mean.
-    pub fn remove_dc(&mut self) -> C64 {
-        let m = self.mean();
-        for z in &mut self.samples {
-            *z -= m;
-        }
-        m
     }
 
     /// A copy of samples `[start, start+len)`, zero-padded past the end.
@@ -189,15 +143,6 @@ impl Signal {
         );
         self.mix_at(0, &other.samples);
     }
-
-    /// Normalized mean-square error against a reference of equal length.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn nmse(&self, reference: &Signal) -> f64 {
-        let denom = norm_sqr(reference.samples()).max(f64::MIN_POSITIVE);
-        dist_sqr(self.samples(), reference.samples()) / denom
-    }
 }
 
 #[cfg(test)]
@@ -210,30 +155,12 @@ mod tests {
         assert_eq!(s.len(), 40);
         assert!((s.duration() - 1e-3).abs() < 1e-15);
         assert!((s.dt() - 25e-6).abs() < 1e-18);
-        assert_eq!(s.index_of(0.5e-3), 20);
-        assert!((s.time_of(20) - 0.5e-3).abs() < 1e-15);
     }
 
     #[test]
     #[should_panic(expected = "sample rate must be positive")]
     fn rejects_bad_rate() {
         let _ = Signal::zeros(1, 0.0);
-    }
-
-    #[test]
-    fn power_and_rms() {
-        let s = Signal::from_real(&[1.0, -1.0, 1.0, -1.0], 100.0);
-        assert!((s.power() - 1.0).abs() < 1e-12);
-        assert!((s.rms() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dc_removal() {
-        let mut s = Signal::from_real(&[2.0, 4.0], 10.0);
-        let m = s.remove_dc();
-        assert!((m.re - 3.0).abs() < 1e-12);
-        assert!((s.samples()[0].re + 1.0).abs() < 1e-12);
-        assert!(s.mean().abs() < 1e-12);
     }
 
     #[test]
@@ -262,12 +189,6 @@ mod tests {
         assert!((w[0].re - 2.0).abs() < 1e-12);
         assert_eq!(w[1], C64::default());
         assert_eq!(w[2], C64::default());
-    }
-
-    #[test]
-    fn nmse_zero_for_identical() {
-        let s = Signal::from_real(&[1.0, 2.0, 3.0], 10.0);
-        assert!(s.nmse(&s) < 1e-15);
     }
 
     #[test]

@@ -1,17 +1,4 @@
-//! Window functions for FIR filter design and spectral shaping.
-
-/// Hann window of length `n`.
-pub fn hann(n: usize) -> Vec<f64> {
-    if n <= 1 {
-        return vec![1.0; n];
-    }
-    (0..n)
-        .map(|i| {
-            let x = i as f64 / (n - 1) as f64;
-            0.5 - 0.5 * (2.0 * std::f64::consts::PI * x).cos()
-        })
-        .collect()
-}
+//! Window functions for FIR filter design.
 
 /// Hamming window of length `n`.
 pub fn hamming(n: usize) -> Vec<f64> {
@@ -26,30 +13,9 @@ pub fn hamming(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Blackman window of length `n`.
-pub fn blackman(n: usize) -> Vec<f64> {
-    if n <= 1 {
-        return vec![1.0; n];
-    }
-    (0..n)
-        .map(|i| {
-            let x = 2.0 * std::f64::consts::PI * i as f64 / (n - 1) as f64;
-            0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hann_endpoints_zero_center_one() {
-        let w = hann(9);
-        assert!(w[0].abs() < 1e-12);
-        assert!(w[8].abs() < 1e-12);
-        assert!((w[4] - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn hamming_endpoints_nonzero() {
@@ -59,18 +25,8 @@ mod tests {
     }
 
     #[test]
-    fn blackman_symmetric() {
-        let w = blackman(11);
-        for i in 0..11 {
-            assert!((w[i] - w[10 - i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn degenerate_lengths() {
-        assert_eq!(hann(0).len(), 0);
-        assert_eq!(hann(1), vec![1.0]);
+        assert_eq!(hamming(0).len(), 0);
         assert_eq!(hamming(1), vec![1.0]);
-        assert_eq!(blackman(1), vec![1.0]);
     }
 }

@@ -15,7 +15,6 @@
 
 use crate::dynamics::{simulate, LcParams, LcState};
 use crate::mls::mls;
-use retroturbo_dsp::C64;
 
 /// A table of per-history reference slot waveforms for one pixel.
 #[derive(Debug, Clone)]
@@ -27,10 +26,6 @@ pub struct FingerprintSet {
     /// `table[h]` = contrast waveform over one slot for history `h`
     /// (bit k of `h` is the drive bit k slots ago; bit 0 = current slot).
     table: Vec<Vec<f64>>,
-    /// `energies[h]` = Σₖ `table[h][k]²` — the reference pulse energy per
-    /// history, precomputed at collection time so hot emulation loops never
-    /// re-integrate the table.
-    energies: Vec<f64>,
 }
 
 impl FingerprintSet {
@@ -76,17 +71,12 @@ impl FingerprintSet {
             let start = (period + j) * slot_len;
             table[h] = out[start..start + slot_len].to_vec();
         }
-        let energies = table
-            .iter()
-            .map(|w| w.iter().map(|c| c * c).sum())
-            .collect();
         Self {
             v,
             slot_secs,
             fs,
             slot_len,
             table,
-            energies,
         }
     }
 
@@ -115,26 +105,6 @@ impl FingerprintSet {
         &self.table[history & ((1 << self.v) - 1)]
     }
 
-    /// Precomputed energy Σ c² of the reference waveform for a history word.
-    pub fn reference_energy(&self, history: usize) -> f64 {
-        self.energies[history & ((1 << self.v) - 1)]
-    }
-
-    /// Precomputed energy of an emulated drive sequence: Σ over slots of the
-    /// per-history reference energies (identical to summing the squares of
-    /// [`FingerprintSet::emulate_pixel`]'s output sample by sample, but O(1)
-    /// per slot).
-    pub fn emulated_energy(&self, bits: &[bool]) -> f64 {
-        let mut h = 0usize;
-        let mask = (1usize << self.v) - 1;
-        let mut e = 0.0;
-        for &b in bits {
-            h = ((h << 1) | b as usize) & mask;
-            e += self.energies[h];
-        }
-        e
-    }
-
     /// Emulate a single pixel's contrast waveform for a per-slot drive bit
     /// sequence, starting from the relaxed state (history zero-padded).
     pub fn emulate_pixel(&self, bits: &[bool]) -> Vec<f64> {
@@ -147,42 +117,6 @@ impl FingerprintSet {
         }
         out
     }
-
-    /// Emulate a superposition of pixels on the common slot grid, producing
-    /// `n_slots·slot_len` complex samples (§5.2's `F(A) = Σ G_i·R_hist`).
-    ///
-    /// Pixels whose bit sequence is shorter than `n_slots` are padded with
-    /// zeros (discharging).
-    pub fn emulate_mixture(&self, pixels: &[EmuPixel], n_slots: usize) -> Vec<C64> {
-        let mut out = vec![C64::default(); n_slots * self.slot_len];
-        let mask = (1usize << self.v) - 1;
-        for p in pixels {
-            let mut h = 0usize;
-            for j in 0..n_slots {
-                let b = p.bits.get(j).copied().unwrap_or(false);
-                h = ((h << 1) | b as usize) & mask;
-                let seg = &self.table[h];
-                let base = j * self.slot_len;
-                for (k, &c) in seg.iter().enumerate() {
-                    out[base + k] += p.axis * (c * p.gain);
-                }
-            }
-        }
-        out
-    }
-}
-
-/// One pixel in a mixture emulation: its per-slot drive bits, amplitude gain
-/// `G_i`, and complex constellation axis (`1` for I pixels, `j` for Q pixels,
-/// rotated for polarizer error).
-#[derive(Debug, Clone)]
-pub struct EmuPixel {
-    /// Drive bit per slot (true = field on).
-    pub bits: Vec<bool>,
-    /// Amplitude gain.
-    pub gain: f64,
-    /// Constellation axis.
-    pub axis: C64,
 }
 
 /// Relative L2 error `‖a − b‖ / ‖b‖` between two real waveforms of equal
@@ -280,57 +214,6 @@ mod tests {
             errs[0] > errs[1] && errs[1] > errs[2],
             "errors not decreasing: {errs:?}"
         );
-    }
-
-    #[test]
-    fn mixture_superimposes_with_gain_and_axis() {
-        let f = set(4);
-        let pix = vec![
-            EmuPixel {
-                bits: vec![true, true, true, true],
-                gain: 0.5,
-                axis: C64::real(1.0),
-            },
-            EmuPixel {
-                bits: vec![false; 4],
-                gain: 0.25,
-                axis: retroturbo_dsp::J,
-            },
-        ];
-        let out = f.emulate_mixture(&pix, 4);
-        assert_eq!(out.len(), 4 * f.slot_len());
-        let last = out[out.len() - 1];
-        // I pixel saturates to +0.5; Q pixel stays at −0.25 (relaxed).
-        assert!((last.re - 0.5).abs() < 0.05, "I: {}", last.re);
-        assert!((last.im + 0.25).abs() < 0.01, "Q: {}", last.im);
-    }
-
-    #[test]
-    fn mixture_pads_short_sequences() {
-        let f = set(4);
-        let pix = vec![EmuPixel {
-            bits: vec![true],
-            gain: 1.0,
-            axis: C64::real(1.0),
-        }];
-        let out = f.emulate_mixture(&pix, 8);
-        // After the single charged slot the pixel relaxes back toward −1.
-        let last = out[out.len() - 1];
-        assert!(last.re < -0.8, "should relax, got {}", last.re);
-    }
-
-    #[test]
-    fn energies_match_table() {
-        let f = set(5);
-        for h in 0..(1 << 5) {
-            let direct: f64 = f.reference(h).iter().map(|c| c * c).sum();
-            assert_eq!(f.reference_energy(h), direct, "history {h}");
-        }
-        // Sequence energy = sum of per-slot reference energies.
-        let bits: Vec<bool> = (0..20).map(|i| i % 3 == 0).collect();
-        let w = f.emulate_pixel(&bits);
-        let direct: f64 = w.iter().map(|c| c * c).sum();
-        assert!((f.emulated_energy(&bits) - direct).abs() < 1e-9 * direct.max(1.0));
     }
 
     #[test]

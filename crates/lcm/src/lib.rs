@@ -21,7 +21,7 @@ pub mod panel;
 pub mod pixel;
 
 pub use dynamics::{LcParams, LcRates, LcState};
-pub use fingerprint::{EmuPixel, FingerprintSet};
+pub use fingerprint::FingerprintSet;
 pub use kernel::PanelKernel;
 pub use panel::{DriveCommand, Heterogeneity, Panel};
 pub use pixel::{LcPixel, PixelBank};

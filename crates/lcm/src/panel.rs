@@ -134,18 +134,6 @@ impl Panel {
         &mut self.modules[m]
     }
 
-    /// Index of the `k`-th module of the I (0°) channel.
-    pub fn i_module(&self, k: usize) -> usize {
-        assert!(k < self.l_order);
-        k
-    }
-
-    /// Index of the `k`-th module of the Q (45°) channel.
-    pub fn q_module(&self, k: usize) -> usize {
-        assert!(k < self.l_order);
-        self.l_order + k
-    }
-
     /// Reset every module to the relaxed state.
     pub fn reset(&mut self) {
         for m in &mut self.modules {
@@ -228,8 +216,9 @@ mod tests {
         let p = panel(4);
         assert_eq!(p.module_count(), 8);
         assert_eq!(p.levels(), 16);
-        assert!((p.module(p.i_module(0)).angle.degrees() - 0.0).abs() < 1e-9);
-        assert!((p.module(p.q_module(0)).angle.degrees() - 45.0).abs() < 1e-9);
+        // I modules come first, then Q: module k and l_order + k.
+        assert!((p.module(0).angle.degrees() - 0.0).abs() < 1e-9);
+        assert!((p.module(p.l_order()).angle.degrees() - 45.0).abs() < 1e-9);
     }
 
     #[test]

@@ -103,13 +103,6 @@ impl PixelBank {
         }
     }
 
-    /// Drive every pixel on or off together (OOK-style use).
-    pub fn set_all(&mut self, on: bool) {
-        for p in &mut self.pixels {
-            p.driven = on;
-        }
-    }
-
     /// Advance all pixels by `dt` seconds.
     pub fn step(&mut self, dt: f64) {
         for p in &mut self.pixels {
@@ -185,20 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn set_all_matches_extreme_levels() {
-        let mut a = bank();
-        let mut b = bank();
-        a.set_all(true);
-        b.set_level(15);
-        settle(&mut a, 5e-3);
-        settle(&mut b, 5e-3);
-        assert!((a.output() - b.output()).abs() < 1e-9);
-    }
-
-    #[test]
     fn gain_scales_output() {
         let mut b = PixelBank::new(2, PolAngle::from_degrees(45.0), LcParams::default(), 0.5);
-        b.set_all(true);
+        b.set_level(3);
         settle(&mut b, 10e-3);
         assert!((b.output() - 0.5).abs() < 0.01);
     }
@@ -206,7 +188,7 @@ mod tests {
     #[test]
     fn reset_restores_relaxed() {
         let mut b = bank();
-        b.set_all(true);
+        b.set_level(15);
         settle(&mut b, 3e-3);
         b.reset();
         assert!((b.output() + 1.0).abs() < 1e-12);

@@ -146,16 +146,6 @@ impl RateTable {
         }
         choice
     }
-
-    /// The most robust (lowest-threshold) option — the fixed-rate baseline
-    /// assigns this to everyone (Fig. 18c's comparison).
-    pub fn most_robust(&self) -> RateOption {
-        *self
-            .options
-            .iter()
-            .min_by(|a, b| a.min_snr_db.total_cmp(&b.min_snr_db))
-            .unwrap()
-    }
 }
 
 #[cfg(test)]
@@ -181,8 +171,8 @@ mod tests {
     #[test]
     fn hopeless_snr_falls_back_to_most_robust() {
         let t = RateTable::profiled_default();
-        let o = t.select(-30.0, 0.0);
-        assert_eq!(o.name, t.most_robust().name);
+        // The last option is the lowest-threshold one.
+        assert_eq!(t.select(-30.0, 0.0).name, "1kbps+rs127");
     }
 
     #[test]

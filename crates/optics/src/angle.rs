@@ -74,18 +74,6 @@ impl PolAngle {
         }
         d
     }
-
-    /// `cos 2θ` — the in-phase component of the doubled-angle phasor.
-    #[inline]
-    pub fn cos2(self) -> f64 {
-        (2.0 * self.radians).cos()
-    }
-
-    /// `sin 2θ` — the quadrature component of the doubled-angle phasor.
-    #[inline]
-    pub fn sin2(self) -> f64 {
-        (2.0 * self.radians).sin()
-    }
 }
 
 #[cfg(test)]
@@ -112,16 +100,6 @@ mod tests {
         // Orthogonal twice is identity (mod 180°).
         let a = PolAngle::from_degrees(30.0);
         assert!(close(a.orthogonal().orthogonal().degrees(), 30.0));
-    }
-
-    #[test]
-    fn doubled_angle_phasor() {
-        let a = PolAngle::from_degrees(45.0);
-        assert!(close(a.cos2(), 0.0));
-        assert!(close(a.sin2(), 1.0));
-        // θ and θ+90° give opposite phasors: cos2(θ+90°) = −cos2θ.
-        let b = a.orthogonal();
-        assert!(close(b.sin2(), -a.sin2()));
     }
 
     #[test]

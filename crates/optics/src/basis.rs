@@ -65,29 +65,6 @@ impl ReceiverPair {
         let g = pixel.contrast();
         g * axis(pixel.theta_t, self.reference)
     }
-
-    /// Complex measurement of a weighted set of pixels (weights = pixel
-    /// intensities at the receiver), the superposition the photodiodes see.
-    pub fn measure_all(&self, pixels: &[(PixelMixture, f64)]) -> C64 {
-        pixels.iter().map(|(p, w)| self.measure(p) * *w).sum()
-    }
-}
-
-/// Differential reception on a single branch: intensity difference between
-/// two photodiodes behind orthogonal front polarizers at `analyzer` and
-/// `analyzer + 90°` (PDR, reference \[11\] in the paper). For a pixel mixture this is
-/// `g·cos 2(θ_t − analyzer)` per unit intensity — pedestal-free and with
-/// twice the swing of a single photodiode.
-pub fn differential_measurement(pixel: &PixelMixture, analyzer: PolAngle) -> f64 {
-    let direct = pixel.received_intensity(analyzer);
-    let ortho = pixel.received_intensity(analyzer.orthogonal());
-    direct - ortho
-}
-
-/// The §4.2.1 orthogonality inner product between two transmitter angles in
-/// doubled-angle space: `(cos2θ₁, sin2θ₁)·(cos2θ₂, sin2θ₂) = cos 2(θ₁−θ₂)`.
-pub fn basis_inner_product(t1: PolAngle, t2: PolAngle) -> f64 {
-    t1.cos2() * t2.cos2() + t1.sin2() * t2.sin2()
 }
 
 #[cfg(test)]
@@ -97,16 +74,6 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
-    }
-
-    #[test]
-    fn paper_orthogonality_identity() {
-        // (cos2θ, sin2θ)·(cos2(θ+45°), sin2(θ+45°)) = 0 for every θ.
-        for deg in [0.0, 10.0, 33.0, 45.0, 80.0, 120.0] {
-            let t = A::from_degrees(deg);
-            let ip = basis_inner_product(t, t.rotated(std::f64::consts::FRAC_PI_4));
-            assert!(ip.abs() < 1e-12, "θ={deg}: {ip}");
-        }
     }
 
     #[test]
@@ -165,33 +132,10 @@ mod tests {
         // misalignment its channel coefficient collapses to zero, while the
         // PQAM complex measurement keeps full magnitude.
         let pix = PixelMixture::new(A::from_degrees(45.0), 1.0); // rolled by 45°
-        let pdm = differential_measurement(&pix, A::from_degrees(0.0));
+        let analyzer = A::from_degrees(0.0);
+        let pdm = pix.received_intensity(analyzer) - pix.received_intensity(analyzer.orthogonal());
         assert!(pdm.abs() < 1e-12, "PDM should be blind here");
         let rx = ReceiverPair::new(A::from_degrees(0.0));
         assert!(close(rx.measure(&pix).abs(), 1.0));
-    }
-
-    #[test]
-    fn differential_reception_cancels_pedestal() {
-        // For any ρ, PDR output is g·cos2Δ with no ρ-independent pedestal.
-        for rho_i in 0..=4 {
-            let rho = rho_i as f64 / 4.0;
-            let pix = PixelMixture::new(A::from_degrees(20.0), rho);
-            let d = differential_measurement(&pix, A::from_degrees(0.0));
-            let expect = pix.contrast() * (2.0 * crate::angle::deg2rad(20.0)).cos();
-            assert!(close(d, expect), "rho={rho}: {d} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn superposition_of_weighted_pixels() {
-        let rx = ReceiverPair::new(A::from_degrees(0.0));
-        let pixels = vec![
-            (PixelMixture::new(A::from_degrees(0.0), 1.0), 2.0),
-            (PixelMixture::new(A::from_degrees(45.0), 0.0), 1.0),
-        ];
-        let z = rx.measure_all(&pixels);
-        assert!(close(z.re, 2.0));
-        assert!(close(z.im, -1.0));
     }
 }

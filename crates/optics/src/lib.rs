@@ -20,5 +20,5 @@ pub mod retro;
 
 pub use angle::PolAngle;
 pub use basis::{axis, roll_rotation, ReceiverPair};
-pub use polarizer::{channel_coefficient, malus, PixelMixture, Polarizer};
+pub use polarizer::{channel_coefficient, malus, PixelMixture};
 pub use retro::{Orientation, Retroreflector};

@@ -24,38 +24,6 @@ pub fn malus(incident: PolAngle, axis: PolAngle) -> f64 {
     c * c
 }
 
-/// Ideal linear polarizer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Polarizer {
-    /// Transmission axis.
-    pub axis: PolAngle,
-    /// Transmission efficiency for aligned light (1.0 = lossless; real film
-    /// is ~0.8–0.9).
-    pub efficiency: f64,
-}
-
-impl Polarizer {
-    /// Lossless polarizer at the given axis.
-    pub fn ideal(axis: PolAngle) -> Self {
-        Self {
-            axis,
-            efficiency: 1.0,
-        }
-    }
-
-    /// Intensity transmitted from linearly polarized input of intensity `i0`
-    /// at angle `incident`.
-    pub fn transmit_polarized(&self, i0: f64, incident: PolAngle) -> f64 {
-        self.efficiency * i0 * malus(incident, self.axis)
-    }
-
-    /// Intensity transmitted from unpolarized input of intensity `i0`
-    /// (half passes regardless of axis).
-    pub fn transmit_unpolarized(&self, i0: f64) -> f64 {
-        self.efficiency * i0 * 0.5
-    }
-}
-
 /// State of one LCM pixel as an incoherent polarization mixture: fraction
 /// `rho` of its light polarized at the back-polarizer angle `theta_t`
 /// (charged) and `1 − rho` at the orthogonal angle (relaxed LC rotates 90°).
@@ -132,21 +100,6 @@ mod tests {
             malus(A::from_degrees(0.0), A::from_degrees(60.0)),
             0.25
         ));
-    }
-
-    #[test]
-    fn polarizer_unpolarized_half() {
-        let p = Polarizer::ideal(A::from_degrees(30.0));
-        assert!(close(p.transmit_unpolarized(2.0), 1.0));
-    }
-
-    #[test]
-    fn polarizer_efficiency_scales() {
-        let p = Polarizer {
-            axis: A::from_degrees(0.0),
-            efficiency: 0.8,
-        };
-        assert!(close(p.transmit_polarized(1.0, A::from_degrees(0.0)), 0.8));
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl Retroreflector {
         }
         y.cos() * y.cos().powf(self.falloff_exponent)
     }
-
-    /// Effective returning area at a given orientation, m².
-    pub fn effective_area(&self, o: &Orientation) -> f64 {
-        self.area_m2 * self.peak_reflectivity * self.yaw_gain(o.yaw)
-    }
 }
 
 /// Deformation of the received symbol geometry under yaw, before channel
@@ -142,13 +137,6 @@ mod tests {
         let r = Retroreflector::default();
         let g = r.yaw_gain(deg2rad(40.0));
         assert!(g > 0.3, "gain at 40° = {g}");
-    }
-
-    #[test]
-    fn effective_area_face_on() {
-        let r = Retroreflector::default();
-        let a = r.effective_area(&Orientation::face_on());
-        assert!((a - 66e-4 * 0.6).abs() < 1e-9);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the polarization optics.
 
 use proptest::prelude::*;
-use retroturbo_optics::basis::{basis_inner_product, differential_measurement, ReceiverPair};
+use retroturbo_optics::basis::ReceiverPair;
 use retroturbo_optics::retro::{yaw_pixel_skew, Retroreflector};
 use retroturbo_optics::{malus, PixelMixture, PolAngle};
 
@@ -17,13 +17,6 @@ proptest! {
     }
 
     #[test]
-    fn basis_inner_product_is_cos2delta(t1 in 0.0f64..180.0, t2 in 0.0f64..180.0) {
-        let ip = basis_inner_product(PolAngle::from_degrees(t1), PolAngle::from_degrees(t2));
-        let expect = (2.0 * (t1 - t2).to_radians()).cos();
-        prop_assert!((ip - expect).abs() < 1e-9);
-    }
-
-    #[test]
     fn measurement_magnitude_rotation_invariant(theta in 0.0f64..180.0,
                                                 rho in 0.0f64..1.0,
                                                 rx_ref in 0.0f64..180.0) {
@@ -36,11 +29,17 @@ proptest! {
     #[test]
     fn pdr_equals_contrast_times_cos2(theta_t in 0.0f64..180.0, rho in 0.0f64..1.0,
                                       analyzer in 0.0f64..180.0) {
+        // Each branch of the pair is differential reception: two photodiodes
+        // behind orthogonal analyzers, so the Malus-law pedestal cancels and
+        // the I/Q measurement is g·cos 2Δ / g·sin 2Δ.
         let pix = PixelMixture::new(PolAngle::from_degrees(theta_t), rho);
-        let d = differential_measurement(&pix, PolAngle::from_degrees(analyzer));
-        let delta = PolAngle::from_degrees(theta_t).diff(PolAngle::from_degrees(analyzer));
-        let expect = pix.contrast() * (2.0 * delta).cos();
-        prop_assert!((d - expect).abs() < 1e-9);
+        let pdr = |a: PolAngle| pix.received_intensity(a) - pix.received_intensity(a.orthogonal());
+        let rx = ReceiverPair::new(PolAngle::from_degrees(analyzer));
+        let z = rx.measure(&pix);
+        let delta = PolAngle::from_degrees(theta_t).diff(rx.reference);
+        prop_assert!((pdr(rx.reference) - pix.contrast() * (2.0 * delta).cos()).abs() < 1e-9);
+        prop_assert!((z.re - pdr(rx.reference)).abs() < 1e-9);
+        prop_assert!((z.im - pdr(rx.q_axis())).abs() < 1e-9);
     }
 
     #[test]

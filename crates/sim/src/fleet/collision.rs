@@ -15,10 +15,9 @@
 //! winner's span flagged unreliable. Below the margin the slot is a
 //! collision: every participant degrades through erasures.
 //!
-//! Both the superposition and the capture decision ship with literal serial
-//! references (`superpose_reference`, `CaptureRule::decide_reference`);
-//! differential tests in `crates/sim/tests/fleet.rs` pin the production
-//! paths to them bit-for-bit.
+//! Differential tests in `crates/sim/tests/fleet.rs` pin the superposition
+//! and the capture decision bit-for-bit to literal serial references that
+//! live beside them in that test.
 
 use retroturbo_core::{Receiver, RxError, RxResult};
 use retroturbo_dsp::{Signal, C64};
@@ -53,10 +52,10 @@ impl TagWave {
 /// stream of `total_len` samples. Tags contribute `gain · wave` inside
 /// their frame span and `gain · rest` outside it, accumulated in tag order.
 ///
-/// Bit-identity contract: the per-element floating-point addition sequence
-/// (zero, then each tag's term in index order) is exactly the sequence
-/// [`superpose_reference`] performs, so the two are bit-identical despite
-/// the different loop nesting.
+/// Bit-identity contract: each element sees the same floating-point
+/// addition sequence (zero, then each tag's term in index order) as a
+/// literal samples-outer, tags-inner scan, so the two are bit-identical
+/// despite the different loop nesting.
 pub fn superpose(tags: &[TagWave], total_len: usize) -> Vec<C64> {
     let mut out = vec![C64::new(0.0, 0.0); total_len];
     for t in tags {
@@ -72,26 +71,6 @@ pub fn superpose(tags: &[TagWave], total_len: usize) -> Vec<C64> {
         }
     }
     out
-}
-
-/// Literal serial reference for [`superpose`]: one pass over samples, inner
-/// loop over tags, accumulating each tag's term in index order.
-pub fn superpose_reference(tags: &[TagWave], total_len: usize) -> Vec<C64> {
-    (0..total_len)
-        .map(|i| {
-            let mut acc = C64::new(0.0, 0.0);
-            for t in tags {
-                let (lo, hi) = t.span();
-                let y = if i >= lo && i < hi.min(total_len) {
-                    t.wave[i - lo]
-                } else {
-                    rest()
-                };
-                acc += t.gain * y;
-            }
-            acc
-        })
-        .collect()
 }
 
 /// Outcome of the capture decision over one set of colliding tags.
@@ -143,32 +122,6 @@ impl CaptureRule {
             None => CaptureDecision::Collision,
             Some(b) if powers_db[b] - second >= self.margin_db => CaptureDecision::Winner(b),
             Some(_) => CaptureDecision::Collision,
-        }
-    }
-
-    /// Literal reference for [`Self::decide`]: find the argmax by a strict
-    /// greater-than scan (ties keep the lower index), compute the runner-up
-    /// by a second full scan over everyone else, compare against the margin.
-    pub fn decide_reference(&self, powers_db: &[f64]) -> CaptureDecision {
-        if powers_db.is_empty() {
-            return CaptureDecision::Collision;
-        }
-        let mut best = 0usize;
-        for (i, &p) in powers_db.iter().enumerate() {
-            if p > powers_db[best] {
-                best = i;
-            }
-        }
-        let mut second = f64::NEG_INFINITY;
-        for (i, &p) in powers_db.iter().enumerate() {
-            if i != best && p > second {
-                second = p;
-            }
-        }
-        if powers_db[best] - second >= self.margin_db {
-            CaptureDecision::Winner(best)
-        } else {
-            CaptureDecision::Collision
         }
     }
 }

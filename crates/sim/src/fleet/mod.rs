@@ -5,8 +5,8 @@
 //! * [`collision`] — waveform tier: shared-photodiode superposition of
 //!   per-tag channel-scaled frames (rest-state reflection included), the
 //!   capture rule for collided slots, and capture-effect decoding that
-//!   routes losers through the errors-and-erasures path. Ships literal
-//!   serial references (`superpose_reference`, `decide_reference`).
+//!   routes losers through the errors-and-erasures path. Its serial
+//!   references live in `crates/sim/tests/fleet.rs`.
 //! * [`harness`] — MAC tier: thousands of deterministic tag↔reader
 //!   sessions (discovery → weighted TDMA → stop-and-wait over an
 //!   SNR/interference bit pipe with per-tag rate adaptation), fanned out
@@ -21,8 +21,7 @@ pub mod harness;
 pub mod rate_region;
 
 pub use collision::{
-    capture_decode, interference_mask, superpose, superpose_reference, CaptureDecision,
-    CaptureRule, TagDecode, TagWave,
+    capture_decode, interference_mask, superpose, CaptureDecision, CaptureRule, TagDecode, TagWave,
 };
 pub use harness::{
     aggregate, draw_plan, jain_fairness, percentile, run_fleet, run_session, run_session_with_plan,

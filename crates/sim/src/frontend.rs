@@ -207,8 +207,8 @@ mod tests {
         );
         // Ignore filter edge transients; the steady-state middle must sit at
         // the saturated rails, not beyond them.
-        // The chain's square-carrier roundtrip carries a few percent of gain
-        // ripple, so allow 1.2 — the unclamped defect returned ≈ 2.5.
+        // Allow 1.2 for the filters' ripple — the unclamped defect returned
+        // ≈ 2.5.
         let mid = &out.samples()[out.len() / 4..3 * out.len() / 4];
         for z in mid {
             assert!(

@@ -9,7 +9,7 @@
 //! structurally: power is a function of firing events per second, not of
 //! bits per second.
 
-use retroturbo_core::{FramePlan, PhyConfig};
+use retroturbo_core::PhyConfig;
 
 /// Electrical constants of the tag.
 #[derive(Debug, Clone, Copy)]
@@ -37,20 +37,6 @@ impl Default for PowerModel {
 }
 
 impl PowerModel {
-    /// Average power of transmitting a frame: total energy over airtime.
-    pub fn frame_power_w(&self, cfg: &PhyConfig, frame: &FramePlan) -> f64 {
-        let max_level = (1usize << cfg.bits_per_module()) - 1;
-        let mut energy = 0.0;
-        for &(li, lq) in &frame.levels {
-            // Charged-area fraction of the two modules fired this slot.
-            energy += self.charge_j * (li + lq) as f64 / max_level as f64;
-            // Register shifting happens every slot regardless of level.
-            energy += 2.0 * self.switch_j;
-        }
-        let airtime = frame.total_slots() as f64 * cfg.t_slot;
-        self.static_w + energy / airtime
-    }
-
     /// Average power for random payload at a given configuration (uses the
     /// mean level = max/2 approximation for payload slots).
     pub fn average_power_w(&self, cfg: &PhyConfig) -> f64 {
@@ -63,7 +49,6 @@ impl PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retroturbo_core::Modulator;
 
     #[test]
     fn default_setting_is_sub_milliwatt() {
@@ -80,18 +65,6 @@ mod tests {
         let w4 = p.average_power_w(&PhyConfig::default_4kbps());
         let w8 = p.average_power_w(&PhyConfig::default_8kbps());
         assert!((w4 - w8).abs() < 1e-9, "{w4} vs {w8}");
-    }
-
-    #[test]
-    fn frame_power_close_to_average_model() {
-        let cfg = PhyConfig::default_8kbps();
-        let m = Modulator::new(cfg);
-        let bits: Vec<bool> = (0..1024).map(|i| (i * 7) % 3 == 0).collect();
-        let frame = m.modulate(&bits);
-        let p = PowerModel::default();
-        let wf = p.frame_power_w(&cfg, &frame);
-        let wa = p.average_power_w(&cfg);
-        assert!((wf - wa).abs() / wa < 0.4, "frame {wf} vs avg {wa}");
     }
 
     #[test]

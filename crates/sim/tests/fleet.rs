@@ -22,13 +22,34 @@ use retroturbo_dsp::C64;
 use retroturbo_runtime::with_threads;
 use retroturbo_sim::fleet::rate_region::FleetOut;
 use retroturbo_sim::fleet::{
-    draw_plan, jain_fairness, run_fleet, run_session, superpose, superpose_reference,
-    CaptureDecision, CaptureRule, FleetConfig, FleetSweep, TagWave,
+    draw_plan, jain_fairness, run_fleet, run_session, superpose, CaptureDecision, CaptureRule,
+    FleetConfig, FleetSweep, TagWave,
 };
 use retroturbo_sim::{GridPoint, SweepEngine};
 
 fn bits_eq(a: C64, b: C64) -> bool {
     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+}
+
+/// Literal serial reference for `superpose`: one pass over samples, inner
+/// loop over tags, accumulating each tag's term in index order (outside its
+/// frame a tag reflects at its rest state, −1 − j).
+fn superpose_reference(tags: &[TagWave], total_len: usize) -> Vec<C64> {
+    (0..total_len)
+        .map(|i| {
+            let mut acc = C64::new(0.0, 0.0);
+            for t in tags {
+                let (lo, hi) = t.span();
+                let y = if i >= lo && i < hi.min(total_len) {
+                    t.wave[i - lo]
+                } else {
+                    C64::new(-1.0, -1.0)
+                };
+                acc += t.gain * y;
+            }
+            acc
+        })
+        .collect()
 }
 
 /// Random fleets of 1–6 tags with arbitrary overlaps, gains, and spans
@@ -93,6 +114,32 @@ fn capture_decision_kats_at_the_margin_boundary() {
     assert_eq!(zero.decide(&[1.0, 1.0]), CaptureDecision::Winner(0));
 }
 
+/// Literal reference for `CaptureRule::decide`: find the argmax by a strict
+/// greater-than scan (ties keep the lower index), compute the runner-up by a
+/// second full scan over everyone else, compare against the margin.
+fn decide_reference(rule: &CaptureRule, powers_db: &[f64]) -> CaptureDecision {
+    if powers_db.is_empty() {
+        return CaptureDecision::Collision;
+    }
+    let mut best = 0usize;
+    for (i, &p) in powers_db.iter().enumerate() {
+        if p > powers_db[best] {
+            best = i;
+        }
+    }
+    let mut second = f64::NEG_INFINITY;
+    for (i, &p) in powers_db.iter().enumerate() {
+        if i != best && p > second {
+            second = p;
+        }
+    }
+    if powers_db[best] - second >= rule.margin_db {
+        CaptureDecision::Winner(best)
+    } else {
+        CaptureDecision::Collision
+    }
+}
+
 /// The single-pass capture decision agrees with the literal two-scan
 /// reference on random power vectors, including duplicated maxima and
 /// boundary-straddling gaps.
@@ -112,7 +159,7 @@ fn capture_decision_matches_reference_on_random_vectors() {
         let rule = CaptureRule { margin_db: margin };
         assert_eq!(
             rule.decide(&powers),
-            rule.decide_reference(&powers),
+            decide_reference(&rule, &powers),
             "case {case}: margin {margin} powers {powers:?}"
         );
     }

@@ -13,7 +13,7 @@
 //!   instrument hot paths unconditionally.
 //! * With the feature **on**, calls record into a global registry of
 //!   monotonic counters, fixed-bucket log₂ histograms, scoped span timers,
-//!   and gauges, exportable as JSON or TSV.
+//!   and gauges, read back through [`snapshot`].
 //!
 //! # Determinism rules
 //!
@@ -35,8 +35,8 @@
 #![warn(missing_docs)]
 
 // ---------------------------------------------------------------------------
-// Snapshot model + exporters: compiled in both configurations so downstream
-// code (bench bins, tests) can handle snapshots without cfg gates.
+// Snapshot model: compiled in both configurations so downstream code can
+// handle snapshots without cfg gates.
 // ---------------------------------------------------------------------------
 
 /// What a metric measures; fixed at the name's first use.
@@ -53,18 +53,6 @@ pub enum Kind {
     /// Distribution of span durations in nanoseconds ([`Span`],
     /// [`record_duration_ns`]).
     Timer,
-}
-
-impl Kind {
-    /// Short lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Histogram => "histogram",
-            Kind::Gauge => "gauge",
-            Kind::Timer => "timer",
-        }
-    }
 }
 
 /// Aggregated distribution of one histogram/gauge/timer.
@@ -134,27 +122,6 @@ pub fn bucket_of(v: f64) -> u8 {
     (e + 32).clamp(1, 63) as u8
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl Snapshot {
     /// Look up a metric by exact name.
     pub fn get(&self, name: &str) -> Option<&MetricSnap> {
@@ -175,76 +142,6 @@ impl Snapshot {
             Some(Value::Stat(s)) => Some(s),
             _ => None,
         }
-    }
-
-    /// Serialize as a self-describing JSON document. Hand-rolled (the
-    /// workspace is dependency-free); numeric f64 fields use Rust's
-    /// shortest-roundtrip formatting, non-finite values become `null`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"enabled\": {},\n", enabled()));
-        out.push_str("  \"metrics\": [\n");
-        for (i, m) in self.metrics.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"kind\": \"{}\", ",
-                json_escape(&m.name),
-                m.kind.label()
-            ));
-            match &m.value {
-                Value::Counter(v) => out.push_str(&format!("\"value\": {v}}}")),
-                Value::Stat(s) => {
-                    let buckets: Vec<String> = s
-                        .buckets
-                        .iter()
-                        .map(|(b, c)| format!("[{b},{c}]"))
-                        .collect();
-                    out.push_str(&format!(
-                        "\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"buckets\": [{}]}}",
-                        s.count,
-                        json_f64(s.sum),
-                        json_f64(s.min),
-                        json_f64(s.max),
-                        json_f64(s.mean()),
-                        buckets.join(",")
-                    ));
-                }
-            }
-            out.push_str(if i + 1 < self.metrics.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Serialize as a TSV table (`name kind count sum min max mean`), one
-    /// metric per row; counters fill `count` with the total and leave the
-    /// distribution columns blank.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::from("name\tkind\tcount\tsum\tmin\tmax\tmean\n");
-        for m in &self.metrics {
-            match &m.value {
-                Value::Counter(v) => {
-                    out.push_str(&format!("{}\t{}\t{v}\t\t\t\t\n", m.name, m.kind.label()));
-                }
-                Value::Stat(s) => {
-                    out.push_str(&format!(
-                        "{}\t{}\t{}\t{:.6e}\t{:.6e}\t{:.6e}\t{:.6e}\n",
-                        m.name,
-                        m.kind.label(),
-                        s.count,
-                        s.sum,
-                        s.min,
-                        s.max,
-                        s.mean()
-                    ));
-                }
-            }
-        }
-        out
     }
 
     /// Canonical string over the *thread-schedule-invariant* aggregates:
@@ -577,14 +474,6 @@ mod tests {
             assert!(!std::mem::needs_drop::<Span>(), "Span must have no Drop");
             assert_eq!(snap.counter("x.count"), 0);
             assert!(snap.stat("x.obs").is_none());
-        }
-
-        #[test]
-        fn exporters_work_on_empty_snapshot() {
-            let snap = snapshot();
-            let json = snap.to_json();
-            assert!(json.contains("\"enabled\": false"), "{json}");
-            assert!(snap.to_tsv().starts_with("name\tkind"));
             assert!(snap.deterministic_fingerprint().is_empty());
         }
     }
@@ -604,6 +493,7 @@ mod tests {
             assert_eq!(snap.counter("t1.a"), 3);
             assert_eq!(snap.counter("t1.b"), 40);
             assert_eq!(snap.get("t1.a").unwrap().kind, Kind::Counter);
+            assert!(snap.deterministic_fingerprint().contains("t1.b C 40\n"));
         }
 
         #[test]
@@ -620,6 +510,9 @@ mod tests {
             // 0.5 -> 31, 1.5 x2 -> 32, 4.0 -> 34.
             assert_eq!(s.buckets, vec![(31, 1), (32, 2), (34, 1)]);
             assert_eq!(snap.get("t2.h").unwrap().kind, Kind::Histogram);
+            gauge_set("t2.g", -3.0);
+            let fp = snapshot().deterministic_fingerprint();
+            assert!(fp.contains("t2.g G n=1"), "{fp}");
         }
 
         #[test]
@@ -662,23 +555,6 @@ mod tests {
             assert_eq!(p.min.to_bits(), q.min.to_bits());
             assert_eq!(p.max.to_bits(), q.max.to_bits());
             assert_eq!(p.buckets, q.buckets);
-        }
-
-        #[test]
-        fn exporters_roundtrip_names_and_kinds() {
-            counter_add("t5.c", 7);
-            observe("t5.h", 2.0);
-            gauge_set("t5.g", -3.0);
-            let snap = snapshot();
-            let json = snap.to_json();
-            assert!(json.contains("\"enabled\": true"));
-            assert!(json.contains("\"name\": \"t5.c\", \"kind\": \"counter\", \"value\": 7"));
-            assert!(json.contains("\"kind\": \"gauge\""));
-            let tsv = snap.to_tsv();
-            assert!(tsv.lines().any(|l| l.starts_with("t5.c\tcounter\t7")));
-            let fp = snap.deterministic_fingerprint();
-            assert!(fp.contains("t5.c C 7"));
-            assert!(fp.contains("t5.g G n=1"));
         }
     }
 }

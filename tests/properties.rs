@@ -370,10 +370,8 @@ proptest! {
 
     #[test]
     fn passband_chain_recovers_intensity(level in 0.05f64..1.0, square in any::<bool>()) {
-        // The chain is linear in the drive intensity for either carrier, and
-        // the raised-sinusoid carrier recovers it at unit scale. (The 0/1
-        // square carrier, sampled at 8 points per period, recovers about
-        // 0.95 of the level, so only its linearity is held here.)
+        // The chain is linear in the drive intensity and recovers it at unit
+        // scale for either carrier.
         let cfg = PassbandConfig { square_carrier: square, ..PassbandConfig::default() };
         let chain = PassbandChain::new(cfg);
         let run = |a: f64| {
@@ -387,7 +385,7 @@ proptest! {
         }
         // Past the two 257-tap filters' fill-in (≈ 6 baseband samples).
         for (k, z) in base.samples().iter().enumerate().take(42).skip(8) {
-            prop_assert!(square || (z.re - level).abs() < 0.01 * level,
+            prop_assert!((z.re - level).abs() < 0.01 * level,
                          "sample {k}: {} vs {level}", z.re);
         }
     }
