@@ -24,6 +24,7 @@ use crate::synth::{SlotLevels, TagModel};
 use retroturbo_dsp::backend;
 use retroturbo_dsp::C64;
 use retroturbo_telemetry as telemetry;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Decision trace node (persistent list; branches share prefixes). Used only
@@ -207,37 +208,79 @@ fn shift_in(regs: &mut [u8], phase: usize, l: usize, bits: usize, vmask: usize, 
     }
 }
 
-/// Append one module's prediction terms, read from a branch's register
-/// file, to `ops`: the relaxed key-0 segment (weight 1) if the module has
-/// not fired yet (`tau = None`), else one `(slot(key, tau), w_b)` per
-/// bit-plane. The key is the register itself when `tau ≥ 1`; a firing
-/// module (`tau == 0`) shifts it up one age, leaving the candidate bit at
-/// 0. These are exactly the terms and order of the reference prediction.
+/// One prediction term of a slot, read from a branch's register file:
+/// the term is `(segs[base + key], w)` with `key = (regs[reg] << shift) &
+/// mask`. A module that has not fired yet contributes its relaxed key-0
+/// segment (`mask = 0`, weight 1); a fired one contributes one term per
+/// bit-plane, `slot(key, tau)` at weight `w_b`, where the key is the
+/// register itself when `tau ≥ 1` and, for a firing module (`tau == 0`),
+/// the register shifted up one age, leaving the candidate bit at 0. These
+/// are exactly the terms and order of the reference prediction.
 /// `segs[((module·L + tau) << v) | key]` is `slot(key, tau)` of `module`.
-#[allow(clippy::too_many_arguments)]
-fn push_module_ops<'m>(
-    ops: &mut Vec<(&'m [C64], f64)>,
-    segs: &[&'m [C64]],
+#[derive(Clone, Copy)]
+struct Term {
+    reg: usize,
+    base: usize,
+    shift: u32,
+    mask: usize,
+    w: f64,
+}
+
+/// Append a slot's terms for `module` (slots since its latest firing:
+/// `tau`, `None` before its first) to `plan`.
+fn plan_module(
+    plan: &mut Vec<Term>,
     weights: &[f64],
-    regs: &[u8],
     module: usize,
     tau: Option<usize>,
     l: usize,
     v: usize,
 ) {
     let bits = weights.len();
-    let vmask = (1usize << v) - 1;
     match tau {
-        None => ops.push((segs[(module * l) << v], 1.0)),
-        Some(tau) => {
-            let row = &segs[(module * l + tau) << v..][..1 << v];
-            for (&reg, &w) in regs[module * bits..][..bits].iter().zip(weights) {
-                let reg = reg as usize;
-                let key = if tau == 0 { (reg << 1) & vmask } else { reg };
-                ops.push((row[key], w));
-            }
-        }
+        None => plan.push(Term {
+            reg: 0,
+            base: (module * l) << v,
+            shift: 0,
+            mask: 0,
+            w: 1.0,
+        }),
+        Some(tau) => plan.extend(weights.iter().enumerate().map(|(b, &w)| Term {
+            reg: module * bits + b,
+            base: (module * l + tau) << v,
+            shift: (tau == 0) as u32,
+            mask: (1 << v) - 1,
+            w,
+        })),
     }
+}
+
+/// Fill `ops` with `terms` read from one branch's register file.
+#[inline]
+fn fill_ops<'m>(ops: &mut Vec<(&'m [C64], f64)>, segs: &[&'m [C64]], terms: &[Term], regs: &[u8]) {
+    ops.clear();
+    ops.extend(terms.iter().map(|t| {
+        (
+            segs[t.base + ((regs[t.reg] as usize) << t.shift & t.mask)],
+            t.w,
+        )
+    }));
+}
+
+/// Order-preserving image of [`f64::total_cmp`] in `u64`: a negative
+/// value's bits are all flipped, a positive one's sign bit is set, so
+/// unsigned comparison of the images is exactly `total_cmp` (−NaN < −Inf <
+/// … < −0 < +0 < … < +Inf < +NaN). A bijection, undone by [`from_ord_key`].
+#[inline]
+fn ord_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    b ^ (((b as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// The exact inverse of [`ord_key`].
+#[inline]
+fn from_ord_key(k: u64) -> f64 {
+    f64::from_bits(k ^ (!((k as i64 >> 63) as u64) | 1 << 63))
 }
 
 /// Little-endian word `w` of a register file (8 registers per word).
@@ -246,46 +289,13 @@ fn reg_word(regs: &[u8], w: usize) -> u64 {
     u64::from_le_bytes(regs[w * 8..][..8].try_into().expect("8-byte chunk"))
 }
 
-/// The four stages of `dfe.score`, timed per call and recorded as the
-/// `dfe.score.*` timers. Reads no clock when telemetry is compiled out.
-struct ScoreSplit {
-    ns: [u64; 4],
-    last: Option<std::time::Instant>,
-}
-
-impl ScoreSplit {
-    const NAMES: [&'static str; 4] = [
-        "dfe.score.predict",
-        "dfe.score.cross",
-        "dfe.score.aggregate",
-        "dfe.score.select",
-    ];
-
-    fn start() -> Self {
-        Self {
-            ns: [0; 4],
-            last: telemetry::enabled().then(std::time::Instant::now),
-        }
-    }
-
-    /// Charge the time since the previous lap to `stage`.
-    #[inline(always)]
-    fn lap(&mut self, stage: usize) {
-        if telemetry::enabled() {
-            let now = std::time::Instant::now();
-            if let Some(t) = self.last {
-                self.ns[stage] += (now - t).as_nanos() as u64;
-            }
-            self.last = Some(now);
-        }
-    }
-
-    fn record(&self) {
-        for (name, ns) in Self::NAMES.iter().zip(self.ns) {
-            telemetry::record_duration_ns(name, ns);
-        }
-    }
-}
+/// The four stages of `dfe.score`, timed per call.
+const SCORE_STAGES: [&str; 4] = [
+    "dfe.score.predict",
+    "dfe.score.cross",
+    "dfe.score.aggregate",
+    "dfe.score.select",
+];
 
 /// The K-branch DFE.
 #[derive(Debug, Clone)]
@@ -368,12 +378,13 @@ impl Equalizer {
     /// candidate symbols costs O(1) instead of a full `spt`-sample loop.
     /// Beam state is one history register per (module, bit-plane) per
     /// branch, read directly as prediction keys; branches whose keys agree
-    /// share one fused prediction (DESIGN.md §11). Traceback lives in an
-    /// index arena, top-K selection is a partial `select_nth_unstable_by`
-    /// with a deterministic `(cost, branch, symbol)` tie-break, and the
-    /// winning branch's prediction is reused for the tracking update. It
-    /// produces decisions identical to [`Equalizer::equalize_reference`]
-    /// (costs agree to ≤ 1e-9 relative; summation order differs).
+    /// share one fused prediction, and energy tables are memoised per call
+    /// (DESIGN.md §11). Traceback lives in an index arena, top-K selection
+    /// is a partial `select_nth_unstable` over integer keys ordered as
+    /// `(cost, branch, symbol)`, and the winning branch's prediction is
+    /// reused for the tracking update. It produces decisions identical to
+    /// [`Equalizer::equalize_reference`] (costs agree to ≤ 1e-9 relative;
+    /// summation order differs).
     ///
     /// # Panics
     /// Panics if `rx` is too short for the requested slots.
@@ -474,6 +485,7 @@ impl Equalizer {
         let mut group_fire: Vec<usize> = Vec::with_capacity(self.k * na);
         let mut group_deltas: Vec<&[C64]> = Vec::with_capacity(self.k * na);
         let mut ops: Vec<(&[C64], f64)> = Vec::with_capacity(2 * l * bits);
+        let mut plan: Vec<Term> = Vec::with_capacity(2 * l * bits);
         let mut pred_common = vec![C64::default(); spt];
         let mut pred_flat = vec![C64::default(); self.k * spt];
         let mut pred_gain = vec![C64::default(); if tracked { spt } else { 0 }];
@@ -485,16 +497,21 @@ impl Equalizer {
         let mut agg_e_i = vec![0.0f64; a_levels];
         let mut agg_e_q = vec![0.0f64; q_count];
         let mut agg_e_iq = vec![0.0f64; a_levels * q_count];
-        let mut group_e: Vec<f64> = Vec::with_capacity(self.k * p_count);
+        // Energy tables, memoised for the call by `(phase, fire_h)`: the
+        // table is a pure function of that key under this call's basis.
+        // `group_tab[gi]` is group `gi`'s table in `tables` (P entries each).
+        let mut memo: HashMap<u128, usize> = HashMap::new();
+        let mut tables: Vec<f64> = Vec::new();
+        let mut group_tab: Vec<usize> = Vec::with_capacity(self.k);
         let mut cand = vec![0.0f64; p_count];
         let mut d_i_buf = vec![C64::default(); if tracked { spt } else { 0 }];
         let mut d_q_buf = vec![C64::default(); if tracked { spt } else { 0 }];
-        // A slot's extensions `(cost, bi·P + symbol index)` under the total
-        // order `(cost, index)`: the index doubles as the deterministic
-        // tie-break that reproduces the reference's stable sort
-        // (branch-major, symbol-minor).
-        let mut extensions: Vec<(f64, u32)> = Vec::with_capacity(self.k * p_count);
-        let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        // A slot's extensions as integer keys `ord_key(cost) << 32 | bi·P +
+        // symbol index`: plain integer order is the total order `(cost
+        // under total_cmp, index)`, and the index doubles as the
+        // deterministic tie-break that reproduces the reference's stable
+        // sort (branch-major, symbol-minor).
+        let mut extensions: Vec<u128> = Vec::with_capacity(self.k * p_count);
 
         // Decision-directed channel tracking state: exponentially-weighted
         // ⟨rx, pred⟩ / ⟨pred, pred⟩ with a window of ≈ `block` slots.
@@ -503,9 +520,12 @@ impl Equalizer {
         let mut acc_den = 0.0f64;
         let mut scored = 0u64;
         let mut predictions = 0u64;
+        let mut energy_tables = 0u64;
 
+        // `module % l` without a division: modules are `0..2l`.
+        let phase_of = |m: usize| if m < l { m } else { m - l };
         let score_span = telemetry::span("dfe.score");
-        let mut split = ScoreSplit::start();
+        let mut split = telemetry::Laps::start(SCORE_STAGES);
         for j in 0..n_payload {
             let g = known_prefix.len() + j; // global slot
             let phase = g % l;
@@ -524,7 +544,7 @@ impl Equalizer {
             let grouped = !tracked && l >= 2 && g >= 1 && n_branches > 1;
             let dep = (g + l - 1) % l;
             fold.clear();
-            fold.extend((0..2 * l).filter(|&m| !grouped || m % l != dep));
+            fold.extend((0..2 * l).filter(|&m| !grouped || phase_of(m) != dep));
             let n_prefix = fold.len();
             if grouped {
                 fold.extend([dep, l + dep]);
@@ -534,12 +554,12 @@ impl Equalizer {
             // exactly the key bits the prefix reads (none for the dependent
             // pair or unfired modules).
             for (m, t) in tau_of.iter_mut().enumerate() {
-                let p = m % l;
+                let p = phase_of(m);
                 *t = (g >= p).then(|| if phase >= p { phase - p } else { phase + l - p });
             }
             for m in 0..2 * l {
                 let keep = match tau_of[m] {
-                    _ if grouped && m % l == dep => 0,
+                    _ if grouped && phase_of(m) == dep => 0,
                     None => 0,
                     Some(0) => (vmask >> 1) as u8,
                     Some(_) => vmask as u8,
@@ -548,6 +568,16 @@ impl Equalizer {
             }
             for (w, k) in kmask.iter_mut().enumerate() {
                 *k = reg_word(&kmask_bytes, w);
+            }
+            // The slot's prediction terms in fold order; the prefix's come
+            // first.
+            plan.clear();
+            for &m in &fold[..n_prefix] {
+                plan_module(&mut plan, &model.weights, m, tau_of[m], l, v);
+            }
+            let n_prefix_terms = plan.len();
+            for &m in &fold[n_prefix..] {
+                plan_module(&mut plan, &model.weights, m, tau_of[m], l, v);
             }
             // Sort branches by a hash of their group key, then their
             // dependent pair's registers (at most 8 bytes, exact), so equal
@@ -590,10 +620,7 @@ impl Equalizer {
                     end += 1;
                 }
                 let r = &regs[rep * stride..][..stride];
-                ops.clear();
-                for &m in &fold[..n_prefix] {
-                    push_module_ops(&mut ops, &segs, &model.weights, r, m, tau_of[m], l, v);
-                }
+                fill_ops(&mut ops, &segs, &plan[..n_prefix_terms], r);
                 pred_common.fill(C64::default());
                 backend::axpy_wr_many(&mut pred_common, &ops);
                 predictions += 1;
@@ -612,20 +639,8 @@ impl Equalizer {
                     let pred = &mut pred_flat[c * spt..][..spt];
                     pred.copy_from_slice(&pred_common);
                     if grouped {
-                        ops.clear();
                         let rt = &regs[rep_t * stride..][..stride];
-                        for &m in &fold[n_prefix..] {
-                            push_module_ops(
-                                &mut ops,
-                                &segs,
-                                &model.weights,
-                                rt,
-                                m,
-                                tau_of[m],
-                                l,
-                                v,
-                            );
-                        }
+                        fill_ops(&mut ops, &segs, &plan[n_prefix_terms..], rt);
                         backend::axpy_wr_many(pred, &ops);
                         predictions += 1;
                     }
@@ -666,10 +681,23 @@ impl Equalizer {
             // Per-group energy tables, a pure function of (phase, fire_h):
             // E_I[x] = Σ_{b,b'∈F(x)} Re⟨δ_I,b, δ_I,b'⟩ (same for Q) and the
             // I–Q coupling E_IQ[x][y], folded per symbol into
-            // E(x,y) = E_I[x] + E_Q[y] + 2·E_IQ[x][y].
-            group_e.clear();
+            // E(x,y) = E_I[x] + E_Q[y] + 2·E_IQ[x][y]. Computed once per
+            // distinct key in the call; each fire_h is below 2^(v−1).
+            group_tab.clear();
             for gi in 0..n_groups {
-                basis.active_gram(phase, &group_fire[gi * na..][..na], &mut gb);
+                let fire_h = &group_fire[gi * na..][..na];
+                let key = fire_h
+                    .iter()
+                    .fold(phase as u128, |k, &h| k << (v - 1) | h as u128);
+                if let Some(&t) = memo.get(&key) {
+                    group_tab.push(t);
+                    continue;
+                }
+                let t = tables.len() / p_count;
+                memo.insert(key, t);
+                group_tab.push(t);
+                energy_tables += 1;
+                basis.active_gram(phase, fire_h, &mut gb);
                 for (x, fx) in fired.iter().enumerate() {
                     let mut e = 0.0;
                     for &b in fx {
@@ -699,7 +727,7 @@ impl Equalizer {
                         agg_e_iq[x * q_count + y] = e;
                     }
                 }
-                group_e.extend(
+                tables.extend(
                     symbols
                         .iter()
                         .map(|s| agg_e_i[s.i] + agg_e_q[s.q] + 2.0 * agg_e_iq[s.i * q_count + s.q]),
@@ -727,7 +755,7 @@ impl Equalizer {
             for bi in 0..n_branches {
                 let cls = class_of[bi];
                 let (c_i, c_q) = class_c[cls * n_c..][..n_c].split_at(a_levels);
-                let e_sym = &group_e[class_group[cls] * p_count..][..p_count];
+                let e_sym = &tables[group_tab[class_group[cls]] * p_count..][..p_count];
                 let base = costs[bi] + r_energy[cls];
                 // Symbols are I-major (`si = x·q_count + y`); only the real
                 // part of C_I[x] + C_Q[y] enters an untracked cost.
@@ -744,11 +772,11 @@ impl Equalizer {
                         };
                     }
                 }
-                let idx0 = (bi * p_count) as u32;
+                let idx0 = bi * p_count;
                 extensions.extend(
                     cand.iter()
                         .enumerate()
-                        .map(|(si, &c)| (c, idx0 + si as u32)),
+                        .map(|(si, &c)| (ord_key(c) as u128) << 32 | (idx0 + si) as u128),
                 );
             }
             scored += (n_branches * p_count) as u64;
@@ -758,10 +786,10 @@ impl Equalizer {
             // full sort; the (cost, index) total order keeps survivors (and
             // their ordering) identical to the reference's stable sort.
             if extensions.len() > self.k {
-                extensions.select_nth_unstable_by(self.k - 1, cmp);
+                extensions.select_nth_unstable(self.k - 1);
                 extensions.truncate(self.k);
             }
-            extensions.sort_unstable_by(cmp);
+            extensions.sort_unstable();
 
             // Tracking: fold the winning branch's full prediction into the
             // exponentially-weighted gain estimate every slot, reusing the
@@ -770,9 +798,9 @@ impl Equalizer {
             // matching the reference's d_i/d_q accumulation bit-for-bit.
             if let Some(block) = self.track_block {
                 let lambda = 1.0 - 1.0 / block as f64;
-                let (_, idx) = extensions[0];
-                let bi0 = idx as usize / p_count;
-                let s0 = symbols[idx as usize % p_count];
+                let idx = extensions[0] as u32 as usize;
+                let bi0 = idx / p_count;
+                let s0 = symbols[idx % p_count];
                 let c0 = class_of[bi0];
                 let pred0 = &pred_flat[c0 * spt..][..spt];
                 let h0 = &group_fire[class_group[c0] * na..][..na];
@@ -810,15 +838,16 @@ impl Equalizer {
             next_regs.clear();
             next_costs.clear();
             next_heads.clear();
-            for &(cost, idx) in &extensions {
-                let bi = idx as usize / p_count;
-                let s = symbols[idx as usize % p_count];
+            for &ext in &extensions {
+                let idx = ext as u32 as usize;
+                let bi = idx / p_count;
+                let s = symbols[idx % p_count];
                 next_regs.extend_from_slice(&regs[bi * stride..][..stride]);
                 let at = next_regs.len() - stride;
                 shift_in(&mut next_regs[at..], phase, l, bits, vmask, (s.i, s.q));
                 arena.push((heads[bi], s));
                 next_heads.push((arena.len() - 1) as u32);
-                next_costs.push(cost);
+                next_costs.push(from_ord_key((ext >> 32) as u64));
             }
             std::mem::swap(&mut regs, &mut next_regs);
             std::mem::swap(&mut costs, &mut next_costs);
@@ -840,6 +869,7 @@ impl Equalizer {
         telemetry::counter_add("dfe.slots", n_payload as u64);
         telemetry::counter_add("dfe.extensions_scored", scored);
         telemetry::counter_add("dfe.predictions", predictions);
+        telemetry::counter_add("dfe.energy_tables", energy_tables);
         // Accumulated squared prediction error of the winning branch: the
         // residual the beam could not explain (rate adaptation's raw input).
         telemetry::observe("dfe.residual", costs[best]);
@@ -1382,5 +1412,129 @@ mod tests {
         let (slow, cs) = eq.equalize_reference_with_cost(&wave, &model, known, frame.payload_slots);
         assert_eq!(fast, slow);
         assert_cost_close(cf, cs, "deep memory");
+    }
+
+    /// `ord_key` orders exactly like `f64::total_cmp` and `from_ord_key`
+    /// undoes it bit for bit, over signed zeros, infinities, NaNs of either
+    /// sign and payload, subnormals and neighbouring floats.
+    #[test]
+    fn ord_key_is_total_cmp() {
+        let one = 1.0f64;
+        let vals = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(0x7fff_ffff_ffff_ffff),
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE - f64::from_bits(1),
+            one,
+            f64::from_bits(one.to_bits() + 1),
+            f64::from_bits(one.to_bits() - 1),
+            -one,
+            f64::from_bits((-one).to_bits() + 1),
+            f64::MAX,
+            f64::MIN,
+            1e-300,
+            -1e300,
+        ];
+        for &a in &vals {
+            assert_eq!(from_ord_key(ord_key(a)).to_bits(), a.to_bits(), "{a:e}");
+            for &b in &vals {
+                assert_eq!(
+                    ord_key(a).cmp(&ord_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    /// The L = 2, 4-PQAM loopback PHY of the streaming service's testbed.
+    fn loopback_phy() -> PhyConfig {
+        PhyConfig {
+            l_order: 2,
+            pqam_order: 4,
+            t_slot: 0.5e-3,
+            fs: 40_000.0,
+            v_memory: 3,
+            k_branches: 8,
+            preamble_slots: 12,
+            training_rounds: 2,
+        }
+    }
+
+    /// `(decision checksum, winning-cost bits)` of one frame: `n_bits`
+    /// payload bits rendered through the nominal model, rotated and scaled,
+    /// with AWGN of `sigma`, then trained on and equalized at the config's K.
+    fn pinned_frame(c: PhyConfig, n_bits: usize, sigma: f64, seed: u64) -> (u64, u64) {
+        use crate::training::{OfflineTraining, OnlineTrainer};
+        let nominal = LcParams::default();
+        let model = TagModel::nominal(&c, &nominal);
+        let m = Modulator::new(c);
+        let bits: Vec<bool> = (0..n_bits)
+            .map(|i| (i * 7 + seed as usize) % 5 < 2)
+            .collect();
+        let frame = m.modulate(&bits);
+        let g = C64::cis(0.4).scale(0.9);
+        let mut rx: Vec<C64> = model
+            .render_levels(&frame.levels)
+            .iter()
+            .map(|&z| g * z)
+            .collect();
+        NoiseSource::new(seed).add_awgn(&mut rx, sigma);
+        let off = OfflineTraining::collect(
+            &c,
+            &nominal,
+            &OfflineTraining::default_variants(&nominal),
+            3,
+        );
+        let trained = OnlineTrainer::new(c, &off).train(&rx);
+        let known = &frame.levels[..frame.payload_start()];
+        let (syms, cost) =
+            Equalizer::new(c).equalize_with_cost(&rx, &trained, known, frame.payload_slots);
+        // FNV-1a over the decided (i, q) levels.
+        let sum = syms.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
+            [s.i, s.q]
+                .iter()
+                .fold(h, |h, &x| (h ^ x as u64).wrapping_mul(0x100_0000_01b3))
+        });
+        (sum, cost.to_bits())
+    }
+
+    /// The winning cost is pinned bit for bit, not only to 1e-9 of the
+    /// reference: any reordering of the scoring sums fails here. Two frames
+    /// each at the sweep's 8 and 4 kbps defaults (K = 16) and on the L = 2
+    /// loopback PHY.
+    #[test]
+    fn winning_cost_bits_are_pinned() {
+        const PINNED: [(u64, u64); 6] = [
+            (0xa83405f510be0e83, 0x402437a338a4d8a5),
+            (0x9f19a171088dba6e, 0x40627f87e243870c),
+            (0xa47783f296ade1ea, 0x404fa3fc8fd97f5b),
+            (0x0780f56dc4a298f0, 0x4094fa6568e01ab1),
+            (0x25680ac8b95641bc, 0x404968b79c0a556c),
+            (0xf37967970a18ec23, 0x4084eabdee6f6367),
+        ];
+        let frames = [
+            (PhyConfig::default_8kbps(), 1024, 0.03, 1u64),
+            (PhyConfig::default_8kbps(), 1024, 0.12, 2),
+            (PhyConfig::default_4kbps(), 1024, 0.05, 3),
+            (PhyConfig::default_4kbps(), 1024, 0.25, 4),
+            (loopback_phy(), 256, 0.05, 5),
+            (loopback_phy(), 256, 0.3, 6),
+        ];
+        let got: Vec<(u64, u64)> = frames
+            .iter()
+            .map(|&(c, n, sigma, seed)| pinned_frame(c, n, sigma, seed))
+            .collect();
+        assert_eq!(got, PINNED, "decisions or winning-cost bits moved");
     }
 }

@@ -26,11 +26,19 @@ use crate::pulse::PulseBank;
 use crate::synth::{ModuleModel, TagModel};
 use retroturbo_dsp::backend;
 use retroturbo_dsp::linalg::{
-    chol_solve_c, chol_solve_c_scalar, gauss_solve_c, jacobi_svd, lstsq_c, CMat, Mat,
+    chol_solve_c, chol_solve_c_scalar, gauss_solve_c, jacobi_svd, lstsq_c, CMat, GaussFactor, Mat,
 };
 use retroturbo_dsp::C64;
 use retroturbo_lcm::LcParams;
 use retroturbo_telemetry as telemetry;
+
+/// The four stages of [`OnlineTrainer::train`], timed per call.
+const TRAIN_STAGES: [&str; 4] = [
+    "train.project",
+    "train.solve",
+    "train.materialize",
+    "train.refine",
+];
 
 /// The offline-training product: S orthonormal behaviour bases.
 #[derive(Debug, Clone)]
@@ -111,11 +119,12 @@ impl OfflineTraining {
 /// Online trainer bound to a configuration and offline bases.
 ///
 /// Everything the per-packet least-squares solve needs that does *not*
-/// depend on the received samples — the pilot design matrix `A`, its
-/// conjugate transpose, the ridge-regularized normal matrix `AᴴA + λI`, and
-/// the refinement stage's (module, history-key) class tables — is built once
-/// here. [`OnlineTrainer::train`] then only computes `Aᴴ·rx` and one
-/// Gaussian solve per packet.
+/// depend on the received samples is built once here: the real pilot design
+/// matrix `A`, the Gaussian elimination of the ridge-regularized normal
+/// matrix `AᴴA + λI`, and the refinement stage's (module, history-key) class
+/// tables. Per packet, [`OnlineTrainer::train`] projects `Aᴴ·rx`, replays
+/// the recorded elimination on it, materializes the segments and runs the
+/// refinement (DESIGN.md §8, "Online training per packet").
 #[derive(Debug, Clone)]
 pub struct OnlineTrainer {
     cfg: PhyConfig,
@@ -128,10 +137,12 @@ pub struct OnlineTrainer {
     start: usize,
     /// One past the last training-window slot.
     end: usize,
-    /// Aᴴ of the pilot design matrix.
-    design_h: CMat,
-    /// AᴴA + ridge·I, exactly as `lstsq_c` would form it.
-    aha_ridged: CMat,
+    /// The pilot design matrix `A` (real), sample-major: row `t` holds
+    /// every column's value at window sample `t`.
+    design: Vec<f64>,
+    /// Gaussian elimination of AᴴA + ridge·I, formed exactly as `lstsq_c`
+    /// forms it; `None` if singular.
+    normal: Option<GaussFactor>,
     /// Observed (module, history-key) classes of the refinement stage.
     classes: Vec<(usize, usize)>,
     /// `slot_class[g - start][module]` = class index active in that slot.
@@ -149,8 +160,7 @@ impl OnlineTrainer {
         let start = cfg.l_order;
         let end = cfg.preamble_slots + cfg.training_rounds * cfg.l_order;
         let a = Self::build_design(&cfg, &basis_banks, start, end);
-        let design_h = a.h();
-        let mut aha_ridged = design_h.matmul(&a);
+        let mut aha_ridged = a.h().matmul(&a);
         // Identical regularization to `lstsq_c`, applied once here.
         let scale: f64 = (0..aha_ridged.rows())
             .map(|i| aha_ridged[(i, i)].re)
@@ -161,14 +171,18 @@ impl OnlineTrainer {
             aha_ridged[(i, i)] += C64::real(ridge);
         }
         let (classes, slot_class) = Self::enumerate_classes(&cfg, start, end);
+        let design = (0..a.rows())
+            .flat_map(|t| (0..a.cols()).map(move |c| (t, c)))
+            .map(|(t, c)| a[(t, c)].re)
+            .collect();
         Self {
             cfg,
             basis_banks,
             refine: true,
             start,
             end,
-            design_h,
-            aha_ridged,
+            design,
+            normal: GaussFactor::new(&aha_ridged),
             classes,
             slot_class,
         }
@@ -270,9 +284,10 @@ impl OnlineTrainer {
     /// received frame (`rx` aligned so sample 0 = slot 0) and materialize the
     /// trained [`TagModel`].
     ///
-    /// The design matrix and its normal equations were precomputed in
-    /// [`OnlineTrainer::new`]; per packet this computes `Aᴴ·rx`, one
-    /// Gaussian solve, and the segment materialization. Bit-identical to
+    /// The design matrix and the elimination of its normal equations were
+    /// precomputed in [`OnlineTrainer::new`]; per packet this computes
+    /// `Aᴴ·rx`, replays the elimination on it, and materializes and refines
+    /// the segments, each stage timed as a `train.*` timer. Bit-identical to
     /// [`OnlineTrainer::train_reference`], which rebuilds everything per
     /// call.
     ///
@@ -280,29 +295,29 @@ impl OnlineTrainer {
     /// least-squares system is singular, which the pilot design prevents.
     pub fn train(&self, rx: &[C64]) -> TagModel {
         let cfg = &self.cfg;
-        let l = cfg.l_order;
         let spt = cfg.samples_per_slot();
-        let s_count = self.basis_banks.len();
         let (start, end) = (self.start, self.end);
         assert!(
             rx.len() >= end * spt,
             "train: rx too short for the training window"
         );
-        let n_cols = 2 * l * s_count;
+        let mut laps = telemetry::Laps::start(TRAIN_STAGES);
 
-        let b = &rx[start * spt..end * spt];
-        let ahb = self.design_h.matvec(b);
-        let coef = match gauss_solve_c(&self.aha_ridged, &ahb) {
-            Some(c) => c,
+        let ahb = self.project(&rx[start * spt..end * spt]);
+        laps.lap(0);
+        let coef = match &self.normal {
+            Some(f) => f.solve(&ahb),
             None => {
                 telemetry::counter_inc("train.singular_fallbacks");
-                vec![C64::default(); n_cols]
+                vec![C64::default(); ahb.len()]
             }
         };
+        laps.lap(1);
 
         telemetry::counter_inc("train.fits");
         telemetry::counter_add("train.pilot_slots", (end - start) as u64);
         let mut segments = self.materialize_segments(&coef);
+        laps.lap(2);
         if self.refine {
             telemetry::counter_add("train.refine_classes", self.classes.len() as u64);
             Self::refine_core(
@@ -315,7 +330,48 @@ impl OnlineTrainer {
                 &self.slot_class,
             );
         }
+        laps.lap(3);
+        laps.record();
         self.finish_model(segments)
+    }
+
+    /// `Aᴴ·b` over the training window, bit-identical to the complex
+    /// `matvec` of the conjugated design (each entry `conj(C64::real(a))`,
+    /// that is `(a, −0.0)`).
+    ///
+    /// For finite samples the real design multiplies `b`'s parts directly:
+    /// every output's re and im sums take the same nonzero addends in the
+    /// same ascending sample order, and the dropped `−0.0·x` terms are
+    /// signed zeros, which never change an accumulator that is `+0.0` (the
+    /// start, and every exact cancellation) or nonzero. The loop runs across
+    /// outputs, so it vectorizes. A non-finite sample breaks that, since
+    /// `−0.0·Inf` and `−0.0·NaN` are NaN and poison the other component, so
+    /// such a window keeps the complex product, rebuilt from the real
+    /// design.
+    fn project(&self, b: &[C64]) -> Vec<C64> {
+        let n = 2 * self.cfg.l_order * self.basis_banks.len();
+        let rows = self.design.chunks_exact(n).zip(b);
+        if b.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
+            let (mut re, mut im) = (vec![0.0f64; n], vec![0.0f64; n]);
+            for (row, x) in rows {
+                for ((r, i), &a) in re.iter_mut().zip(&mut im).zip(row) {
+                    *r += a * x.re;
+                    *i += a * x.im;
+                }
+            }
+            re.into_iter()
+                .zip(im)
+                .map(|(r, i)| C64::new(r, i))
+                .collect()
+        } else {
+            let mut acc = vec![C64::default(); n];
+            for (row, &x) in rows {
+                for (s, &a) in acc.iter_mut().zip(row) {
+                    *s += C64::new(a, -0.0) * x;
+                }
+            }
+            acc
+        }
     }
 
     /// The original per-packet formulation: rebuild the pilot design matrix,
@@ -824,5 +880,95 @@ mod tests {
             .sum::<f64>()
             / rx.len() as f64;
         assert!(err < 1e-4, "rotated channel not absorbed: {err}");
+    }
+
+    /// Every trained segment of `m`, flattened (modules, keys, samples).
+    fn segment_bits(m: &TagModel) -> Vec<u64> {
+        let c = m.cfg;
+        let bits = |x: f64| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        };
+        let mut out = Vec::new();
+        for module in &m.modules {
+            for key in 0..1 << c.v_memory {
+                for tau in 0..c.l_order {
+                    out.extend(
+                        module
+                            .slot(key, tau)
+                            .iter()
+                            .flat_map(|z| [bits(z.re), bits(z.im)]),
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// `train` ≡ `train_reference` bit for bit (NaNs aside, whose bits
+        /// Rust leaves unspecified) across DSM depth, the refinement switch,
+        /// channel gain and rotation, noise, and NaN/±Inf bursts inside the
+        /// training window, which take the projection's complex fallback.
+        #[test]
+        fn train_matches_reference_bit_for_bit(
+            deep in proptest::prelude::any::<bool>(),
+            refine in proptest::prelude::any::<bool>(),
+            gain in 0.2f64..3.0,
+            rot in -3.2f64..3.2,
+            sigma in 0.0f64..0.2,
+            burst in 0usize..4,
+            at in 0usize..1_000_000,
+            seed in 0u64..1_000,
+        ) {
+            let c = if deep {
+                PhyConfig::default_8kbps()
+            } else {
+                PhyConfig {
+                    l_order: 2,
+                    pqam_order: 4,
+                    v_memory: 3,
+                    k_branches: 8,
+                    preamble_slots: 12,
+                    training_rounds: 2,
+                    ..cfg()
+                }
+            };
+            let nominal = LcParams::default();
+            let off = OfflineTraining::collect(
+                &c,
+                &nominal,
+                &OfflineTraining::default_variants(&nominal),
+                3,
+            );
+            let mut trainer = OnlineTrainer::new(c, &off);
+            trainer.refine = refine;
+            let mut levels = Modulator::preamble_levels(&c);
+            levels.extend(Modulator::training_levels(&c));
+            let g = C64::cis(rot).scale(gain);
+            let mut rx: Vec<C64> = TagModel::nominal(&c, &nominal)
+                .render_levels(&levels)
+                .iter()
+                .map(|&z| g * z)
+                .collect();
+            retroturbo_dsp::noise::NoiseSource::new(seed).add_awgn(&mut rx, sigma);
+            if burst > 0 {
+                let spt = c.samples_per_slot();
+                let (lo, hi) = (trainer.start * spt, trainer.end * spt);
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][burst - 1];
+                let first = lo + at % (hi - lo - 6);
+                for (i, z) in rx[first..first + 6].iter_mut().enumerate() {
+                    if i % 2 == 0 { z.re = bad } else { z.im = bad }
+                }
+            }
+            let fast = segment_bits(&trainer.train(&rx));
+            let slow = segment_bits(&trainer.train_reference(&rx));
+            proptest::prop_assert!(fast == slow, "train diverged from train_reference");
+        }
     }
 }

@@ -229,57 +229,120 @@ impl std::ops::IndexMut<(usize, usize)> for CMat {
 
 /// Solve the square complex system `A x = b` by Gaussian elimination with
 /// partial pivoting on `|a_ik|`. Returns `None` when singular.
+///
+/// This is [`GaussFactor::new`] followed by [`GaussFactor::solve`]: the one
+/// elimination body, with the right-hand side replayed afterwards.
 pub fn gauss_solve_c(a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
-    assert_eq!(a.rows(), a.cols(), "gauss_solve_c: matrix must be square");
     assert_eq!(a.rows(), b.len(), "gauss_solve_c: rhs length mismatch");
-    let n = a.rows();
-    let mut m = a.clone();
-    let mut v = b.to_vec();
+    GaussFactor::new(a).map(|f| f.solve(b))
+}
 
-    // Elimination on raw row slices: identical arithmetic in identical order
-    // to the obvious `m[(i, j)]` formulation (bit-identical results), but
-    // with the per-element index math and bounds checks hoisted out so the
-    // independent-per-column update vectorizes.
-    let data = &mut m.data;
-    for k in 0..n {
-        let (piv, pmax) = (k..n)
-            .map(|i| (i, data[i * n + k].norm_sqr()))
-            .max_by(|x, y| x.1.total_cmp(&y.1))?;
-        if pmax < 1e-300 {
-            return None;
-        }
-        if piv != k {
-            for j in 0..n {
-                data.swap(k * n + j, piv * n + j);
+/// Gaussian elimination of a square complex matrix with partial pivoting
+/// on `|a_ik|`, recorded so that any number of right-hand sides can be
+/// solved later without eliminating the matrix again.
+///
+/// [`GaussFactor::solve`] applies to `b` exactly the operations the
+/// interleaved elimination would, in the same order: each row receives
+/// `v_i −= v_k·f_ik` for ascending `k` (skipping the same zero multipliers),
+/// the pivot swaps only relabel rows, and the back substitution reads the
+/// same U. So a replayed solve is bit-identical to eliminating `[A | b]`
+/// from scratch, for every `b`, non-finite entries included (a NaN result
+/// is NaN in both, though Rust leaves its sign and payload unspecified).
+#[derive(Debug, Clone)]
+pub struct GaussFactor {
+    n: usize,
+    /// Row-major n × n: U on and above the diagonal; below it, each row's
+    /// multiplier `f_ik` for step `k`, carried along by later pivot swaps.
+    lu: Vec<C64>,
+    /// Pivot row chosen at each elimination step.
+    pivots: Vec<usize>,
+}
+
+impl GaussFactor {
+    /// Eliminate `a`. Returns `None` when singular.
+    ///
+    /// # Panics
+    /// Panics if `a` is not square.
+    pub fn new(a: &CMat) -> Option<Self> {
+        assert_eq!(a.rows(), a.cols(), "gauss_solve_c: matrix must be square");
+        let n = a.rows();
+        let mut data = a.data.clone();
+        let mut pivots = Vec::with_capacity(n);
+        // Elimination on raw row slices: identical arithmetic in identical
+        // order to the obvious `m[(i, j)]` formulation (bit-identical
+        // results), but with the per-element index math and bounds checks
+        // hoisted out so the independent-per-column update vectorizes.
+        for k in 0..n {
+            let (piv, pmax) = (k..n)
+                .map(|i| (i, data[i * n + k].norm_sqr()))
+                .max_by(|x, y| x.1.total_cmp(&y.1))?;
+            if pmax < 1e-300 {
+                return None;
             }
+            if piv != k {
+                for j in 0..n {
+                    data.swap(k * n + j, piv * n + j);
+                }
+            }
+            pivots.push(piv);
+            let (top, bottom) = data.split_at_mut((k + 1) * n);
+            let row_k = &top[k * n + k..(k + 1) * n];
+            let pivot = row_k[0];
+            for row_i in bottom.chunks_exact_mut(n) {
+                let f = row_i[k] / pivot;
+                row_i[k] = f;
+                if f.norm_sqr() == 0.0 {
+                    continue;
+                }
+                for (x, &p) in row_i[k + 1..].iter_mut().zip(&row_k[1..]) {
+                    let t = p * f;
+                    *x -= t;
+                }
+            }
+        }
+        Some(Self {
+            n,
+            lu: data,
+            pivots,
+        })
+    }
+
+    /// Solve `A x = b` against the recorded elimination.
+    ///
+    /// # Panics
+    /// Panics if `b.len()` differs from the matrix order.
+    pub fn solve(&self, b: &[C64]) -> Vec<C64> {
+        let n = self.n;
+        assert_eq!(b.len(), n, "gauss_solve_c: rhs length mismatch");
+        let lu = &self.lu;
+        let mut v = b.to_vec();
+        // Later swaps touch only rows below the current step, so applying
+        // them all first hands every row the same updates in the same order.
+        for (k, &piv) in self.pivots.iter().enumerate() {
             v.swap(k, piv);
         }
-        let (top, bottom) = data.split_at_mut((k + 1) * n);
-        let row_k = &top[k * n + k..(k + 1) * n];
-        let pivot = row_k[0];
-        for (bi, row_i) in bottom.chunks_exact_mut(n).enumerate() {
-            let f = row_i[k] / pivot;
-            if f.norm_sqr() == 0.0 {
-                continue;
+        for k in 0..n {
+            let vk = v[k];
+            for i in k + 1..n {
+                let f = lu[i * n + k];
+                if f.norm_sqr() == 0.0 {
+                    continue;
+                }
+                let t = vk * f;
+                v[i] -= t;
             }
-            for (x, &p) in row_i[k..].iter_mut().zip(row_k) {
-                let t = p * f;
-                *x -= t;
+        }
+        let mut x = vec![C64::default(); n];
+        for i in (0..n).rev() {
+            let row_i = &lu[i * n..(i + 1) * n];
+            let mut s = v[i];
+            for (&mij, &xj) in row_i[i + 1..].iter().zip(&x[i + 1..]) {
+                s -= mij * xj;
             }
-            let t = v[k] * f;
-            v[k + 1 + bi] -= t;
+            x[i] = s / row_i[i];
         }
+        x
     }
-    let mut x = vec![C64::default(); n];
-    for i in (0..n).rev() {
-        let row_i = &data[i * n..(i + 1) * n];
-        let mut s = v[i];
-        for (&mij, &xj) in row_i[i + 1..].iter().zip(&x[i + 1..]) {
-            s -= mij * xj;
-        }
-        x[i] = s / row_i[i];
-    }
-    Some(x)
 }
 
 /// Solve `A x = b` for a Hermitian positive-definite `A` via an in-place
@@ -791,6 +854,115 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!(xi.dist(*ti) < 1e-10);
         }
+    }
+
+    /// Gaussian elimination of `[A | b]` with the right-hand side updated
+    /// inside the elimination loop: the formulation [`GaussFactor`]
+    /// replays.
+    fn gauss_interleaved(a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
+        let n = a.rows();
+        let mut data = a.data.clone();
+        let mut v = b.to_vec();
+        for k in 0..n {
+            let (piv, pmax) = (k..n)
+                .map(|i| (i, data[i * n + k].norm_sqr()))
+                .max_by(|x, y| x.1.total_cmp(&y.1))?;
+            if pmax < 1e-300 {
+                return None;
+            }
+            if piv != k {
+                for j in 0..n {
+                    data.swap(k * n + j, piv * n + j);
+                }
+                v.swap(k, piv);
+            }
+            for i in k + 1..n {
+                let f = data[i * n + k] / data[k * n + k];
+                if f.norm_sqr() == 0.0 {
+                    continue;
+                }
+                for j in k..n {
+                    let t = data[k * n + j] * f;
+                    data[i * n + j] -= t;
+                }
+                let t = v[k] * f;
+                v[i] -= t;
+            }
+        }
+        let mut x = vec![C64::default(); n];
+        for i in (0..n).rev() {
+            let mut s = v[i];
+            for j in i + 1..n {
+                s -= data[i * n + j] * x[j];
+            }
+            x[i] = s / data[i * n + i];
+        }
+        Some(x)
+    }
+
+    /// One factorization replayed on many right-hand sides equals
+    /// eliminating each `[A | b]` from scratch, bit for bit (NaNs aside,
+    /// whose bits Rust leaves unspecified): on matrices
+    /// that pivot, that skip zero and underflowing multipliers, and on
+    /// right-hand sides holding signed zeros, NaN and ±Inf.
+    #[test]
+    fn replayed_solve_matches_interleaved_elimination() {
+        let n = 9;
+        let mut rng = crate::noise::NoiseSource::new(41);
+        for case in 0..24 {
+            let mut a = CMat::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    let z = rng.complex_gaussian(1.0);
+                    // Sparse cases leave exact-zero multipliers; case 3 mod 4
+                    // shrinks one first-column entry so its multiplier
+                    // underflows in `norm_sqr` while staying nonzero.
+                    a[(i, j)] = match case % 4 {
+                        1 if (i + 2 * j) % 3 == 0 => C64::default(),
+                        2 if i == j => C64::default(),
+                        3 if i == n - 1 && j == 0 => z.scale(1e-170),
+                        _ => z,
+                    };
+                }
+            }
+            let f = GaussFactor::new(&a).expect("nonsingular");
+            let specials = [
+                0.0,
+                -0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            for r in 0..8 {
+                let mut b: Vec<C64> = (0..n).map(|_| rng.complex_gaussian(1.0)).collect();
+                if r > 0 {
+                    b[(r + case) % n].re = specials[r % specials.len()];
+                    b[(2 * r + case) % n].im = specials[(r + 3) % specials.len()];
+                }
+                let want = gauss_interleaved(&a, &b).unwrap();
+                let got = f.solve(&b);
+                // Rust leaves a NaN result's sign and payload unspecified,
+                // so every NaN counts as one value.
+                let bits = |x: f64| {
+                    if x.is_nan() {
+                        f64::NAN.to_bits()
+                    } else {
+                        x.to_bits()
+                    }
+                };
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(
+                        (bits(g.re), bits(g.im)),
+                        (bits(w.re), bits(w.im)),
+                        "case {case} rhs {r}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+        let singular = CMat::zeros(3, 3);
+        assert!(GaussFactor::new(&singular).is_none());
+        assert!(gauss_solve_c(&singular, &[C64::default(); 3]).is_none());
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl Signal {
         self.sample_rate
     }
 
-    /// Sample period in seconds.
-    #[inline]
-    pub fn dt(&self) -> f64 {
-        1.0 / self.sample_rate
-    }
-
     /// Number of samples.
     #[inline]
     pub fn len(&self) -> usize {
@@ -63,12 +57,6 @@ impl Signal {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Total duration in seconds.
-    #[inline]
-    pub fn duration(&self) -> f64 {
-        self.samples.len() as f64 / self.sample_rate
     }
 
     /// Immutable view of the samples.
@@ -88,16 +76,6 @@ impl Signal {
         self.samples
     }
 
-    /// Real parts of all samples.
-    pub fn re(&self) -> Vec<f64> {
-        self.samples.iter().map(|z| z.re).collect()
-    }
-
-    /// Imaginary parts of all samples.
-    pub fn im(&self) -> Vec<f64> {
-        self.samples.iter().map(|z| z.im).collect()
-    }
-
     /// A copy of samples `[start, start+len)`, zero-padded past the end.
     pub fn window(&self, start: usize, len: usize) -> Vec<C64> {
         (start..start + len)
@@ -111,38 +89,6 @@ impl Signal {
             *z *= g;
         }
     }
-
-    /// Add another signal in place, sample-by-sample from offset `at` (in
-    /// samples), extending this signal if necessary. Sample rates must match.
-    ///
-    /// This is the linear-superposition primitive: each LCM pixel's pulse
-    /// response is mixed into the received waveform with this call.
-    ///
-    /// # Panics
-    /// Panics if sample rates differ by more than 1 ppm.
-    pub fn mix_at(&mut self, at: usize, other: &[C64]) {
-        let need = at + other.len();
-        if need > self.samples.len() {
-            self.samples.resize(need, C64::default());
-        }
-        for (i, &z) in other.iter().enumerate() {
-            self.samples[at + i] += z;
-        }
-    }
-
-    /// Add an entire signal starting at time zero. Sample rates must match.
-    ///
-    /// # Panics
-    /// Panics if sample rates differ by more than 1 ppm.
-    pub fn mix(&mut self, other: &Signal) {
-        assert!(
-            (self.sample_rate - other.sample_rate).abs() <= 1e-6 * self.sample_rate,
-            "mix: sample rate mismatch ({} vs {})",
-            self.sample_rate,
-            other.sample_rate
-        );
-        self.mix_at(0, &other.samples);
-    }
 }
 
 #[cfg(test)]
@@ -150,35 +96,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_and_timebase() {
-        let s = Signal::zeros(40, 40_000.0);
-        assert_eq!(s.len(), 40);
-        assert!((s.duration() - 1e-3).abs() < 1e-15);
-        assert!((s.dt() - 25e-6).abs() < 1e-18);
-    }
-
-    #[test]
     #[should_panic(expected = "sample rate must be positive")]
     fn rejects_bad_rate() {
         let _ = Signal::zeros(1, 0.0);
-    }
-
-    #[test]
-    fn mix_extends_and_superimposes() {
-        let mut s = Signal::from_real(&[1.0, 1.0], 10.0);
-        s.mix_at(1, &[C64::real(2.0), C64::real(2.0)]);
-        assert_eq!(s.len(), 3);
-        assert!((s.samples()[0].re - 1.0).abs() < 1e-12);
-        assert!((s.samples()[1].re - 3.0).abs() < 1e-12);
-        assert!((s.samples()[2].re - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample rate mismatch")]
-    fn mix_rejects_rate_mismatch() {
-        let mut a = Signal::zeros(4, 10.0);
-        let b = Signal::zeros(4, 20.0);
-        a.mix(&b);
     }
 
     #[test]

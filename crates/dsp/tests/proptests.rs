@@ -49,19 +49,6 @@ proptest! {
     }
 
     #[test]
-    fn signal_mix_is_commutative(a in proptest::collection::vec(c64(), 1..64),
-                                 b in proptest::collection::vec(c64(), 1..64)) {
-        let mut s1 = Signal::new(a.clone(), 1000.0);
-        s1.mix_at(0, &b);
-        let mut s2 = Signal::new(b.clone(), 1000.0);
-        s2.mix_at(0, &a);
-        prop_assert_eq!(s1.len(), s2.len());
-        for (x, y) in s1.samples().iter().zip(s2.samples()) {
-            prop_assert!(x.dist(*y) < 1e-9);
-        }
-    }
-
-    #[test]
     fn decimate_preserves_mean(xs in proptest::collection::vec(-5.0f64..5.0, 8..64),
                                m in 1usize..4) {
         let n = xs.len() - xs.len() % m; // whole blocks only

@@ -304,9 +304,9 @@ fn telemetry_fingerprint_is_thread_invariant() {
 }
 
 /// Metric families one robustness sweep point plus one field-link point
-/// must emit: preamble margin, the DFE slot, residual, prediction and
-/// score-stage probes, RS erasure decodes, the per-stage receive latencies
-/// and the ARQ loop.
+/// must emit: preamble margin, the DFE slot, residual, prediction,
+/// energy-table and score-stage probes, the training stages, RS erasure
+/// decodes, the per-stage receive latencies and the ARQ loop.
 const REQUIRED: &[&str] = &[
     "preamble.margin",
     "dfe.slots",
@@ -316,6 +316,11 @@ const REQUIRED: &[&str] = &[
     "dfe.score.cross",
     "dfe.score.aggregate",
     "dfe.score.select",
+    "dfe.energy_tables",
+    "train.project",
+    "train.solve",
+    "train.materialize",
+    "train.refine",
     "rs.erasure_decodes",
     "rx.detect",
     "rx.train",

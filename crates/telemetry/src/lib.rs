@@ -418,6 +418,46 @@ pub fn span(name: &'static str) -> Span {
     imp::span(name)
 }
 
+/// Consecutive stages of one call, each charged the wall time since the
+/// previous [`Laps::lap`] and recorded as its own timer by
+/// [`Laps::record`]. Reads no clock when the feature is off.
+pub struct Laps<const N: usize> {
+    names: [&'static str; N],
+    ns: [u64; N],
+    last: Option<std::time::Instant>,
+}
+
+impl<const N: usize> Laps<N> {
+    /// Start the clock for stage timers `names`.
+    #[inline(always)]
+    pub fn start(names: [&'static str; N]) -> Self {
+        Self {
+            names,
+            ns: [0; N],
+            last: enabled().then(std::time::Instant::now),
+        }
+    }
+
+    /// Charge the time since the previous lap (or the start) to `stage`.
+    #[inline(always)]
+    pub fn lap(&mut self, stage: usize) {
+        if enabled() {
+            let now = std::time::Instant::now();
+            if let Some(t) = self.last {
+                self.ns[stage] += (now - t).as_nanos() as u64;
+            }
+            self.last = Some(now);
+        }
+    }
+
+    /// Record every stage's accumulated time into its timer.
+    pub fn record(&self) {
+        for (name, ns) in self.names.iter().zip(self.ns) {
+            record_duration_ns(name, ns);
+        }
+    }
+}
+
 /// Clear every metric. Benchmarks and tests call this to isolate runs; the
 /// library never resets on its own.
 #[inline(always)]
