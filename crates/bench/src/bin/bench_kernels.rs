@@ -454,9 +454,8 @@ fn main() {
     // against the public entry, which runs the host's vector body when
     // `simd_available()` (recorded in `meta`) and the scalar body otherwise.
     // Inputs are sized like the production call sites: one DFE/training slot
-    // for the slot kernels, the preamble match window for the fit kernels,
-    // a mid-factorization column of a refinement-sized Cholesky and every
-    // pixel of the panel for the ODE step.
+    // for the slot kernels, a mid-factorization column of a refinement-sized
+    // Cholesky and every pixel of the panel for the ODE step.
     {
         /// `kernel!(d, name(args))`: the dispatched `backend::name` when
         /// `d`, else the `backend::scalar::name` body (both direct calls).
@@ -477,14 +476,6 @@ fn main() {
         };
         let (slot, slot_a, slot_b) = (cvec(spt), cvec(spt), cvec(spt));
         let (i0, i1) = (C64::new(0.5, -1.0), C64::new(-0.25, 2.0));
-        let k = detector.reference_len();
-        let (r0, r1, r2, y) = (cvec(k), cvec(k), cvec(k), cvec(k));
-        let rows: Vec<C64> = (0..k).flat_map(|i| [r0[i], r1[i], r2[i]]).collect();
-        let sol = [
-            C64::new(0.9, 0.1),
-            C64::new(0.02, -0.01),
-            C64::new(0.1, 0.0),
-        ];
         let (chol_n, chol_j) = (64usize, 32usize);
         let below = cvec((chol_n - chol_j - 1) * chol_n);
         let prefix = cvec(chol_j);
@@ -534,26 +525,6 @@ fn main() {
             (C64::default(), C64::default()),
             |d, o: &mut (C64, C64)| *o = kernel!(d, dotc2(&slot, &slot_a, &slot_b, i0, i1)),
             |o| checksum_c64(&[o.0, o.1]),
-        );
-        tier_pair(
-            rec,
-            div,
-            "ahy3",
-            f_iters,
-            reps,
-            [C64::default(); 3],
-            |d, o: &mut [C64; 3]| *o = kernel!(d, ahy3(&r0, &r1, &r2, &y)),
-            |o| checksum_c64(o),
-        );
-        tier_pair(
-            rec,
-            div,
-            "wl_fold_residual",
-            f_iters,
-            reps,
-            0.0,
-            |d, e: &mut f64| *e = kernel!(d, wl_fold_residual(&rows, &sol, &y)),
-            |e| e.to_bits(),
         );
         // `inv_ljj = 1` keeps the repeated in-place update from growing.
         tier_pair(

@@ -42,23 +42,6 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
         .collect()
 }
 
-/// Take `n` bits (MSB-first) from a bit slice starting at `at` as an integer,
-/// zero-padding past the end.
-pub fn bits_to_uint(bits: &[bool], at: usize, n: usize) -> u32 {
-    assert!(n <= 32, "bits_to_uint: at most 32 bits");
-    (0..n).fold(0u32, |acc, i| {
-        (acc << 1) | bits.get(at + i).copied().unwrap_or(false) as u32
-    })
-}
-
-/// Write `n` bits of `value` (MSB-first) into a bit vector.
-pub fn uint_to_bits(value: u32, n: usize, out: &mut Vec<bool>) {
-    assert!(n <= 32, "uint_to_bits: at most 32 bits");
-    for i in (0..n).rev() {
-        out.push((value >> i) & 1 == 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,19 +86,5 @@ mod tests {
     fn partial_byte_zero_padded() {
         let bits = [true, true, true];
         assert_eq!(bits_to_bytes(&bits), vec![0xE0]);
-    }
-
-    #[test]
-    fn uint_round_trip() {
-        let mut bits = Vec::new();
-        uint_to_bits(0b1011_0110, 8, &mut bits);
-        assert_eq!(bits_to_uint(&bits, 0, 8), 0b1011_0110);
-        assert_eq!(bits_to_uint(&bits, 4, 4), 0b0110);
-    }
-
-    #[test]
-    fn uint_pads_past_end() {
-        let bits = [true];
-        assert_eq!(bits_to_uint(&bits, 0, 4), 0b1000);
     }
 }

@@ -23,6 +23,62 @@ use retroturbo_lcm::LcParams;
 /// that slot. Levels range over `0..=max_level`.
 pub type SlotLevels = (usize, usize);
 
+/// τ (slots since the module's latest firing slot) for module `module` at
+/// global slot `slot`; `None` before the module's first firing slot.
+pub(crate) fn tau(cfg: &PhyConfig, module: usize, slot: usize) -> Option<usize> {
+    let m_phase = module % cfg.l_order;
+    if slot < m_phase {
+        None
+    } else {
+        Some((slot - m_phase) % cfg.l_order)
+    }
+}
+
+/// Sub-pixel firing history key for module `module` at global slot `slot`,
+/// for bit-plane `b` (0 = most significant), given the per-slot level
+/// history `levels[0..=slot]` (only this module's firing slots are
+/// consulted): bit `age` is whether the plane fired at the `age`-th latest
+/// firing slot, for the V most recent. Slots outside `levels` read as
+/// level 0.
+pub(crate) fn history_key(
+    cfg: &PhyConfig,
+    module: usize,
+    b: usize,
+    slot: usize,
+    levels: &[SlotLevels],
+) -> usize {
+    let l = cfg.l_order;
+    let m_phase = module % l;
+    let is_q = module >= l;
+    let shift = cfg.bits_per_module() - 1 - b;
+    // Firing slots of this module at or before `slot`: largest
+    // f ≡ m_phase (mod L), f ≤ slot; then f − L, f − 2L, …
+    if slot < m_phase {
+        return 0;
+    }
+    let latest = slot - ((slot - m_phase) % l);
+    let mut key = 0usize;
+    for age in 0..cfg.v_memory {
+        let f = latest as isize - (age * l) as isize;
+        if f < 0 {
+            break;
+        }
+        let lev = match levels.get(f as usize) {
+            Some(&(li, lq)) => {
+                if is_q {
+                    lq
+                } else {
+                    li
+                }
+            }
+            None => 0,
+        };
+        let fired = (lev >> shift) & 1 == 1;
+        key |= (fired as usize) << age;
+    }
+    key
+}
+
 /// One module's complex reference segments (gain and axis folded in).
 #[derive(Debug, Clone)]
 pub struct ModuleModel {
@@ -91,7 +147,7 @@ impl ModuleModel {
 pub struct TagModel {
     /// Module models: indices `0..L` are the I channel, `L..2L` the Q channel.
     pub modules: Vec<ModuleModel>,
-    /// Sub-pixel weights (binary, normalized to sum 1).
+    /// Sub-pixel weights, one per bit-plane (binary, normalized to sum 1).
     pub weights: Vec<f64>,
     pub(crate) cfg: PhyConfig,
 }
@@ -113,7 +169,11 @@ impl TagModel {
     }
 
     /// Build the nominal model from an already-collected bank.
+    ///
+    /// # Panics
+    /// Panics if the bank's history depth is not the configuration's V.
     pub fn from_shared_bank(cfg: &PhyConfig, bank: &PulseBank) -> Self {
+        assert_eq!(bank.v(), cfg.v_memory, "TagModel: bank depth must be V");
         let l = cfg.l_order;
         let g = 1.0 / l as f64;
         let mut modules = Vec::with_capacity(2 * l);
@@ -145,55 +205,6 @@ impl TagModel {
         (1 << self.weights.len()) - 1
     }
 
-    /// Sub-pixel firing history key for module `module` at global slot
-    /// `slot`, for sub-pixel `b`, given the per-slot level history
-    /// `levels[0..=slot]` (only this module's firing slots are consulted).
-    /// Slots before 0 read as level 0.
-    fn history_key(&self, module: usize, b: usize, slot: usize, levels: &[SlotLevels]) -> usize {
-        let l = self.cfg.l_order;
-        let m_phase = module % l;
-        let is_q = module >= l;
-        let v = self.modules[module].v();
-        // Firing slots of this module at or before `slot`: largest
-        // f ≡ m_phase (mod L), f ≤ slot; then f − L, f − 2L, …
-        if slot < m_phase {
-            return 0;
-        }
-        let latest = slot - ((slot - m_phase) % l);
-        let mut key = 0usize;
-        for age in 0..v {
-            let f = latest as isize - (age * l) as isize;
-            if f < 0 {
-                break;
-            }
-            let lev = match levels.get(f as usize) {
-                Some(&(li, lq)) => {
-                    if is_q {
-                        lq
-                    } else {
-                        li
-                    }
-                }
-                None => 0,
-            };
-            let bits = self.weights.len();
-            let fired = (lev >> (bits - 1 - b)) & 1 == 1;
-            key |= (fired as usize) << age;
-        }
-        key
-    }
-
-    /// τ (slots since the module's latest firing slot) for module `module`
-    /// at global slot `slot`; `None` before the module's first firing slot.
-    fn tau(&self, module: usize, slot: usize) -> Option<usize> {
-        let m_phase = module % self.cfg.l_order;
-        if slot < m_phase {
-            None
-        } else {
-            Some((slot - m_phase) % self.cfg.l_order)
-        }
-    }
-
     /// Render the expected waveform for a per-slot level sequence starting at
     /// slot 0 (one complex sample per ADC tick, `levels.len() · spt` total).
     pub fn render_levels(&self, levels: &[SlotLevels]) -> Vec<C64> {
@@ -203,7 +214,7 @@ impl TagModel {
         for slot in 0..n {
             let base = slot * spt;
             for (module, mm) in self.modules.iter().enumerate() {
-                match self.tau(module, slot) {
+                match tau(&self.cfg, module, slot) {
                     None => {
                         // Relaxed module: contrast −1 scaled by its gain =
                         // the key-0 segment value (constant), any τ.
@@ -217,7 +228,7 @@ impl TagModel {
                     }
                     Some(tau) => {
                         for (b, w) in self.weights.iter().enumerate() {
-                            let key = self.history_key(module, b, slot, levels);
+                            let key = history_key(&self.cfg, module, b, slot, levels);
                             let seg = mm.slot(key, tau);
                             for t in 0..spt {
                                 out[base + t] += seg[t] * *w;

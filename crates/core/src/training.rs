@@ -23,10 +23,11 @@
 use crate::frame::Modulator;
 use crate::params::PhyConfig;
 use crate::pulse::PulseBank;
-use crate::synth::{ModuleModel, TagModel};
+use crate::synth::{self, ModuleModel, SlotLevels, TagModel};
 use retroturbo_dsp::backend;
 use retroturbo_dsp::linalg::{
-    chol_solve_c, chol_solve_c_scalar, gauss_solve_c, jacobi_svd, lstsq_c, CMat, GaussFactor, Mat,
+    add_ridge, chol_solve_c, chol_solve_c_scalar, gauss_solve_c, jacobi_svd, lstsq_c, CMat,
+    GaussFactor, Mat,
 };
 use retroturbo_dsp::C64;
 use retroturbo_lcm::LcParams;
@@ -140,8 +141,8 @@ pub struct OnlineTrainer {
     /// The pilot design matrix `A` (real), sample-major: row `t` holds
     /// every column's value at window sample `t`.
     design: Vec<f64>,
-    /// Gaussian elimination of AᴴA + ridge·I, formed exactly as `lstsq_c`
-    /// forms it; `None` if singular.
+    /// Gaussian elimination of AᴴA + ridge·I (`linalg::add_ridge`, as in
+    /// `lstsq_c`); `None` if singular.
     normal: Option<GaussFactor>,
     /// Observed (module, history-key) classes of the refinement stage.
     classes: Vec<(usize, usize)>,
@@ -159,18 +160,11 @@ impl OnlineTrainer {
         let basis_banks: Vec<PulseBank> = (0..offline.s()).map(|s| offline.basis_bank(s)).collect();
         let start = cfg.l_order;
         let end = cfg.preamble_slots + cfg.training_rounds * cfg.l_order;
-        let a = Self::build_design(&cfg, &basis_banks, start, end);
+        let known = Self::known_levels(&cfg);
+        let a = Self::build_design(&cfg, &known, &basis_banks, start, end);
         let mut aha_ridged = a.h().matmul(&a);
-        // Identical regularization to `lstsq_c`, applied once here.
-        let scale: f64 = (0..aha_ridged.rows())
-            .map(|i| aha_ridged[(i, i)].re)
-            .sum::<f64>()
-            / aha_ridged.rows() as f64;
-        let ridge = 1e-12 * scale.max(1e-300);
-        for i in 0..aha_ridged.rows() {
-            aha_ridged[(i, i)] += C64::real(ridge);
-        }
-        let (classes, slot_class) = Self::enumerate_classes(&cfg, start, end);
+        add_ridge(&mut aha_ridged);
+        let (classes, slot_class) = Self::enumerate_classes(&cfg, &known, start, end);
         let design = (0..a.rows())
             .flat_map(|t| (0..a.cols()).map(move |c| (t, c)))
             .map(|(t, c)| a[(t, c)].re)
@@ -188,50 +182,25 @@ impl OnlineTrainer {
         }
     }
 
-    /// Binary firing history of `module` ending at global slot `g`, using
-    /// the known preamble + training patterns (full-scale firings only).
-    fn known_fired(cfg: &PhyConfig, module: usize, slot: usize) -> bool {
-        let l = cfg.l_order;
-        let phase = module % l;
-        if slot % l != phase {
-            return false;
-        }
-        if slot < cfg.preamble_slots {
-            let pre = Modulator::preamble_levels(cfg);
-            let (li, lq) = pre[slot];
-            return if module >= l { lq > 0 } else { li > 0 };
-        }
-        let ts = slot - cfg.preamble_slots;
-        let round = ts / l;
-        if round >= cfg.training_rounds {
-            return false;
-        }
-        Modulator::training_fired(cfg, module, round)
-    }
-
-    /// The pilot history key of `module` at global slot `g`, with `tau`,
-    /// the slots since the module's latest firing slot `g − tau`: bit `age`
-    /// of the key is [`Self::known_fired`] at the `age`-th firing slot
-    /// before that one, for the V most recent (fewer near slot 0).
-    fn known_key(cfg: &PhyConfig, module: usize, g: usize) -> (usize, usize) {
-        let l = cfg.l_order;
-        let tau = (g - module % l) % l;
-        let f_latest = g - tau;
-        let mut key = 0usize;
-        for age in 0..cfg.v_memory {
-            let fs = f_latest as isize - (age * l) as isize;
-            if fs < 0 {
-                break;
-            }
-            key |= (Self::known_fired(cfg, module, fs as usize) as usize) << age;
-        }
-        (tau, key)
+    /// The known prefix of every frame: the preamble, then the training
+    /// rounds, as the modulator lays them out. Every level is 0 or full
+    /// scale, so all bit-planes of a module share one history key.
+    fn known_levels(cfg: &PhyConfig) -> Vec<SlotLevels> {
+        let mut levels = Modulator::preamble_levels(cfg);
+        levels.extend(Modulator::training_levels(cfg));
+        levels
     }
 
     /// The pilot design matrix: column (module, s) = that module's expected
     /// waveform over the window if its bank were basis s with unit gain.
     /// Depends only on the configuration and bases, never on the packet.
-    fn build_design(cfg: &PhyConfig, basis_banks: &[PulseBank], start: usize, end: usize) -> CMat {
+    fn build_design(
+        cfg: &PhyConfig,
+        known: &[SlotLevels],
+        basis_banks: &[PulseBank],
+        start: usize,
+        end: usize,
+    ) -> CMat {
         let l = cfg.l_order;
         let spt = cfg.samples_per_slot();
         let s_count = basis_banks.len();
@@ -240,7 +209,8 @@ impl OnlineTrainer {
         let mut a = CMat::zeros(n_rows, n_cols);
         for module in 0..2 * l {
             for g in start..end {
-                let (tau, key) = Self::known_key(cfg, module, g);
+                let tau = synth::tau(cfg, module, g).expect("window starts after slot L");
+                let key = synth::history_key(cfg, module, 0, g, known);
                 let row0 = (g - start) * spt;
                 for (s, bank) in basis_banks.iter().enumerate() {
                     let col = module * s_count + s;
@@ -258,6 +228,7 @@ impl OnlineTrainer {
     /// the per-slot class map. Pilot-pattern-derived, rx-independent.
     fn enumerate_classes(
         cfg: &PhyConfig,
+        known: &[SlotLevels],
         start: usize,
         end: usize,
     ) -> (Vec<(usize, usize)>, Vec<Vec<usize>>) {
@@ -269,7 +240,7 @@ impl OnlineTrainer {
         let mut slot_class = vec![vec![0usize; n_modules]; end - start];
         for g in start..end {
             for module in 0..n_modules {
-                let (_, key) = Self::known_key(cfg, module, g);
+                let key = synth::history_key(cfg, module, 0, g, known);
                 if class_of[module][key] == usize::MAX {
                     class_of[module][key] = classes.len();
                     classes.push((module, key));
@@ -395,7 +366,8 @@ impl OnlineTrainer {
         );
         let n_cols = 2 * l * s_count;
 
-        let a = Self::build_design(cfg, &self.basis_banks, start, end);
+        let known = Self::known_levels(cfg);
+        let a = Self::build_design(cfg, &known, &self.basis_banks, start, end);
         let b = &rx[start * spt..end * spt];
         let coef = lstsq_c(&a, b).unwrap_or_else(|| vec![C64::default(); n_cols]);
 
@@ -407,7 +379,7 @@ impl OnlineTrainer {
         // multiplicative correction δ, ridge-shrunk toward 1 so that
         // weakly-observed classes stay at the basis-mixture estimate.
         if self.refine {
-            let (classes, slot_class) = Self::enumerate_classes(cfg, start, end);
+            let (classes, slot_class) = Self::enumerate_classes(cfg, &known, start, end);
             Self::refine_core_reference(cfg, rx, start, end, &mut segments, &classes, &slot_class);
         }
         self.finish_model(segments)
@@ -676,14 +648,9 @@ impl OnlineTrainer {
     }
 }
 
-// TagModel's fields are constructed here; expose a crate-visible constructor
-// instead of public fields would be an alternative, but the PHY crate owns
-// both types.
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Modulator;
     use retroturbo_dsp::Signal;
     use retroturbo_lcm::{Heterogeneity, LcParams, Panel};
 
@@ -720,6 +687,54 @@ mod tests {
         let cmds = plan.drive_commands(&c);
         let sig: Signal = panel.simulate(&cmds, levels.len() * c.samples_per_slot(), c.fs);
         sig.into_samples()
+    }
+
+    /// Each design column is, by definition, a unit-gain render of one
+    /// module on one basis over the training window, every other module
+    /// silent. Rendering one bit-plane at a time (one-hot sub-pixel
+    /// weights) checks that every plane's history key is the design's key.
+    #[test]
+    fn design_columns_are_single_module_renders() {
+        let c = cfg();
+        let nominal = LcParams::default();
+        let off = OfflineTraining::collect(
+            &c,
+            &nominal,
+            &OfflineTraining::default_variants(&nominal),
+            3,
+        );
+        let trainer = OnlineTrainer::new(c, &off);
+        let levels = OnlineTrainer::known_levels(&c);
+        let spt = c.samples_per_slot();
+        let (start, end) = (trainer.start, trainer.end);
+        let n_cols = 2 * c.l_order * off.s();
+        assert_eq!(trainer.design.len(), (end - start) * spt * n_cols);
+        let silent = ModuleModel::from_bank(&off.basis_bank(0), C64::default());
+        for module in 0..2 * c.l_order {
+            for s in 0..off.s() {
+                let col = module * off.s() + s;
+                for b in 0..c.bits_per_module() {
+                    let mut modules = vec![silent.clone(); 2 * c.l_order];
+                    modules[module] = ModuleModel::from_bank(&off.basis_bank(s), C64::real(1.0));
+                    let mut weights = vec![0.0; c.bits_per_module()];
+                    weights[b] = 1.0;
+                    let wave = TagModel {
+                        modules,
+                        weights,
+                        cfg: c,
+                    }
+                    .render_levels(&levels);
+                    for (t, row) in trainer.design.chunks_exact(n_cols).enumerate() {
+                        let z = wave[start * spt + t];
+                        assert!(
+                            row[col] == z.re && z.im == 0.0,
+                            "module {module} basis {s} plane {b} sample {t}: {} vs {z:?}",
+                            row[col]
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -782,8 +797,7 @@ mod tests {
         );
         let trainer = OnlineTrainer::new(c, &off);
 
-        let mut levels = Modulator::preamble_levels(&c);
-        levels.extend(Modulator::training_levels(&c));
+        let mut levels = OnlineTrainer::known_levels(&c);
         // Follow with a probe section the trainer does not see.
         let probe: Vec<crate::synth::SlotLevels> = vec![
             (3, 0),
@@ -834,8 +848,7 @@ mod tests {
         );
         let trainer = OnlineTrainer::new(c, &off);
 
-        let mut levels = Modulator::preamble_levels(&c);
-        levels.extend(Modulator::training_levels(&c));
+        let mut levels = OnlineTrainer::known_levels(&c);
         levels.extend_from_slice(&[(3, 0), (0, 3), (2, 1), (3, 3), (1, 2), (0, 0)]);
 
         for seed in [77u64, 5, 901] {
@@ -861,8 +874,7 @@ mod tests {
         let off = OfflineTraining::collect(&c, &nominal, &[], 1);
         let trainer = OnlineTrainer::new(c, &off);
 
-        let mut levels = Modulator::preamble_levels(&c);
-        levels.extend(Modulator::training_levels(&c));
+        let levels = OnlineTrainer::known_levels(&c);
         let model = TagModel::nominal(&c, &nominal);
         let rot = C64::cis(2.0 * 30f64.to_radians());
         let rx: Vec<C64> = model
@@ -948,8 +960,7 @@ mod tests {
             );
             let mut trainer = OnlineTrainer::new(c, &off);
             trainer.refine = refine;
-            let mut levels = Modulator::preamble_levels(&c);
-            levels.extend(Modulator::training_levels(&c));
+            let mut levels = OnlineTrainer::known_levels(&c);
             let g = C64::cis(rot).scale(gain);
             let mut rx: Vec<C64> = TagModel::nominal(&c, &nominal)
                 .render_levels(&levels)

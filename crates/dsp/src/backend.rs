@@ -161,46 +161,6 @@ pub fn dotc2(a: &[C64], b0: &[C64], b1: &[C64], i0: C64, i1: C64) -> (C64, C64) 
     scalar::dotc2(a, b0, b1, i0, i1)
 }
 
-/// Three row-dot products against a shared right vector:
-/// `[Σ r0[j]·y[j], Σ r1[j]·y[j], Σ r2[j]·y[j]]` — the widely-linear fit's
-/// fused `Aᴴy` pass.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn ahy3(r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64; 3] {
-    assert_eq!(r0.len(), y.len(), "ahy3: length mismatch");
-    assert_eq!(r1.len(), y.len(), "ahy3: length mismatch");
-    assert_eq!(r2.len(), y.len(), "ahy3: length mismatch");
-    if simd_available() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_available() implies AVX2 was detected at runtime.
-        unsafe {
-            return avx2::ahy3(r0, r1, r2, y);
-        }
-    }
-    scalar::ahy3(r0, r1, r2, y)
-}
-
-/// Fused fitted-value + residual pass of the widely-linear fit: for each row
-/// `[c0, c1, c2]` of the n×3 design (row-major `rows`), fold
-/// `f = 0 + c0·s0 + c1·s1 + c2·s2` and accumulate `|f − y|²` in row order.
-///
-/// # Panics
-/// Panics if `rows.len() != 3 * y.len()`.
-#[inline]
-pub fn wl_fold_residual(rows: &[C64], sol: &[C64; 3], y: &[C64]) -> f64 {
-    assert_eq!(rows.len(), 3 * y.len(), "wl_fold_residual: shape mismatch");
-    if simd_available() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_available() implies AVX2 was detected at runtime.
-        unsafe {
-            return avx2::wl_fold_residual(rows, sol, y);
-        }
-    }
-    scalar::wl_fold_residual(rows, sol, y)
-}
-
 /// Column-`j` update of the row-oriented Cholesky factorization: for every
 /// row `i` in `below` (row-major slabs of length `n`),
 /// `row_i[j] = (row_i[j] − Σ_{k<j} row_i[k]·conj(prefix_j[k])) · inv_ljj`.
@@ -359,31 +319,6 @@ pub mod scalar {
         (a0, a1)
     }
 
-    /// Scalar body of [`super::ahy3`].
-    pub fn ahy3(r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64; 3] {
-        assert_eq!(r0.len(), y.len(), "ahy3: length mismatch");
-        assert_eq!(r1.len(), y.len(), "ahy3: length mismatch");
-        assert_eq!(r2.len(), y.len(), "ahy3: length mismatch");
-        let mut ahb = [C64::default(); 3];
-        for (((&a0, &a1), &a2), &yj) in r0.iter().zip(r1).zip(r2).zip(y) {
-            ahb[0] += a0 * yj;
-            ahb[1] += a1 * yj;
-            ahb[2] += a2 * yj;
-        }
-        ahb
-    }
-
-    /// Scalar body of [`super::wl_fold_residual`].
-    pub fn wl_fold_residual(rows: &[C64], sol: &[C64; 3], y: &[C64]) -> f64 {
-        assert_eq!(rows.len(), 3 * y.len(), "wl_fold_residual: shape mismatch");
-        let mut residual = 0.0;
-        for (row, &yi) in rows.chunks_exact(3).zip(y) {
-            let f = C64::default() + row[0] * sol[0] + row[1] * sol[1] + row[2] * sol[2];
-            residual += (f - yi).norm_sqr();
-        }
-        residual
-    }
-
     /// Scalar body of [`super::chol_col_update`].
     pub fn chol_col_update(below: &mut [C64], n: usize, j: usize, prefix_j: &[C64], inv_ljj: f64) {
         assert!(
@@ -535,16 +470,8 @@ mod avx2 {
         _mm256_xor_pd(v, _mm256_set1_pd(-0.0))
     }
 
-    /// Per-128-lane complex product `a·b` (`b_swap` = `b` with re/im
-    /// swapped). Rounds exactly like `C64::mul`.
-    #[inline(always)]
-    unsafe fn cmul(a: __m256d, b: __m256d, b_swap: __m256d) -> __m256d {
-        let t1 = _mm256_mul_pd(_mm256_movedup_pd(a), b);
-        let t2 = _mm256_mul_pd(_mm256_permute_pd(a, 0b1111), b_swap);
-        _mm256_addsub_pd(t1, t2)
-    }
-
-    /// Per-128-lane `a·conj(b)`. Rounds exactly like `C64::mul(a, b.conj())`.
+    /// Per-128-lane `a·conj(b)` (`b_swap` = `b` with re/im swapped). Rounds
+    /// exactly like `C64::mul(a, b.conj())`.
     #[inline(always)]
     unsafe fn cmul_conj_rhs(a: __m256d, b: __m256d, b_swap: __m256d) -> __m256d {
         let t1 = _mm256_mul_pd(_mm256_movedup_pd(a), b);
@@ -685,70 +612,6 @@ mod avx2 {
             acc = _mm256_add_pd(acc, cmul_conj_lhs(av, b, swap_halves(b)));
         }
         extract2(acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn ahy3(r0: &[C64], r1: &[C64], r2: &[C64], y: &[C64]) -> [C64; 3] {
-        let n = y.len();
-        let (r0p, r1p, r2p, yp) = (pf(r0), pf(r1), pf(r2), pf(y));
-        let mut acc01 = _mm256_setzero_pd();
-        let mut acc2 = _mm_setzero_pd();
-        for j in 0..n {
-            let yv = _mm256_broadcast_pd(&*(yp.add(2 * j) as *const __m128d));
-            let a01 = pair(r0p.add(2 * j), r1p.add(2 * j));
-            acc01 = _mm256_add_pd(acc01, cmul(a01, yv, swap_halves(yv)));
-            // Third chain in an xmm register: same addsub formulation.
-            let a2 = _mm_loadu_pd(r2p.add(2 * j));
-            let yl = _mm256_castpd256_pd128(yv);
-            let t1 = _mm_mul_pd(_mm_movedup_pd(a2), yl);
-            let t2 = _mm_mul_pd(_mm_unpackhi_pd(a2, a2), _mm_shuffle_pd::<0b01>(yl, yl));
-            acc2 = _mm_add_pd(acc2, _mm_addsub_pd(t1, t2));
-        }
-        let (c0, c1) = extract2(acc01);
-        let mut buf = [0.0f64; 2];
-        _mm_storeu_pd(buf.as_mut_ptr(), acc2);
-        [c0, c1, C64::new(buf[0], buf[1])]
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn wl_fold_residual(rows: &[C64], sol: &[C64; 3], y: &[C64]) -> f64 {
-        let n = y.len();
-        let rp = pf(rows);
-        let yp = pf(y);
-        // Broadcast each solution coefficient (and its swap) once.
-        let s: Vec<(__m256d, __m256d)> = sol
-            .iter()
-            .map(|c| {
-                let v = _mm256_set_pd(c.im, c.re, c.im, c.re);
-                (v, swap_halves(v))
-            })
-            .collect();
-        let zero = _mm256_setzero_pd();
-        let mut residual = 0.0f64;
-        let mut i = 0;
-        while i + 2 <= n {
-            // Rows i and i+1 occupy rows[3i..3i+6]; coefficient k of the two
-            // rows sits at stride 3 complexes.
-            let base = 6 * i;
-            let mut f = zero;
-            for (k, &(sv, svs)) in s.iter().enumerate() {
-                let a = pair(rp.add(base + 2 * k), rp.add(base + 6 + 2 * k));
-                f = _mm256_add_pd(f, cmul(a, sv, svs));
-            }
-            let diff = _mm256_sub_pd(f, _mm256_loadu_pd(yp.add(2 * i)));
-            let sq = _mm256_mul_pd(diff, diff);
-            let h = _mm256_hadd_pd(sq, sq);
-            residual += _mm_cvtsd_f64(_mm256_castpd256_pd128(h));
-            residual += _mm_cvtsd_f64(_mm256_extractf128_pd(h, 1));
-            i += 2;
-        }
-        while i < n {
-            let row = &rows[3 * i..3 * i + 3];
-            let f = C64::default() + row[0] * sol[0] + row[1] * sol[1] + row[2] * sol[2];
-            residual += (f - y[i]).norm_sqr();
-            i += 1;
-        }
-        residual
     }
 
     #[target_feature(enable = "avx2")]
@@ -1034,28 +897,6 @@ mod tests {
             let (v0, v1) = dotc2(&a, &b0, &b1, j0, j1);
             assert_bits_eq(s0, v0, &format!("dotc2[0] n={n}"));
             assert_bits_eq(s1, v1, &format!("dotc2[1] n={n}"));
-        }
-    }
-
-    #[test]
-    fn ahy3_and_residual_bit_identical() {
-        let mut r = Lcg(17);
-        for n in [1usize, 2, 3, 19, 48] {
-            let mut r0 = cvec(&mut r, n);
-            spice(&mut r0);
-            let r1 = cvec(&mut r, n);
-            let r2 = cvec(&mut r, n);
-            let y = cvec(&mut r, n);
-            let sa = scalar::ahy3(&r0, &r1, &r2, &y);
-            let sb = ahy3(&r0, &r1, &r2, &y);
-            for k in 0..3 {
-                assert_bits_eq(sa[k], sb[k], &format!("ahy3[{k}] n={n}"));
-            }
-            let rows: Vec<C64> = (0..n).flat_map(|i| [r0[i], r1[i], r2[i]]).collect();
-            let sol = [r.c64(), r.c64(), r.c64()];
-            let ra = scalar::wl_fold_residual(&rows, &sol, &y);
-            let rb = wl_fold_residual(&rows, &sol, &y);
-            assert_eq!(ra.to_bits(), rb.to_bits(), "residual n={n}");
         }
     }
 

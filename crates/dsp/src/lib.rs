@@ -26,7 +26,6 @@ pub mod linalg;
 pub mod noise;
 pub mod resample;
 pub mod signal;
-pub mod stats;
 pub mod window;
 
 pub use complex::{C64, J};

@@ -414,18 +414,29 @@ fn chol_solve_by(
 }
 
 /// Complex least squares `min ‖A x − b‖²` via the normal equations
-/// `AᴴA x = Aᴴ b` with a small ridge.
+/// `AᴴA x = Aᴴ b` with a small ridge ([`add_ridge`]).
 pub fn lstsq_c(a: &CMat, b: &[C64]) -> Option<Vec<C64>> {
     assert_eq!(a.rows(), b.len(), "lstsq_c: rhs length mismatch");
     let ah = a.h();
     let mut aha = ah.matmul(a);
     let ahb = ah.matvec(b);
-    let scale: f64 = (0..aha.rows()).map(|i| aha[(i, i)].re).sum::<f64>() / aha.rows() as f64;
+    add_ridge(&mut aha);
+    gauss_solve_c(&aha, &ahb)
+}
+
+/// Add the normal equations' ridge to a square Gram `AᴴA` in place:
+/// `1e-12 ·` its mean diagonal on every diagonal entry (floored so that an
+/// all-zero Gram still gets a positive ridge). [`lstsq_c`] and the Grams
+/// precomputed from a fixed design ([`WidelyLinearGram`], the online
+/// trainer's) share it, so their replayed solves match [`lstsq_c`] bit for
+/// bit.
+pub fn add_ridge(aha: &mut CMat) {
+    let n = aha.rows();
+    let scale: f64 = (0..n).map(|i| aha[(i, i)].re).sum::<f64>() / n as f64;
     let ridge = 1e-12 * scale.max(1e-300);
-    for i in 0..aha.rows() {
+    for i in 0..n {
         aha[(i, i)] += C64::real(ridge);
     }
-    gauss_solve_c(&aha, &ahb)
 }
 
 // ---------------------------------------------------------------------------
@@ -489,29 +500,33 @@ pub fn widely_linear_fit(x: &[C64], y: &[C64]) -> WidelyLinearFit {
 ///
 /// [`widely_linear_fit`] spends most of its time on quantities that depend
 /// only on `x`: building the n×3 design matrix `A = [x, x*, 1]`, forming
-/// `Aᴴ` and the ridged Gram `AᴴA`. This type computes those once; per call
-/// only the y-dependent moments (`Aᴴy`, the 3×3 solve, the fitted residual)
-/// remain.
+/// `Aᴴ`, the ridged Gram `AᴴA` and its elimination. This type computes those
+/// once; per call only the y-dependent work (`Aᴴy`, replaying the 3×3
+/// elimination on it, the fitted residual) remains.
 ///
-/// **Bit-identity**: [`WidelyLinearGram::fit`] reuses the exact same `CMat`
-/// kernels (`h`, `matmul`, `matvec`, [`gauss_solve_c`]) on the exact same
-/// operands as [`widely_linear_fit`], so the result is bit-for-bit identical
-/// (differential-tested). The window sums are recomputed fresh per call:
-/// a sliding update across consecutive offsets would change the f64
-/// summation order. Scans over many offsets instead score the whole range
-/// approximately from its moments and bound the gap to this fit with a
-/// [`ResidualCertificate`] ([`Self::residual_certificate`]), refitting
-/// exactly only where the bound cannot decide.
+/// **Bit-identity**: [`WidelyLinearGram::fit`] folds the same operands in the
+/// same order as [`widely_linear_fit`]'s `CMat` products, and replays the
+/// [`GaussFactor`] that its [`gauss_solve_c`] eliminates, so the result is
+/// bit-for-bit identical (differential-tested). The window sums are
+/// recomputed fresh per call: a sliding update across consecutive offsets
+/// would change the f64 summation order. Scans over many offsets instead
+/// score the whole range approximately from its moments and bound the gap
+/// to this fit with a [`ResidualCertificate`]
+/// ([`Self::residual_certificate`]), refitting exactly only where the bound
+/// cannot decide.
 #[derive(Debug, Clone)]
 pub struct WidelyLinearGram {
     a: CMat,
     ah: CMat,
     aha_ridged: CMat,
+    /// Elimination of `aha_ridged`, replayed by every fit; `None` if
+    /// singular.
+    normal: Option<GaussFactor>,
 }
 
 impl WidelyLinearGram {
-    /// Precompute the design, its conjugate transpose and the ridged Gram
-    /// for the fixed regressor `x`.
+    /// Precompute the design, its conjugate transpose, the ridged Gram and
+    /// its elimination for the fixed regressor `x`.
     ///
     /// # Panics
     /// Panics if `x` has fewer than 3 samples.
@@ -526,15 +541,11 @@ impl WidelyLinearGram {
         }
         let ah = a.h();
         let mut aha = ah.matmul(&a);
-        // Same ridge as lstsq_c, applied once at construction.
-        let scale: f64 = (0..aha.rows()).map(|i| aha[(i, i)].re).sum::<f64>() / aha.rows() as f64;
-        let ridge = 1e-12 * scale.max(1e-300);
-        for i in 0..aha.rows() {
-            aha[(i, i)] += C64::real(ridge);
-        }
+        add_ridge(&mut aha);
         Self {
             a,
             ah,
+            normal: GaussFactor::new(&aha),
             aha_ridged: aha,
         }
     }
@@ -546,10 +557,7 @@ impl WidelyLinearGram {
     }
 
     /// Fit `y ≈ a·x + b·x* + c` against the fixed regressor; bit-identical
-    /// to `widely_linear_fit(x, y)`. The SIMD `Aᴴy` and residual kernels are
-    /// bit-identical to the scalar fused loops (see [`crate::backend`]),
-    /// which in turn match `CMat::matvec` / `dist_sqr` fold order, so this
-    /// holds on every host.
+    /// to `widely_linear_fit(x, y)`.
     ///
     /// # Panics
     /// Panics if `y.len() != self.n_samples()`.
@@ -563,15 +571,28 @@ impl WidelyLinearGram {
         // materialising the result vector.
         let (r0, r12) = self.ah.data.split_at(n);
         let (r1, r2) = r12.split_at(n);
-        let ahb = backend::ahy3(r0, r1, r2, y);
-        let sol = gauss_solve_c(&self.aha_ridged, &ahb).unwrap_or_else(|| vec![C64::default(); 3]);
+        let mut ahb = [C64::default(); 3];
+        for (((&a0, &a1), &a2), &yj) in r0.iter().zip(r1).zip(r2).zip(y) {
+            ahb[0] += a0 * yj;
+            ahb[1] += a1 * yj;
+            ahb[2] += a2 * yj;
+        }
+        // Replaying the recorded elimination is bit-identical to
+        // `gauss_solve_c` on the ridged Gram (see [`GaussFactor`]).
+        let sol = match &self.normal {
+            Some(f) => f.solve(&ahb),
+            None => vec![C64::default(); 3],
+        };
         // Fitted value and residual fused into one pass: each row's fitted
         // sample folds the stored design coefficients in matvec order, and
         // the residual accumulates `(fitted − y)` squared distances in the
         // same ascending order as `dist_sqr` — again bit-identical, with no
         // n-length temporary.
-        let sol3 = [sol[0], sol[1], sol[2]];
-        let residual = backend::wl_fold_residual(&self.a.data, &sol3, y);
+        let mut residual = 0.0;
+        for (row, &yi) in self.a.data.chunks_exact(3).zip(y) {
+            let f = C64::default() + row[0] * sol[0] + row[1] * sol[1] + row[2] * sol[2];
+            residual += (f - yi).norm_sqr();
+        }
         WidelyLinearFit {
             a: sol[0],
             b: sol[1],
@@ -601,14 +622,15 @@ impl WidelyLinearGram {
         }
         let frob = |m: &[C64]| m.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
         let g_hat_f = frob(&g_hat.data);
-        // M̃ ≈ Ĝ⁻¹ column by column through the same elimination `fit`
-        // runs: its pivot choice and its zero-solution fallback depend on the
-        // matrix only, so success here means `fit` never falls back.
+        // M̃ ≈ Ĝ⁻¹ column by column, replaying the elimination `fit` replays:
+        // a Gram that `fit` would solve as zero has no factor, so success
+        // here means `fit` never falls back.
+        let normal = self.normal.as_ref()?;
         let mut m = [C64::default(); 9];
         for j in 0..3 {
             let mut e = [C64::default(); 3];
             e[j] = C64::real(1.0);
-            let col = gauss_solve_c(g_hat, &e)?;
+            let col = normal.solve(&e);
             for i in 0..3 {
                 m[3 * i + j] = col[i];
             }

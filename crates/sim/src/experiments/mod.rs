@@ -28,8 +28,9 @@ pub enum Effort {
 }
 
 impl Effort {
-    /// Read from the `RETRO_FULL` environment variable (any non-empty value
-    /// selects [`Effort::Full`]).
+    /// Read from the `RETRO_FULL` environment variable: any non-empty value
+    /// other than `0` selects [`Effort::Full`]; unset, empty or `0` selects
+    /// [`Effort::Quick`].
     pub fn from_env() -> Self {
         match std::env::var("RETRO_FULL") {
             Ok(v) if !v.is_empty() && v != "0" => Effort::Full,

@@ -14,7 +14,7 @@
 //!   goodput/fairness/latency percentiles.
 //! * [`rate_region`] — experiment tier: the tag-count × priority-weight
 //!   rate-region sweep on the `SweepWorkload` engine, inheriting render
-//!   caching, cliff refinement, and resumable streaming.
+//!   caching and cliff refinement.
 
 pub mod collision;
 pub mod harness;

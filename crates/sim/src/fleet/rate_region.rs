@@ -18,7 +18,6 @@
 use super::harness::{
     aggregate, draw_plan, percentile, run_session_with_plan, FleetConfig, SessionPlan,
 };
-use crate::sweep::stream::StreamRecord;
 use crate::sweep::{GridPoint, SweepWorkload};
 use retroturbo_core::params::fp_fold;
 use retroturbo_runtime::derive_seed;
@@ -77,50 +76,6 @@ pub struct FleetOut {
     /// Undelivered-frame fraction across all sessions — the error statistic
     /// that drives cliff refinement.
     pub outage: f64,
-}
-
-impl StreamRecord for FleetOut {
-    fn columns() -> &'static [&'static str] {
-        &[
-            "sum_bits",
-            "sum_goodput_bps",
-            "primary_bits",
-            "primary_goodput_bps",
-            "fair_bits",
-            "fairness",
-            "outage_bits",
-            "outage",
-        ]
-    }
-
-    fn fields(&self) -> Vec<String> {
-        vec![
-            format!("{:016x}", self.sum_goodput_bps.to_bits()),
-            format!("{}", self.sum_goodput_bps),
-            format!("{:016x}", self.primary_goodput_bps.to_bits()),
-            format!("{}", self.primary_goodput_bps),
-            format!("{:016x}", self.fairness.to_bits()),
-            format!("{}", self.fairness),
-            format!("{:016x}", self.outage.to_bits()),
-            format!("{}", self.outage),
-        ]
-    }
-
-    fn parse(fields: &[&str]) -> Option<Self> {
-        Some(Self {
-            sum_goodput_bps: f64::from_bits(u64::from_str_radix(fields.first()?, 16).ok()?),
-            primary_goodput_bps: f64::from_bits(u64::from_str_radix(fields.get(2)?, 16).ok()?),
-            fairness: f64::from_bits(u64::from_str_radix(fields.get(4)?, 16).ok()?),
-            outage: f64::from_bits(u64::from_str_radix(fields.get(6)?, 16).ok()?),
-        })
-    }
-
-    fn json_members(&self) -> String {
-        format!(
-            "\"sum_goodput_bps\":{},\"primary_goodput_bps\":{},\"fairness\":{},\"outage\":{}",
-            self.sum_goodput_bps, self.primary_goodput_bps, self.fairness, self.outage
-        )
-    }
 }
 
 impl SweepWorkload for FleetSweep {

@@ -1,5 +1,5 @@
-//! The Monte Carlo sweep engine: cached-waveform re-noising, cliff-adaptive
-//! grid refinement, and incremental result streaming.
+//! The Monte Carlo sweep engine: cached-waveform re-noising and
+//! cliff-adaptive grid refinement.
 //!
 //! Every figure sweep in this repository has the same shape — a grid of
 //! `(curve, x)` points, each measuring a BER-like statistic over a batch of
@@ -25,15 +25,11 @@
 //! 3. **Cliff-adaptive refinement** — after each round, adjacent same-curve
 //!    points straddling a BER threshold get a midpoint refinement point,
 //!    bounded by a point budget, a minimum spacing, and a round cap.
-//! 4. **Streaming** — completed rows can be appended incrementally to a
-//!    TSV/JSONL sink ([`stream`]) so long `--full` runs are observable and
-//!    resumable.
 //!
 //! The no-cache path ([`CacheMode::NoCache`]) is retained as the oracle;
 //! differential tests in `crates/sim/tests/sweep_engine.rs` pin cache-on
 //! output to it bit-for-bit.
 
-pub mod stream;
 pub mod workloads;
 
 use retroturbo_dsp::C64;
@@ -198,19 +194,6 @@ impl SweepEngine {
         workload: &W,
         grid: Vec<GridPoint>,
     ) -> Vec<(GridPoint, W::Out)> {
-        self.run_streaming(workload, grid, &mut |_, _| {})
-    }
-
-    /// [`Self::run`] invoking `sink` for every completed row as soon as its
-    /// round finishes (rows within a round are delivered in round order).
-    /// The sink is where incremental TSV/JSONL streaming plugs in — see
-    /// [`stream::SweepStream::write_row`].
-    pub fn run_streaming<W: SweepWorkload>(
-        &self,
-        workload: &W,
-        grid: Vec<GridPoint>,
-        sink: &mut dyn FnMut(&GridPoint, &W::Out),
-    ) -> Vec<(GridPoint, W::Out)> {
         let _t = telemetry::span("sweep.run");
         let mut cache: HashMap<u64, W::Render> = HashMap::new();
         let mut rows: Vec<(GridPoint, W::Out)> = Vec::new();
@@ -266,9 +249,6 @@ impl SweepEngine {
                 (p, workload.measure(&p, cached))
             });
             telemetry::counter_add("sweep.points", outs.len() as u64);
-            for (p, o) in &outs {
-                sink(p, o);
-            }
             rows.extend(outs);
 
             // Phase C: propose refinement points at threshold cliffs.

@@ -1,7 +1,6 @@
 //! Standard [`SweepWorkload`] implementations: the field (full-ODE) link
 //! sweeps of Fig. 16 and the emulated BER-vs-SNR sweeps of Fig. 18a.
 
-use super::stream::StreamRecord;
 use super::{CleanPacket, GridPoint, SweepWorkload};
 use crate::link::LinkSimulator;
 use crate::EmulatedLink;
@@ -15,32 +14,6 @@ pub struct BerOut {
     pub ber: f64,
     /// Effective SNR at the point, dB.
     pub snr_db: f64,
-}
-
-impl StreamRecord for BerOut {
-    fn columns() -> &'static [&'static str] {
-        &["ber_bits", "ber", "snr_bits", "snr_db"]
-    }
-
-    fn fields(&self) -> Vec<String> {
-        vec![
-            format!("{:016x}", self.ber.to_bits()),
-            format!("{}", self.ber),
-            format!("{:016x}", self.snr_db.to_bits()),
-            format!("{}", self.snr_db),
-        ]
-    }
-
-    fn parse(fields: &[&str]) -> Option<Self> {
-        Some(Self {
-            ber: f64::from_bits(u64::from_str_radix(fields.first()?, 16).ok()?),
-            snr_db: f64::from_bits(u64::from_str_radix(fields.get(2)?, 16).ok()?),
-        })
-    }
-
-    fn json_members(&self) -> String {
-        format!("\"ber\":{},\"snr_db\":{}", self.ber, self.snr_db)
-    }
 }
 
 /// Which no-cache measurement path a field sweep uses.

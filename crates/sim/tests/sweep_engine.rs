@@ -8,17 +8,16 @@
 //!   inside straddling gaps).
 //! - **Determinism**: identical output at 1/2/8 worker threads, including
 //!   the refinement points.
-//! - **Streaming**: rows stream losslessly to TSV and come back bit-exact;
-//!   a truncated stream resumes by measuring only the complement.
+//! - **Sub-grids**: a strict subset of a grid measures the same rows as
+//!   the full grid, cached and uncached.
 //! - **Fixture**: the cached and uncached refined sweeps both match ONE
 //!   committed byte-exact fixture (`tests/fixtures/sweep_refined.txt`);
 //!   regenerate with `SWEEP_ENGINE_REGEN=1` after intentional changes.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use retroturbo_core::PhyConfig;
 use retroturbo_runtime::with_threads;
-use retroturbo_sim::sweep::stream::{StreamFormat, SweepStream};
 use retroturbo_sim::sweep::workloads::{BerOut, EmuSweep, FieldOracle, FieldSweep};
 use retroturbo_sim::{
     EmulatedLink, GridPoint, HumanMobility, LinkBudget, LinkSimulator, RefineConfig, Scene,
@@ -84,12 +83,6 @@ fn canon(rows: &[(GridPoint, BerOut)]) -> String {
             )
         })
         .collect()
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 /// The tentpole guarantee: for the full-ODE field workload, re-noising the
@@ -215,221 +208,34 @@ fn engine_output_thread_invariant_with_refinement() {
     assert_eq!(t1, t8, "1 vs 8 threads");
 }
 
-/// TSV streaming is lossless: rows stream out as they complete and load
-/// back bit-exact; `completed` sees the full grid afterwards.
+/// A sub-grid measures exactly the rows the full grid does: every row of
+/// a strict subset run, cached and uncached, equals its full-grid row bit
+/// for bit. A point's output depends only on the point, never on which
+/// other points share its run (or which of them first rendered its key).
 #[test]
-fn tsv_stream_roundtrips_bit_exact() {
-    let path = tmp_path("sweep_stream_roundtrip.tsv");
+fn subgrid_rows_match_their_full_grid_rows() {
     let seed = 11;
     let w = field_workload(2, 16, seed, FieldOracle::Fused);
     let grid = field_grid(&[4.0, 8.0], seed);
-    let mut stream = SweepStream::create::<BerOut>(&path, StreamFormat::Tsv).unwrap();
-    let rows = SweepEngine::new(seed).run_streaming(&w, grid.clone(), &mut |p, o| {
-        stream.write_row(p, o).unwrap();
-    });
-    drop(stream);
-    let loaded = SweepStream::load::<BerOut>(&path).unwrap();
-    assert_eq!(loaded.len(), rows.len());
-    assert_eq!(canon(&loaded), canon(&rows), "stream round-trip drifted");
-    assert!(
-        SweepStream::completed::<BerOut>(&path, &grid)
-            .iter()
-            .all(|&d| d),
-        "completed() missed streamed rows"
-    );
-}
-
-/// Resume semantics: a stream cut off mid-run (last line truncated) yields
-/// its intact prefix; `completed` drives measuring only the complement, and
-/// appending those rows reconstructs the full result set.
-#[test]
-fn truncated_stream_resumes_by_measuring_the_complement() {
-    let path = tmp_path("sweep_stream_resume.tsv");
-    let seed = 11;
-    let w = field_workload(2, 16, seed, FieldOracle::Fused);
-    let grid = field_grid(&[4.0, 8.0], seed);
-    let full = SweepEngine::new(seed).run(&w, grid.clone());
-
-    // Simulate a kill after one complete row plus a torn partial write.
-    let mut stream = SweepStream::create::<BerOut>(&path, StreamFormat::Tsv).unwrap();
-    stream.write_row(&full[0].0, &full[0].1).unwrap();
-    drop(stream);
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes.extend_from_slice(b"1\t0\tdeadbeef"); // torn row, no newline
-    std::fs::write(&path, bytes).unwrap();
-
-    let done = SweepStream::completed::<BerOut>(&path, &grid);
-    assert_eq!(done, vec![true, false, false, false]);
-
-    let remaining: Vec<GridPoint> = grid
-        .iter()
-        .zip(&done)
-        .filter(|(_, &d)| !d)
-        .map(|(p, _)| *p)
-        .collect();
-    let mut stream = SweepStream::append(&path, StreamFormat::Tsv).unwrap();
-    SweepEngine::new(seed).run_streaming(&w, remaining, &mut |p, o| {
-        stream.write_row(p, o).unwrap();
-    });
-    drop(stream);
-
-    let resumed = SweepStream::load::<BerOut>(&path).unwrap();
-    assert_eq!(canon(&resumed), canon(&full), "resumed run diverged");
-}
-
-/// Regression: a row killed mid-hex-field *after* its key columns landed
-/// still names a valid `(curve, x)`, so the old `completed()` (which only
-/// validated the five key columns) counted it done while `load` skipped
-/// it — the point silently vanished from the resumed result set. It must
-/// be re-measured instead.
-#[test]
-fn torn_row_inside_record_columns_is_remeasured_not_lost() {
-    let path = tmp_path("sweep_stream_torn_record.tsv");
-    let seed = 11;
-    let w = field_workload(2, 16, seed, FieldOracle::Fused);
-    let grid = field_grid(&[4.0, 8.0], seed);
-    let full = SweepEngine::new(seed).run(&w, grid.clone());
-
-    // Stream two complete rows, then tear the second inside its first
-    // record column: keys intact, record torn, no terminating newline.
-    let mut stream = SweepStream::create::<BerOut>(&path, StreamFormat::Tsv).unwrap();
-    stream.write_row(&full[0].0, &full[0].1).unwrap();
-    stream.write_row(&full[1].0, &full[1].1).unwrap();
-    drop(stream);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.trim_end().lines().collect();
-    let fields: Vec<&str> = lines[lines.len() - 1].split('\t').collect();
-    let torn = format!(
-        "{}\t{}",
-        fields[..5].join("\t"),
-        &fields[5][..fields[5].len() / 2] // half a hex ber_bits field
-    );
-    let kept = lines[..lines.len() - 1].join("\n");
-    std::fs::write(&path, format!("{kept}\n{torn}")).unwrap();
-
-    let done = SweepStream::completed::<BerOut>(&path, &grid);
-    assert_eq!(
-        done,
-        vec![true, false, false, false],
-        "a torn row must not count as completed"
-    );
-
-    let remaining: Vec<GridPoint> = grid
-        .iter()
-        .zip(&done)
-        .filter(|(_, &d)| !d)
-        .map(|(p, _)| *p)
-        .collect();
-    let mut stream = SweepStream::append(&path, StreamFormat::Tsv).unwrap();
-    SweepEngine::new(seed).run_streaming(&w, remaining, &mut |p, o| {
-        stream.write_row(p, o).unwrap();
-    });
-    drop(stream);
-    let resumed = SweepStream::load::<BerOut>(&path).unwrap();
-    assert_eq!(
-        canon(&resumed),
-        canon(&full),
-        "resumed set lost the torn point"
-    );
-}
-
-/// A file killed exactly at a tab separator (the torn row's last field is
-/// empty): the repair closes the line, `completed`/`load` agree it is not a
-/// row, and the resume re-measures it without double-counting anything.
-#[test]
-fn torn_row_ending_exactly_at_a_tab_resumes_cleanly() {
-    let path = tmp_path("sweep_stream_torn_tab.tsv");
-    let seed = 11;
-    let w = field_workload(2, 16, seed, FieldOracle::Fused);
-    let grid = field_grid(&[4.0, 8.0], seed);
-    let full = SweepEngine::new(seed).run(&w, grid.clone());
-
-    let mut stream = SweepStream::create::<BerOut>(&path, StreamFormat::Tsv).unwrap();
-    stream.write_row(&full[0].0, &full[0].1).unwrap();
-    drop(stream);
-    // Kill mid-write with the key columns complete and the cursor sitting
-    // right after a tab.
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes.extend_from_slice(b"1\t0\t000000000000000b\t");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let done = SweepStream::completed::<BerOut>(&path, &grid);
-    assert_eq!(done, vec![true, false, false, false]);
-
-    let remaining: Vec<GridPoint> = grid
-        .iter()
-        .zip(&done)
-        .filter(|(_, &d)| !d)
-        .map(|(p, _)| *p)
-        .collect();
-    let mut stream = SweepStream::append(&path, StreamFormat::Tsv).unwrap();
-    SweepEngine::new(seed).run_streaming(&w, remaining, &mut |p, o| {
-        stream.write_row(p, o).unwrap();
-    });
-    drop(stream);
-    let resumed = SweepStream::load::<BerOut>(&path).unwrap();
-    assert_eq!(
-        canon(&resumed),
-        canon(&full),
-        "resume after tab-torn row diverged"
-    );
-    // Exactly one row per grid point: nothing double-counted.
-    assert_eq!(resumed.len(), full.len());
-}
-
-/// A file killed while the header itself was being written (no rows, no
-/// newline): `completed` reports nothing done, `append` closes the torn
-/// header as its own comment line, and the resumed stream loads in full.
-#[test]
-fn torn_header_line_resumes_cleanly() {
-    let path = tmp_path("sweep_stream_torn_header.tsv");
-    let seed = 11;
-    let w = field_workload(2, 16, seed, FieldOracle::Fused);
-    let grid = field_grid(&[4.0, 8.0], seed);
-    let full = SweepEngine::new(seed).run(&w, grid.clone());
-
-    std::fs::write(&path, b"#curve\tround\tse").unwrap();
-    let done = SweepStream::completed::<BerOut>(&path, &grid);
-    assert_eq!(
-        done,
-        vec![false; 4],
-        "torn header must not complete anything"
-    );
-
-    let mut stream = SweepStream::append(&path, StreamFormat::Tsv).unwrap();
-    SweepEngine::new(seed).run_streaming(&w, grid, &mut |p, o| {
-        stream.write_row(p, o).unwrap();
-    });
-    drop(stream);
-    let resumed = SweepStream::load::<BerOut>(&path).unwrap();
-    assert_eq!(
-        canon(&resumed),
-        canon(&full),
-        "resume after torn header diverged"
-    );
-    // The torn header stayed on its own line; the first data row is intact.
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("#curve\tround\tse\n"), "header not closed");
-}
-
-/// JSON-lines streaming emits one well-formed object per row.
-#[test]
-fn jsonl_stream_emits_one_object_per_row() {
-    let path = tmp_path("sweep_stream.jsonl");
-    let seed = 11;
-    let w = field_workload(2, 16, seed, FieldOracle::Fused);
-    let grid = field_grid(&[4.0], seed);
-    let mut stream = SweepStream::create::<BerOut>(&path, StreamFormat::JsonLines).unwrap();
-    let rows = SweepEngine::new(seed).run_streaming(&w, grid, &mut |p, o| {
-        stream.write_row(p, o).unwrap();
-    });
-    drop(stream);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), rows.len());
-    for l in lines {
-        assert!(l.starts_with("{\"curve\":") && l.ends_with('}'), "{l}");
-        assert!(l.contains("\"ber\":") && l.contains("\"snr_db\":"), "{l}");
+    // Drop each curve's first point: a curve's points share one render
+    // key, so the cached subset run renders it on a different point.
+    let subset: Vec<GridPoint> = grid.iter().skip(1).step_by(2).copied().collect();
+    assert!(!subset.is_empty() && subset.len() < grid.len());
+    for engine in [SweepEngine::new(seed), SweepEngine::new(seed).no_cache()] {
+        let full = engine.run(&w, grid.clone());
+        let part = engine.run(&w, subset.clone());
+        assert_eq!(part.len(), subset.len());
+        for row in &part {
+            let twin = full
+                .iter()
+                .find(|(p, _)| p.curve == row.0.curve && p.x.to_bits() == row.0.x.to_bits())
+                .expect("subset row missing from the full grid");
+            assert_eq!(
+                canon(std::slice::from_ref(row)),
+                canon(std::slice::from_ref(twin)),
+                "sub-grid row diverged from its full-grid row"
+            );
+        }
     }
 }
 
