@@ -1,6 +1,6 @@
 //! Machine-readable kernel benchmark: times the optimized hot kernels (DFE
 //! branch extension, fingerprint emulation error, the online-training
-//! solve, the SoA panel ODE, the certified preamble scan, the fused packet
+//! solve, the SoA panel ODE, the certified preamble scan, the packet
 //! pipeline) against their retained reference implementations, and each
 //! vector kernel's scalar body against its dispatched entry, and writes
 //! `BENCH_kernels.json` — a `meta` provenance block (SIMD detection, CPU
@@ -575,28 +575,20 @@ fn main() {
         );
     }
 
-    // --- Packet pipeline: fused allocation-free vs allocating reference ---
+    // --- Packet pipeline: the production composition vs reference synthesis ---
     let sim = LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(3.0), 9);
     let mut scratch = sim.make_scratch();
     let pkt_bytes = if quick { 8 } else { 32 };
     let pkt_bits: Vec<bool> = (0..pkt_bytes * 8).map(|i| (i * 13) % 5 < 2).collect();
     {
-        // Waveform-level checksum (decode equality follows from it) plus
-        // outcome equality.
-        let fused_sig = sim.synth_rx(&mut scratch, &pkt_bits, 1);
-        let ref_sig = sim.synth_rx_reference(&pkt_bits, 1);
-        if checksum_c64(fused_sig.samples()) != checksum_c64(ref_sig.samples()) {
-            diverged.push("packet_waveform".into());
-        }
-        scratch.give_back(fused_sig.into_samples());
-        let of = sim.run_packet(&mut scratch, &pkt_bits, 2);
+        let op = sim.run_packet(&mut scratch, &pkt_bits, 2);
         let or = sim.decode(&sim.synth_rx_reference(&pkt_bits, 2), &pkt_bits);
-        if (of.bit_errors, of.bits, of.detected) != (or.bit_errors, or.bits, or.detected) {
+        if (op.bit_errors, op.bits, op.detected) != (or.bit_errors, or.bits, or.detected) {
             diverged.push("packet_outcome".into());
         }
     }
     let pkt_syms = (pkt_bits.len() / cfg.bits_per_symbol()) as f64;
-    let (pkt_ref, pkt_fused) = time_pair_ns(
+    let (pkt_ref, pkt_prod) = time_pair_ns(
         1,
         reps,
         || {
@@ -614,13 +606,13 @@ fn main() {
         speedup: 1.0,
     });
     records.push(Record {
-        kernel: "run_packet_fused".into(),
-        ns_per_iter: pkt_fused,
-        ns_per_symbol: Some(pkt_fused / pkt_syms),
-        speedup: pkt_ref / pkt_fused,
+        kernel: "run_packet_renoised".into(),
+        ns_per_iter: pkt_prod,
+        ns_per_symbol: Some(pkt_prod / pkt_syms),
+        speedup: pkt_ref / pkt_prod,
     });
 
-    // --- Waveform synthesis: live render vs cached re-noise (§7.3) -------
+    // --- Waveform synthesis: reference render vs cached re-noise (§7.3) ---
     // The sweep engine's core trade: a cache hit replaces the whole
     // per-packet synthesis (panel ODE + channel + fresh AWGN) with a copy of
     // the cached clean wave, re-applied channel, and σ-scaled cached unit
@@ -628,26 +620,22 @@ fn main() {
     {
         let clean = sim.render_clean(&mut scratch, &pkt_bits);
         let unit_noise = sim.packet_unit_noise(clean.len(), 5);
-        let live_sig = sim.synth_rx(&mut scratch, &pkt_bits, 5);
+        let ref_sig = sim.synth_rx_reference(&pkt_bits, 5);
         let renoise_sig = sim.synth_rx_renoise(&mut scratch, &clean, &unit_noise, 5);
-        if checksum_c64(live_sig.samples()) != checksum_c64(renoise_sig.samples()) {
+        if checksum_c64(ref_sig.samples()) != checksum_c64(renoise_sig.samples()) {
             diverged.push("waveform_renoise".into());
         }
-        scratch.give_back(live_sig.into_samples());
         scratch.give_back(renoise_sig.into_samples());
-        let mut renoise_scratch = sim.make_scratch();
         let (render_ns, renoise_ns) = time_pair_ns(
             if quick { 2 } else { 5 },
             reps,
             || {
-                let s = sim.synth_rx(&mut scratch, &pkt_bits, 5);
-                std::hint::black_box(&s);
-                scratch.give_back(s.into_samples());
+                std::hint::black_box(sim.synth_rx_reference(&pkt_bits, 5));
             },
             || {
-                let s = sim.synth_rx_renoise(&mut renoise_scratch, &clean, &unit_noise, 5);
+                let s = sim.synth_rx_renoise(&mut scratch, &clean, &unit_noise, 5);
                 std::hint::black_box(&s);
-                renoise_scratch.give_back(s.into_samples());
+                scratch.give_back(s.into_samples());
             },
         );
         records.push(Record {

@@ -10,7 +10,7 @@ use crate::dfe::Equalizer;
 use crate::frame::Modulator;
 use crate::params::PhyConfig;
 use crate::preamble::{correct, PreambleCorrection, PreambleDetector, PreambleMatch};
-use crate::synth::TagModel;
+use crate::synth::{SlotLevels, TagModel};
 use crate::training::{OfflineTraining, OnlineTrainer};
 use retroturbo_dsp::Signal;
 use retroturbo_lcm::LcParams;
@@ -83,13 +83,12 @@ pub struct Receiver {
     detector: PreambleDetector,
     trainer: OnlineTrainer,
     nominal: TagModel,
+    equalizer: Equalizer,
+    /// The known prefix of every frame: preamble, then training levels.
+    known: Vec<SlotLevels>,
     /// Run per-packet online training (disable to measure its value, as the
     /// yaw experiment of Fig. 16c does).
     pub online_training: bool,
-    /// Branch count override (None = config value).
-    k_override: Option<usize>,
-    /// Decision-directed channel-tracking window (None = static channel).
-    track_block: Option<usize>,
 }
 
 impl Receiver {
@@ -112,9 +111,9 @@ impl Receiver {
             detector,
             trainer,
             nominal,
+            equalizer: Equalizer::new(cfg),
+            known: OnlineTrainer::known_levels(&cfg),
             online_training: true,
-            k_override: None,
-            track_block: None,
         }
     }
 
@@ -166,7 +165,7 @@ impl Receiver {
 
     /// Override the DFE branch count (Fig. 17a sweep).
     pub fn with_branches(mut self, k: usize) -> Self {
-        self.k_override = Some(k);
+        self.equalizer = self.equalizer.with_branches(k);
         self
     }
 
@@ -174,7 +173,7 @@ impl Receiver {
     /// extension): the DFE re-estimates a residual complex gain from its
     /// own decisions with an exponential window of ≈ `block_slots`.
     pub fn with_tracking(mut self, block_slots: usize) -> Self {
-        self.track_block = Some(block_slots);
+        self.equalizer = self.equalizer.with_tracking(block_slots);
         self
     }
 
@@ -324,22 +323,13 @@ impl Receiver {
             self.nominal.clone()
         };
 
-        let mut eq = Equalizer::new(self.cfg);
-        if let Some(k) = self.k_override {
-            eq = eq.with_branches(k);
-        }
-        if let Some(b) = self.track_block {
-            eq = eq.with_tracking(b);
-        }
-        // Known prefix levels: preamble + training.
-        let mut known = Modulator::preamble_levels(&self.cfg);
-        known.extend(Modulator::training_levels(&self.cfg));
         let symbols = {
             let _t = telemetry::span("rx.equalize");
+            let (eq, known) = (&self.equalizer, &self.known);
             if reference {
-                eq.equalize_reference(&corrected, &model, &known, n_payload)
+                eq.equalize_reference(&corrected, &model, known, n_payload)
             } else {
-                eq.equalize(&corrected, &model, &known, n_payload)
+                eq.equalize(&corrected, &model, known, n_payload)
             }
         };
         let bits = {

@@ -185,7 +185,7 @@ impl OnlineTrainer {
     /// The known prefix of every frame: the preamble, then the training
     /// rounds, as the modulator lays them out. Every level is 0 or full
     /// scale, so all bit-planes of a module share one history key.
-    fn known_levels(cfg: &PhyConfig) -> Vec<SlotLevels> {
+    pub(crate) fn known_levels(cfg: &PhyConfig) -> Vec<SlotLevels> {
         let mut levels = Modulator::preamble_levels(cfg);
         levels.extend(Modulator::training_levels(cfg));
         levels

@@ -72,12 +72,6 @@ impl SnrAwgn {
     pub fn sigma(&self) -> f64 {
         sigma_for_snr(self.snr_db, self.amplitude)
     }
-
-    /// Superimpose AWGN at the target SNR onto a clean render in place.
-    #[inline]
-    pub fn add_to(&self, ns: &mut NoiseSource, x: &mut [C64]) {
-        ns.add_awgn(x, self.sigma());
-    }
 }
 
 /// Deterministic Gaussian noise source.
@@ -199,23 +193,6 @@ mod tests {
         assert!((SnrAwgn::new(20.0, 1.0).sigma() - 0.1).abs() < 1e-15);
         assert!((SnrAwgn::new(20.0, 0.5).sigma() - 0.05).abs() < 1e-15);
         assert!((SnrAwgn::new(-20.0, 1.0).sigma() - 10.0).abs() < 1e-12);
-    }
-
-    /// `SnrAwgn::add_to` is bit-identical to the `add_awgn(sigma_for_snr(..))`
-    /// call pattern it deduplicates.
-    #[test]
-    fn snr_awgn_add_matches_manual_call() {
-        let clean = vec![C64::real(0.3); 64];
-        let mut a = clean.clone();
-        let mut b = clean;
-        let mut ns_a = NoiseSource::new(11);
-        let mut ns_b = NoiseSource::new(11);
-        SnrAwgn::new(17.0, 1.0).add_to(&mut ns_a, &mut a);
-        ns_b.add_awgn(&mut b, sigma_for_snr(17.0, 1.0));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
     }
 
     #[test]

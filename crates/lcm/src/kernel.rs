@@ -6,7 +6,7 @@
 //! the same computation:
 //!
 //! * all pixel state lives in flat arrays (`x[]`, `u[]`, `driven[]`,
-//!   `weight[]`, per-pixel [`LcParams`]), grouped by module;
+//!   `weight[]`, per-pixel [`LcParams`](crate::LcParams)), grouped by module;
 //! * the per-module complex axis coefficient and gain are precomputed once at
 //!   construction;
 //! * the sample loop is segmented by drive command: between commands every

@@ -32,7 +32,8 @@ pub struct FrameScene {
 #[derive(Debug, Clone)]
 pub struct Testbed {
     cfg: PhyConfig,
-    params: LcParams,
+    modulator: Modulator,
+    model: TagModel,
     payload_len: usize,
     coding: Option<CodingChoice>,
     scramble_seed: u8,
@@ -59,7 +60,8 @@ impl Testbed {
     ) -> Self {
         Self {
             cfg,
-            params: LcParams::default(),
+            modulator: Modulator::new(cfg),
+            model: TagModel::nominal(&cfg, &LcParams::default()),
             payload_len,
             coding,
             scramble_seed,
@@ -96,8 +98,8 @@ impl Testbed {
     pub fn frame(&self, frame_index: u64, run_seed: u64) -> FrameScene {
         let payload = self.payload_for(frame_index);
         let bits = protect(&payload, self.coding, self.scramble_seed);
-        let frame = Modulator::new(self.cfg).modulate(&bits);
-        let wave = TagModel::nominal(&self.cfg, &self.params).render_levels(&frame.levels);
+        let frame = self.modulator.modulate(&bits);
+        let wave = self.model.render_levels(&frame.levels);
 
         let mut samples = vec![self.channel(C64::new(-1.0, -1.0)); self.pad];
         samples.extend(wave.iter().map(|&z| self.channel(z)));

@@ -72,14 +72,26 @@ impl EmulatedLink {
     /// Transmit a payload bit vector once; returns the demodulated bits
     /// (None if the preamble was missed).
     pub fn transmit_once(&mut self, bits: &[bool]) -> Option<Vec<bool>> {
-        let frame = self.modulator.modulate(bits);
-        let mut wave = self.model.render_levels(&frame.levels);
-        self.snr.add_to(&mut self.noise, &mut wave);
-        let sig = Signal::new(wave, self.cfg.fs);
+        let sig = self.synth(bits);
         self.receiver
             .receive_at(&sig, 0, bits.len(), &[])
             .ok()
             .map(|r| r.bits)
+    }
+
+    /// The received signal of the next packet carrying `bits`: its clean
+    /// render re-noised with the next unit normals of this link's own noise
+    /// stream, so successive packets consume the stream exactly as
+    /// [`Self::run_ber`] does.
+    pub(crate) fn synth(&mut self, bits: &[bool]) -> Signal {
+        let wave = self.render(bits);
+        let unit_noise = unit_normals(&mut self.noise, wave.len());
+        self.renoise(wave, &unit_noise)
+    }
+
+    /// The receiver every packet of this link is decoded by.
+    pub(crate) fn receiver(&self) -> &Receiver {
+        &self.receiver
     }
 
     /// Fingerprint of everything shaping this link's clean renders and
@@ -90,25 +102,39 @@ impl EmulatedLink {
         fp_fold(&[self.cfg.render_fingerprint(), self.seed])
     }
 
-    /// Render the exact packet sequence [`Self::run_ber`] would transmit —
-    /// clean [`TagModel`] waves, payload bits, and the unit-variance noise
-    /// stream (one persistent source across packets, as the live path
-    /// consumes it) — without adding noise, so every SNR point can re-noise
-    /// the one cached set via [`Self::run_ber_renoise`].
+    /// Render the exact packet sequence [`Self::run_ber`] transmits on a
+    /// fresh link — clean [`TagModel`] waves, payload bits, and the
+    /// unit-variance noise stream (one persistent source across packets) —
+    /// without adding noise, so every SNR point can re-noise the one cached
+    /// set via [`Self::run_ber_renoise`].
     pub fn render_packets(
         &self,
         n_packets: usize,
         payload_bytes: usize,
         data_seed: u64,
     ) -> Vec<CleanPacket> {
+        self.render_packets_from(
+            &mut NoiseSource::new(self.seed),
+            n_packets,
+            payload_bytes,
+            data_seed,
+        )
+    }
+
+    /// [`Self::render_packets`] drawing the unit normals from `ns`.
+    fn render_packets_from(
+        &self,
+        ns: &mut NoiseSource,
+        n_packets: usize,
+        payload_bytes: usize,
+        data_seed: u64,
+    ) -> Vec<CleanPacket> {
         let mut rng = StdRng::seed_from_u64(data_seed);
-        let mut ns = NoiseSource::new(self.seed);
         (0..n_packets)
             .map(|_| {
                 let bits: Vec<bool> = (0..payload_bytes * 8).map(|_| rng.gen()).collect();
-                let frame = self.modulator.modulate(&bits);
-                let wave = self.model.render_levels(&frame.levels);
-                let unit_noise = (0..wave.len()).map(|_| ns.complex_gaussian(1.0)).collect();
+                let wave = self.render(&bits);
+                let unit_noise = unit_normals(ns, wave.len());
                 CleanPacket {
                     bits,
                     wave,
@@ -118,19 +144,30 @@ impl EmulatedLink {
             .collect()
     }
 
-    /// [`Self::run_ber`] from a cached render set: superimpose this link's
-    /// σ on the cached unit normals (§7.3 verbatim) and decode. Bit-identical
-    /// to a fresh `run_ber` with the matching `(seed, data_seed, n, bytes)`.
-    pub fn run_ber_renoise(&self, renders: &[CleanPacket]) -> f64 {
+    /// The clean reference waveform of the frame carrying `bits`.
+    fn render(&self, bits: &[bool]) -> Vec<C64> {
+        self.model
+            .render_levels(&self.modulator.modulate(bits).levels)
+    }
+
+    /// Superimpose this link's σ on a clean render's unit normals (§7.3
+    /// verbatim).
+    fn renoise(&self, mut wave: Vec<C64>, unit_noise: &[C64]) -> Signal {
         let sigma = self.snr.sigma();
+        for (z, n) in wave.iter_mut().zip(unit_noise) {
+            *z += C64::new(n.re * sigma, n.im * sigma);
+        }
+        Signal::new(wave, self.cfg.fs)
+    }
+
+    /// BER of a rendered packet set at this link's SNR: re-noise each
+    /// packet and decode it. Bit-identical to [`Self::run_ber`] on a fresh
+    /// link with the matching `(seed, data_seed, n, bytes)`.
+    pub fn run_ber_renoise(&self, renders: &[CleanPacket]) -> f64 {
         let mut errs = 0usize;
         let mut total = 0usize;
         for cp in renders {
-            let mut wave = cp.wave.clone();
-            for (z, n) in wave.iter_mut().zip(&cp.unit_noise) {
-                *z += C64::new(n.re * sigma, n.im * sigma);
-            }
-            let sig = Signal::new(wave, self.cfg.fs);
+            let sig = self.renoise(cp.wave.clone(), &cp.unit_noise);
             match self.receiver.receive_at(&sig, 0, cp.bits.len(), &[]) {
                 Ok(r) => errs += r.bits.iter().zip(&cp.bits).filter(|(a, b)| a != b).count(),
                 Err(_) => errs += cp.bits.len(),
@@ -140,22 +177,15 @@ impl EmulatedLink {
         errs as f64 / total.max(1) as f64
     }
 
-    /// Emulated BER over `n_packets` random packets of `payload_bytes`.
+    /// Emulated BER over `n_packets` random packets of `payload_bytes`:
+    /// the packets are rendered from this link's own noise stream, which
+    /// they advance exactly as that many [`Self::transmit_once`] calls
+    /// would, then re-noised and decoded by [`Self::run_ber_renoise`].
     pub fn run_ber(&mut self, n_packets: usize, payload_bytes: usize, data_seed: u64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(data_seed);
-        let mut errs = 0usize;
-        let mut total = 0usize;
-        for _ in 0..n_packets {
-            let bits: Vec<bool> = (0..payload_bytes * 8).map(|_| rng.gen()).collect();
-            match self.transmit_once(&bits) {
-                Some(out) => {
-                    errs += out.iter().zip(&bits).filter(|(a, b)| a != b).count();
-                }
-                None => errs += bits.len(),
-            }
-            total += bits.len();
-        }
-        errs as f64 / total.max(1) as f64
+        let mut noise = self.noise.clone();
+        let renders = self.render_packets_from(&mut noise, n_packets, payload_bytes, data_seed);
+        self.noise = noise;
+        self.run_ber_renoise(&renders)
     }
 
     /// Airtime of one frame carrying `n_bits` payload, seconds (preamble +
@@ -163,6 +193,11 @@ impl EmulatedLink {
     pub fn frame_airtime(&self, n_bits: usize) -> f64 {
         self.receiver.frame_slots(n_bits) as f64 * self.cfg.t_slot
     }
+}
+
+/// The next `n` unit-variance complex normals of `ns`.
+fn unit_normals(ns: &mut NoiseSource, n: usize) -> Vec<C64> {
+    (0..n).map(|_| ns.complex_gaussian(1.0)).collect()
 }
 
 impl BitPipe for EmulatedLink {
@@ -212,21 +247,49 @@ mod tests {
         );
     }
 
-    /// The §7.3 re-noise path must reproduce the live emulated BER
-    /// bit-for-bit at every SNR from one cached render set.
+    /// BER of `n` packets sent one at a time through `transmit_once` (the
+    /// ARQ figures' `BitPipe` path), payloads drawn as `run_ber` draws them.
+    fn transmit_loop(link: &mut EmulatedLink, n: usize, bytes: usize, data_seed: u64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(data_seed);
+        let (mut errs, mut total) = (0usize, 0usize);
+        for _ in 0..n {
+            let bits: Vec<bool> = (0..bytes * 8).map(|_| rng.gen()).collect();
+            errs += match link.transmit_once(&bits) {
+                Some(out) => out.iter().zip(&bits).filter(|(a, b)| a != b).count(),
+                None => bits.len(),
+            };
+            total += bits.len();
+        }
+        errs as f64 / total.max(1) as f64
+    }
+
+    /// The §7.3 re-noise path (Fig. 18a) must reproduce the packet-by-packet
+    /// `transmit_once` BER bit-for-bit at every SNR from one cached render
+    /// set, and `run_ber` must advance the link's noise stream exactly as
+    /// the same packets sent one at a time do.
     #[test]
-    fn renoise_ber_bit_identical_to_live_run() {
+    fn renoise_ber_bit_identical_to_transmit_once_loop() {
         let renders = EmulatedLink::new(small_cfg(), 0.0, 7).render_packets(3, 16, 42);
         for snr in [12.0, 20.0, 50.0] {
-            let mut live = EmulatedLink::new(small_cfg(), snr, 7);
-            let cached = EmulatedLink::new(small_cfg(), snr, 7);
-            let a = live.run_ber(3, 16, 42);
-            let b = cached.run_ber_renoise(&renders);
+            let mut one_by_one = EmulatedLink::new(small_cfg(), snr, 7);
+            let mut batched = EmulatedLink::new(small_cfg(), snr, 7);
+            let a = transmit_loop(&mut one_by_one, 3, 16, 42);
+            let b = EmulatedLink::new(small_cfg(), snr, 7).run_ber_renoise(&renders);
+            let c = batched.run_ber(3, 16, 42);
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "snr {snr}: live {a} vs cached {b}"
+                "snr {snr}: sent {a} vs cached {b}"
             );
+            assert_eq!(
+                a.to_bits(),
+                c.to_bits(),
+                "snr {snr}: sent {a} vs run_ber {c}"
+            );
+            // Both links now sit at the same point of their noise stream.
+            let a = transmit_loop(&mut one_by_one, 2, 16, 43);
+            let c = batched.run_ber(2, 16, 43);
+            assert_eq!(a.to_bits(), c.to_bits(), "snr {snr}: continued {a} vs {c}");
         }
     }
 

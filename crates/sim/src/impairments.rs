@@ -15,14 +15,14 @@
 //! chain is a pure function of `(config, input, seed)` — the same properties
 //! the deterministic sweep runtime relies on.
 
+use crate::EmulatedLink;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use retroturbo_core::{Modulator, PhyConfig, Receiver, TagModel};
-use retroturbo_dsp::noise::{sigma_for_snr, NoiseSource, SnrAwgn};
+use retroturbo_core::PhyConfig;
+use retroturbo_dsp::noise::{sigma_for_snr, NoiseSource};
 use retroturbo_dsp::resample::sample_at;
 use retroturbo_dsp::Signal;
-use retroturbo_lcm::LcParams;
 use retroturbo_mac::BitPipe;
 use retroturbo_runtime::derive_seed;
 
@@ -223,34 +223,21 @@ pub struct ImpairmentReport {
 /// (§7.3) plus the fault chain above, reporting per-bit reliability so the
 /// MAC's errors-and-erasures decode path gets real erasure information.
 pub struct ImpairedLink {
-    cfg: PhyConfig,
-    snr: SnrAwgn,
+    link: EmulatedLink,
     impairments: ImpairmentConfig,
-    modulator: Modulator,
-    receiver: Receiver,
-    model: TagModel,
-    noise: NoiseSource,
     seed: u64,
     frames_sent: u64,
 }
 
 impl ImpairedLink {
-    /// Build an impaired link: base AWGN at `snr_db`, then `impairments`
-    /// applied per frame with a seed derived from `seed` and the frame index.
+    /// Build an impaired link: an [`EmulatedLink`] at `snr_db` whose noise
+    /// stream is seeded `derive_seed(seed, 0)`, then `impairments` applied
+    /// per frame with a seed derived from `seed` and the frame index.
     pub fn new(cfg: PhyConfig, snr_db: f64, impairments: ImpairmentConfig, seed: u64) -> Self {
-        cfg.validate();
         impairments.validate();
-        let params = LcParams::default();
-        let mut receiver = Receiver::new(cfg, &params, 1);
-        receiver.online_training = false;
         Self {
-            cfg,
-            snr: SnrAwgn::new(snr_db, 1.0),
+            link: EmulatedLink::new(cfg, snr_db, derive_seed(seed, 0)),
             impairments,
-            modulator: Modulator::new(cfg),
-            receiver,
-            model: TagModel::nominal(&cfg, &params),
-            noise: NoiseSource::new(derive_seed(seed, 0)),
             seed,
             frames_sent: 0,
         }
@@ -263,32 +250,29 @@ impl ImpairedLink {
 
     /// The base (pre-impairment) SNR.
     pub fn snr_db(&self) -> f64 {
-        self.snr.snr_db()
+        self.link.snr_db()
     }
 
     /// Change the base SNR mid-exchange (models an ambient-light step; used
-    /// by the robustness and graceful-degradation studies). Shares the
-    /// dB→σ convention with [`crate::EmulatedLink`] via [`SnrAwgn`].
+    /// by the robustness and graceful-degradation studies).
     pub fn set_snr_db(&mut self, snr_db: f64) {
-        self.snr.set_snr_db(snr_db);
+        self.link.set_snr_db(snr_db);
     }
 
     /// Transmit once, returning demodulated bits plus a per-bit reliability
     /// mask (`true` = the bit came from a slot the impairment chain
     /// flagged — treat as an erasure candidate).
     pub fn transmit_once(&mut self, bits: &[bool]) -> Option<(Vec<bool>, Vec<bool>)> {
-        let frame = self.modulator.modulate(bits);
-        let mut wave = self.model.render_levels(&frame.levels);
-        self.snr.add_to(&mut self.noise, &mut wave);
-        let sig = Signal::new(wave, self.cfg.fs);
+        let sig = self.link.synth(bits);
         let frame_seed = derive_seed(self.seed, 1 + self.frames_sent);
         self.frames_sent += 1;
         let (impaired, report) = self.impairments.apply(&sig, frame_seed);
         let r = self
-            .receiver
+            .link
+            .receiver()
             .receive_at(&impaired, 0, bits.len(), &report.unreliable)
             .ok()?;
-        let mask = r.bit_erasures(self.cfg.bits_per_symbol());
+        let mask = r.bit_erasures(self.link.config().bits_per_symbol());
         Some((r.bits, mask))
     }
 }
@@ -443,18 +427,23 @@ mod tests {
         assert_eq!(out.samples()[0], C64::new(0.0, 0.0), "ramp starts at zero");
     }
 
+    /// With every fault at zero strength the impaired link is the emulated
+    /// link it wraps: the same noise seed gives the same decoded bits, here
+    /// at an SNR low enough that both decode with errors.
     #[test]
     fn clean_impaired_link_matches_plain_emulation() {
-        use crate::emulation::EmulatedLink;
-        let payload: Vec<bool> = (0..128).map(|i| i % 3 == 0).collect();
-        let mut plain = EmulatedLink::new(small_cfg(), 30.0, 11);
-        let mut clean = ImpairedLink::new(small_cfg(), 30.0, ImpairmentConfig::none(), 999);
-        let a = plain.transmit_once(&payload).unwrap();
-        let (b, mask) = clean.transmit_once(&payload).unwrap();
-        // Different noise seeds, but at 30 dB both decode perfectly.
-        assert_eq!(a, payload);
-        assert_eq!(b, payload);
-        assert!(mask.iter().all(|&m| !m), "clean link must not flag bits");
+        let seed = 21;
+        let mut plain = EmulatedLink::new(small_cfg(), 14.0, derive_seed(seed, 0));
+        let mut clean = ImpairedLink::new(small_cfg(), 14.0, ImpairmentConfig::none(), seed);
+        for k in 0..3u32 {
+            let payload: Vec<bool> = (0..128).map(|i| (i * 7 + k) % 3 == 0).collect();
+            let (bits, mask) = clean.transmit_once(&payload).unwrap();
+            assert_eq!(plain.transmit_once(&payload), Some(bits), "frame {k}");
+            assert!(
+                mask.iter().all(|&m| !m),
+                "frame {k}: clean link flagged bits"
+            );
+        }
     }
 
     #[test]

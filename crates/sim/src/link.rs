@@ -60,10 +60,9 @@ fn score_packet(rx: Result<RxResult, RxError>, bits: &[bool], snr_db: f64) -> Pa
     }
 }
 
-/// Per-worker scratch for the allocation-free packet pipeline: the
-/// struct-of-arrays panel kernel (snapshot/restore replaces the per-packet
-/// panel clone) and the reusable channel buffer the waveform is rendered
-/// straight into.
+/// Per-worker scratch for the packet pipeline: the struct-of-arrays panel
+/// kernel (snapshot/restore replaces the per-packet panel clone) and the
+/// reusable channel buffer each packet is re-noised into.
 #[derive(Debug, Clone)]
 pub struct PacketScratch {
     kernel: PanelKernel,
@@ -71,8 +70,8 @@ pub struct PacketScratch {
 }
 
 impl PacketScratch {
-    /// Return a buffer (taken by [`LinkSimulator::synth_rx`] into the
-    /// produced [`Signal`]) so the next packet reuses its capacity.
+    /// Return a buffer (taken by [`LinkSimulator::synth_rx_renoise`] into
+    /// the produced [`Signal`]) so the next packet reuses its capacity.
     #[doc(hidden)]
     pub fn give_back(&mut self, buf: Vec<C64>) {
         self.rx = buf;
@@ -194,98 +193,43 @@ impl LinkSimulator {
     }
 
     /// Simulate one packet of `bits` payload bits (tag ODE → channel →
-    /// receiver); `pkt_seed` varies noise and data across packets. The
-    /// caller-provided scratch makes this the fused, allocation-free
-    /// pipeline [`Self::run_ber`] fans out across workers.
+    /// receiver); `pkt_seed` varies noise and data across packets. This is
+    /// the §7.3 composition the sweep engine caches: [`Self::render_clean`]
+    /// and [`Self::packet_unit_noise`], then the re-noise and decode body a
+    /// sweep cache hit runs.
     pub fn run_packet(
         &self,
         scratch: &mut PacketScratch,
         bits: &[bool],
         pkt_seed: u64,
     ) -> PacketOutcome {
-        let sig = self.synth_rx(scratch, bits, pkt_seed);
+        let clean = self.render_clean(scratch, bits);
+        let unit_noise = self.packet_unit_noise(clean.len(), pkt_seed);
+        self.run_renoised(scratch, bits, &clean, &unit_noise, pkt_seed)
+    }
+
+    /// The per-packet body every field path shares, live or cached:
+    /// re-noise a clean render at this simulator's channel
+    /// ([`Self::synth_rx_renoise`]), decode it against `bits`, and hand the
+    /// channel buffer back to the scratch for the next packet.
+    pub(crate) fn run_renoised(
+        &self,
+        scratch: &mut PacketScratch,
+        bits: &[bool],
+        clean: &[C64],
+        unit_noise: &[C64],
+        pkt_seed: u64,
+    ) -> PacketOutcome {
+        let sig = self.synth_rx_renoise(scratch, clean, unit_noise, pkt_seed);
         let out = self.decode(&sig, bits);
-        // Hand the channel buffer back to the scratch for the next packet.
         scratch.give_back(sig.into_samples());
         out
     }
 
-    /// Synthesize one packet's received signal (tag ODE → channel → noise)
-    /// with the fused pipeline: the kernel renders the waveform directly
-    /// into the padded channel buffer, roll rotation and mobility flutter
-    /// are applied in place, and noise is added on top — no allocation when
-    /// `scratch.rx` is already frame-sized.
-    #[doc(hidden)]
-    pub fn synth_rx(&self, scratch: &mut PacketScratch, bits: &[bool], pkt_seed: u64) -> Signal {
-        let frame = self.modulator.modulate(bits);
-        let cmds = frame.drive_commands(&self.cfg);
-        let n_wave = frame.total_slots() * self.cfg.samples_per_slot();
-        // Tag side: snapshot/restore instead of cloning the pristine panel;
-        // the waveform lands straight in the channel buffer.
-        self.synth_into(scratch, n_wave, None, pkt_seed, |kernel, wave| {
-            kernel.restore();
-            kernel.simulate_into(&cmds, self.cfg.fs, wave);
-        })
-    }
-
-    /// The body [`Self::synth_rx`] and [`Self::synth_rx_renoise`] share:
-    /// size the channel buffer to `PAD + n_wave`, fill the guard pad with
-    /// the rest level, let `fill` write the clean tag waveform past it,
-    /// apply the channel in place and add the noise tail.
-    fn synth_into(
-        &self,
-        scratch: &mut PacketScratch,
-        n_wave: usize,
-        unit_noise: Option<&[C64]>,
-        pkt_seed: u64,
-        fill: impl FnOnce(&mut PanelKernel, &mut [C64]),
-    ) -> Signal {
-        scratch.rx.resize(PAD + n_wave, C64::default());
-        scratch.rx[..PAD].fill(self.rest_level());
-        fill(&mut scratch.kernel, &mut scratch.rx[PAD..]);
-        self.apply_channel(&mut scratch.rx[PAD..], pkt_seed);
-        let mut sig = Signal::new(std::mem::take(&mut scratch.rx), self.cfg.fs);
-        self.add_channel_noise(&mut sig, unit_noise, pkt_seed);
-        sig
-    }
-
-    /// Rest-level sample filling the guard interval before the frame.
-    #[inline]
-    fn rest_level(&self) -> C64 {
-        let roll_rot = C64::cis(2.0 * self.scene.orientation.roll);
-        // Normalized amplitude after path loss; absolute scale is arbitrary
-        // post-AGC, but applying a gain exercises the scale correction.
-        roll_rot * C64::new(-1.0, -1.0) * 0.5
-    }
-
-    /// Deterministic channel distortion applied to the clean ODE waveform in
-    /// place (identical operand order to the reference's push loop:
-    /// roll_rot · z · (amp · flutter)). Shared by the fused synthesis and
-    /// the cached-render re-noise path so they cannot drift apart.
-    fn apply_channel(&self, wave: &mut [C64], pkt_seed: u64) {
-        let roll_rot = C64::cis(2.0 * self.scene.orientation.roll);
-        let amp = 0.5;
-        let (flut_amp, flut_rate) = self.scene.mobility.flutter();
-        if flut_amp == 0.0 {
-            // Static scene: `1.0 + 0.0·sin(·) == 1.0` and `amp·1.0 == amp`
-            // exactly, so skipping the per-sample sine is bit-identical.
-            for z in wave.iter_mut() {
-                *z = roll_rot * *z * amp;
-            }
-        } else {
-            for (i, z) in wave.iter_mut().enumerate() {
-                let t = i as f64 / self.cfg.fs;
-                let flutter = 1.0
-                    + flut_amp
-                        * (2.0 * std::f64::consts::PI * flut_rate * t + (pkt_seed % 17) as f64)
-                            .sin();
-                *z = roll_rot * *z * (amp * flutter);
-            }
-        }
-    }
-
-    /// Oracle for [`Self::synth_rx`]: the original allocating formulation
-    /// through `Panel::simulate_reference`.
+    /// Oracle for [`Self::synth_rx_renoise`] over a fresh render: the
+    /// original allocating formulation through `Panel::simulate_reference`,
+    /// drawing its noise live from the packet's stream instead of scaling
+    /// pre-drawn unit normals.
     #[doc(hidden)]
     pub fn synth_rx_reference(&self, bits: &[bool], pkt_seed: u64) -> Signal {
         let cfg = &self.cfg;
@@ -310,36 +254,20 @@ impl LinkSimulator {
                     * (2.0 * std::f64::consts::PI * flut_rate * t + (pkt_seed % 17) as f64).sin();
             samples.push(roll_rot * z * (amp * flutter));
         }
-        let mut sig = Signal::new(samples, cfg.fs);
-        self.add_channel_noise(&mut sig, None, pkt_seed);
-        sig
+        match self.noise_sigma() {
+            Some(sigma) => self.noise_source(pkt_seed).add_awgn(&mut samples, sigma),
+            None => cutoff_noise(&mut samples, pkt_seed),
+        }
+        Signal::new(samples, cfg.fs)
     }
 
-    /// Noise tail of every synthesis path: AWGN at the effective SNR, drawn
-    /// fresh from the packet's noise stream or, given `unit_noise` (that
-    /// same stream pre-drawn at σ = 1 by [`Self::packet_unit_noise`]),
-    /// scaled from it. Beyond the retro cutoff nothing comes back but noise.
-    fn add_channel_noise(&self, sig: &mut Signal, unit_noise: Option<&[C64]>, pkt_seed: u64) {
+    /// Per-component σ of the channel noise at the effective SNR, or `None`
+    /// beyond the retro cutoff, where nothing comes back but noise.
+    fn noise_sigma(&self) -> Option<f64> {
         let snr_db = self.effective_snr_db();
-        if !snr_db.is_finite() {
-            // The tag waveform contributes nothing, cached or live.
-            let mut ns = NoiseSource::new(pkt_seed);
-            sig.samples_mut().fill(C64::default());
-            ns.add_awgn(sig.samples_mut(), 0.05);
-            return;
-        }
-        let sigma = sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma());
-        match unit_noise {
-            Some(unit) => {
-                debug_assert_eq!(unit.len(), sig.len(), "unit-noise length mismatch");
-                for (z, n) in sig.samples_mut().iter_mut().zip(unit) {
-                    *z += C64::new(n.re * sigma, n.im * sigma);
-                }
-            }
-            None => self
-                .noise_source(pkt_seed)
-                .add_awgn(sig.samples_mut(), sigma),
-        }
+        snr_db
+            .is_finite()
+            .then(|| sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma()))
     }
 
     /// The packet's channel-noise stream.
@@ -348,10 +276,9 @@ impl LinkSimulator {
     }
 
     /// Render one packet's *clean* tag-side waveform (the ODE output before
-    /// any channel effect): exactly what [`Self::synth_rx`] writes into the
-    /// channel buffer past the guard pad. This is the §7.3 cacheable
-    /// quantity — it depends only on [`Self::render_fingerprint`] and the
-    /// payload, never on SNR, distance, roll, ambient light or mobility.
+    /// any channel effect). This is the §7.3 cacheable quantity — it
+    /// depends only on [`Self::render_fingerprint`] and the payload, never
+    /// on SNR, distance, roll, ambient light or mobility.
     pub fn render_clean(&self, scratch: &mut PacketScratch, bits: &[bool]) -> Vec<C64> {
         let frame = self.modulator.modulate(bits);
         let cmds = frame.drive_commands(&self.cfg);
@@ -362,8 +289,8 @@ impl LinkSimulator {
     }
 
     /// The unit-variance complex noise stream packet `pkt_seed` sees over a
-    /// signal of `PAD + n_wave` samples — the same samples
-    /// [`Self::add_channel_noise`] would draw, pre-scaled by σ = 1 so a
+    /// signal of `PAD + n_wave` samples — the normals
+    /// [`Self::synth_rx_reference`] draws live, pre-scaled by σ = 1 so a
     /// cached stream can be re-scaled to any per-point σ bit-identically
     /// (`n·1.0 == n` exactly, and `(n·1.0)·σ == n·σ`).
     pub fn packet_unit_noise(&self, n_wave: usize, pkt_seed: u64) -> Vec<C64> {
@@ -373,11 +300,13 @@ impl LinkSimulator {
             .collect()
     }
 
-    /// [`Self::synth_rx`] from a cached clean render and cached unit-noise
-    /// stream: re-applies the per-point channel (pad, roll, flutter, gain)
-    /// and superimposes the per-point σ on the cached normals instead of
-    /// re-integrating the ODE and re-drawing the RNG. Bit-identical to
-    /// [`Self::synth_rx`] for matching `(render, noise, pkt_seed)`.
+    /// The received signal of a packet from its clean render and unit-noise
+    /// stream: the guard pad at the rest level, then the clean wave through
+    /// the per-point channel (roll, flutter, gain), all in the scratch's
+    /// reused buffer, plus the per-point σ on the unit normals.
+    /// Bit-identical to [`Self::synth_rx_reference`] for a matching
+    /// `(bits, pkt_seed)`: the same operand order, `roll_rot · z · (amp ·
+    /// flutter)`.
     #[doc(hidden)]
     pub fn synth_rx_renoise(
         &self,
@@ -386,13 +315,38 @@ impl LinkSimulator {
         unit_noise: &[C64],
         pkt_seed: u64,
     ) -> Signal {
-        self.synth_into(
-            scratch,
-            clean.len(),
-            Some(unit_noise),
-            pkt_seed,
-            |_, wave| wave.copy_from_slice(clean),
-        )
+        debug_assert_eq!(unit_noise.len(), PAD + clean.len(), "unit-noise length");
+        let roll_rot = C64::cis(2.0 * self.scene.orientation.roll);
+        // Normalized amplitude after path loss; absolute scale is arbitrary
+        // post-AGC, but applying a gain exercises the scale correction.
+        let amp = 0.5;
+        let rx = &mut scratch.rx;
+        rx.clear();
+        rx.resize(PAD, roll_rot * C64::new(-1.0, -1.0) * amp);
+        let (flut_amp, flut_rate) = self.scene.mobility.flutter();
+        if flut_amp == 0.0 {
+            // Static scene: `1.0 + 0.0·sin(·) == 1.0` and `amp·1.0 == amp`
+            // exactly, so skipping the per-sample sine is bit-identical.
+            rx.extend(clean.iter().map(|&z| roll_rot * z * amp));
+        } else {
+            rx.extend(clean.iter().enumerate().map(|(i, &z)| {
+                let t = i as f64 / self.cfg.fs;
+                let flutter = 1.0
+                    + flut_amp
+                        * (2.0 * std::f64::consts::PI * flut_rate * t + (pkt_seed % 17) as f64)
+                            .sin();
+                roll_rot * z * (amp * flutter)
+            }));
+        }
+        match self.noise_sigma() {
+            Some(sigma) => {
+                for (z, n) in rx.iter_mut().zip(unit_noise) {
+                    *z += C64::new(n.re * sigma, n.im * sigma);
+                }
+            }
+            None => cutoff_noise(rx, pkt_seed),
+        }
+        Signal::new(std::mem::take(rx), self.cfg.fs)
     }
 
     /// One packet through the end-to-end *scalar* pipeline: the allocating
@@ -429,11 +383,10 @@ impl LinkSimulator {
     /// packets, §7.1).
     ///
     /// Packets run in parallel across `RETROTURBO_THREADS` workers, each
-    /// with its own [`PacketScratch`], so the steady-state packet loop
-    /// performs no per-packet heap allocation. Each packet's payload RNG is
-    /// seeded from `(self.seed + 1, packet index)` and its noise stream from
-    /// the packet index, so the aggregate BER is bit-for-bit identical at
-    /// every thread count.
+    /// with its own [`PacketScratch`]. Each packet's payload comes from
+    /// [`Self::packet_bits`] and its noise stream from the packet index, so
+    /// the aggregate BER is bit-for-bit identical at every thread count and
+    /// to a sweep that re-noises cached renders of the same packets.
     pub fn run_ber(&mut self, n_packets: usize, payload_bytes: usize) -> f64 {
         let _t = retroturbo_telemetry::span("sweep.run_ber");
         let this = &*self;
@@ -458,6 +411,13 @@ impl LinkSimulator {
     }
 }
 
+/// Beyond the retro cutoff the tag waveform contributes nothing: the
+/// reader sees σ = 0.05 noise drawn from the packet seed alone.
+fn cutoff_noise(samples: &mut [C64], pkt_seed: u64) {
+    samples.fill(C64::default());
+    NoiseSource::new(pkt_seed).add_awgn(samples, 0.05);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,56 +436,21 @@ mod tests {
         }
     }
 
-    /// The re-noise fast path must reproduce the fused synthesis
-    /// bit-for-bit in every channel regime: static finite-SNR, mobility
-    /// flutter, and the beyond-cutoff noise-only branch.
-    #[test]
-    fn renoise_signal_bit_identical_to_fused_synthesis() {
-        let mut flutter_scene = Scene::default_at(7.0);
-        flutter_scene.mobility = HumanMobility::ThreeWalkers;
-        let scenes = vec![
-            Scene::default_at(7.0).with_roll(30.0),
-            flutter_scene,
-            Scene::default_at(2.0).with_yaw(65.0), // −inf SNR branch
-        ];
-        for (i, scene) in scenes.into_iter().enumerate() {
-            let sim = LinkSimulator::new(small_cfg(), LinkBudget::fov10(), scene, 9 + i as u64);
-            let mut scratch = sim.make_scratch();
-            for p in 0..2u64 {
-                let bits = sim.packet_bits(12, p);
-                let clean = sim.render_clean(&mut scratch, &bits);
-                let unit = sim.packet_unit_noise(clean.len(), p);
-                let live = sim.synth_rx(&mut scratch, &bits, p);
-                let mut scratch2 = sim.make_scratch();
-                let cached = sim.synth_rx_renoise(&mut scratch2, &clean, &unit, p);
-                assert_eq!(live.len(), cached.len(), "scene {i} pkt {p}");
-                for (k, (a, b)) in live.samples().iter().zip(cached.samples()).enumerate() {
-                    assert_eq!(
-                        (a.re.to_bits(), a.im.to_bits()),
-                        (b.re.to_bits(), b.im.to_bits()),
-                        "scene {i} pkt {p} sample {k} differs"
-                    );
-                }
-                scratch.give_back(live.into_samples());
-            }
-        }
-    }
-
     /// The all-scalar pipeline (reference ODE + reference receiver kernels)
-    /// reaches the same per-packet decisions as the fused production path.
+    /// reaches the same per-packet decisions as the production composition.
     #[test]
-    fn scalar_reference_packet_matches_fused_outcome() {
+    fn scalar_reference_packet_matches_run_packet() {
         for dist in [4.0, 8.0] {
             let sim =
                 LinkSimulator::new(small_cfg(), LinkBudget::fov10(), Scene::default_at(dist), 3);
             let mut scratch = sim.make_scratch();
             for p in 0..2u64 {
                 let bits = sim.packet_bits(12, p);
-                let fused = sim.run_packet(&mut scratch, &bits, p);
+                let prod = sim.run_packet(&mut scratch, &bits, p);
                 let scalar = sim.run_packet_scalar_reference(&bits, p);
-                assert_eq!(fused.bit_errors, scalar.bit_errors, "{dist} m pkt {p}");
-                assert_eq!(fused.detected, scalar.detected, "{dist} m pkt {p}");
-                assert_eq!(fused.snr_db.to_bits(), scalar.snr_db.to_bits());
+                assert_eq!(prod.bit_errors, scalar.bit_errors, "{dist} m pkt {p}");
+                assert_eq!(prod.detected, scalar.detected, "{dist} m pkt {p}");
+                assert_eq!(prod.snr_db.to_bits(), scalar.snr_db.to_bits());
             }
         }
     }

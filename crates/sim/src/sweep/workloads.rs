@@ -19,7 +19,8 @@ pub struct BerOut {
 /// Which no-cache measurement path a field sweep uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldOracle {
-    /// The fused production pipeline (`LinkSimulator::run_ber`).
+    /// The production pipeline (`LinkSimulator::run_ber`): each packet
+    /// rendered afresh, then the same re-noise and decode as a cache hit.
     Fused,
     /// The end-to-end scalar reference pipeline
     /// (`LinkSimulator::run_packet_scalar_reference`) — the slowest, most
@@ -84,10 +85,13 @@ impl<F: Fn(usize, f64) -> LinkSimulator + Sync> SweepWorkload for FieldSweep<F> 
                 let (mut errs, mut total) = (0usize, 0usize);
                 for (pk, cp) in renders.iter().enumerate() {
                     let _s = telemetry::span("sweep.renoise");
-                    let sig =
-                        sim.synth_rx_renoise(&mut scratch, &cp.wave, &cp.unit_noise, pk as u64);
-                    let o = sim.decode(&sig, &cp.bits);
-                    scratch.give_back(sig.into_samples());
+                    let o = sim.run_renoised(
+                        &mut scratch,
+                        &cp.bits,
+                        &cp.wave,
+                        &cp.unit_noise,
+                        pk as u64,
+                    );
                     errs += o.bit_errors;
                     total += o.bits;
                 }

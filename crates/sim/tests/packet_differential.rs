@@ -1,17 +1,18 @@
-//! Differential tests for the fused packet pipeline.
+//! Differential tests for the packet pipeline.
 //!
-//! `LinkSimulator::synth_rx` (snapshot/restore SoA kernel, in-place channel,
-//! reused buffers) must produce a received waveform bit-identical to
-//! `synth_rx_reference` (panel clone, scalar ODE loop, fresh allocations)
-//! across channel conditions. Whole packets are checked against the one
-//! packet oracle, `run_packet_scalar_reference` (reference synthesis and
-//! reference receiver kernels), and the cached-render composition the sweep
-//! engine uses (`synth_rx_renoise` + `decode`) against `run_packet`.
+//! Every field packet is the §7.3 composition: `render_clean` (snapshot/
+//! restore SoA kernel) → `packet_unit_noise` → `synth_rx_renoise` (in-place
+//! channel, σ-scaled cached normals, reused buffers) → `decode`. Its
+//! received waveform must be bit-identical to `synth_rx_reference` (panel
+//! clone, scalar ODE loop, live noise draws, fresh allocations) across
+//! channel conditions, and whole packets (`run_packet`) must reach the
+//! decisions of the one packet oracle, `run_packet_scalar_reference`
+//! (reference synthesis and reference receiver kernels).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retroturbo_core::PhyConfig;
-use retroturbo_sim::link::{LinkSimulator, PacketScratch};
+use retroturbo_sim::link::LinkSimulator;
 use retroturbo_sim::scene::{AmbientLight, HumanMobility, Scene};
 use retroturbo_sim::LinkBudget;
 
@@ -48,16 +49,18 @@ fn random_bits(seed: u64, n: usize) -> Vec<bool> {
 }
 
 #[test]
-fn synth_rx_bitwise_matches_reference_across_scenes() {
+fn renoised_render_bitwise_matches_reference_across_scenes() {
     for (name, scene) in scenes() {
         let sim = LinkSimulator::new(small_cfg(), LinkBudget::fov10(), scene, 11);
         let mut scratch = sim.make_scratch();
         for pkt_seed in 0..3u64 {
             let bits = random_bits(1000 + pkt_seed, 16 * 8);
-            let fused = sim.synth_rx(&mut scratch, &bits, pkt_seed);
+            let clean = sim.render_clean(&mut scratch, &bits);
+            let unit = sim.packet_unit_noise(clean.len(), pkt_seed);
+            let composed = sim.synth_rx_renoise(&mut scratch, &clean, &unit, pkt_seed);
             let refr = sim.synth_rx_reference(&bits, pkt_seed);
-            assert_eq!(fused.len(), refr.len(), "{name}: length");
-            for (i, (a, b)) in fused.samples().iter().zip(refr.samples()).enumerate() {
+            assert_eq!(composed.len(), refr.len(), "{name}: length");
+            for (i, (a, b)) in composed.samples().iter().zip(refr.samples()).enumerate() {
                 assert_eq!(
                     a.re.to_bits(),
                     b.re.to_bits(),
@@ -73,16 +76,11 @@ fn synth_rx_bitwise_matches_reference_across_scenes() {
                     b.im
                 );
             }
-            // Hand the buffer back so packet 2 exercises the reuse path
+            // Hand the buffer back so later packets exercise the reuse path
             // (resize of an already-sized buffer, stale contents overwritten).
-            scratch_restore(&mut scratch, fused);
+            scratch.give_back(composed.into_samples());
         }
     }
-}
-
-/// Return the signal's buffer to the scratch the way `run_packet` does.
-fn scratch_restore(scratch: &mut PacketScratch, sig: retroturbo_dsp::Signal) {
-    scratch.give_back(sig.into_samples());
 }
 
 #[test]
@@ -92,25 +90,16 @@ fn packet_outcomes_match_reference_across_scenes() {
         let mut scratch = sim.make_scratch();
         for pkt_seed in 0..2u64 {
             let bits = random_bits(2000 + pkt_seed, 16 * 8);
-            let fused = sim.run_packet(&mut scratch, &bits, pkt_seed);
+            let prod = sim.run_packet(&mut scratch, &bits, pkt_seed);
             let refr = sim.run_packet_scalar_reference(&bits, pkt_seed);
-            // The sweep engine's cache-hit composition: cached clean render
-            // and unit noise, re-noised, then the reader half alone.
-            let clean = sim.render_clean(&mut scratch, &bits);
-            let unit = sim.packet_unit_noise(clean.len(), pkt_seed);
-            let sig = sim.synth_rx_renoise(&mut scratch, &clean, &unit, pkt_seed);
-            let cached = sim.decode(&sig, &bits);
-            scratch_restore(&mut scratch, sig);
-            for (path, o) in [("reference", refr), ("cached", cached)] {
-                assert_eq!(fused.detected, o.detected, "{name}/{path}: detected");
-                assert_eq!(fused.bit_errors, o.bit_errors, "{name}/{path}: bit_errors");
-                assert_eq!(fused.bits, o.bits, "{name}/{path}: bits");
-                assert_eq!(
-                    fused.snr_db.to_bits(),
-                    o.snr_db.to_bits(),
-                    "{name}/{path}: snr_db"
-                );
-            }
+            assert_eq!(prod.detected, refr.detected, "{name}: detected");
+            assert_eq!(prod.bit_errors, refr.bit_errors, "{name}: bit_errors");
+            assert_eq!(prod.bits, refr.bits, "{name}: bits");
+            assert_eq!(
+                prod.snr_db.to_bits(),
+                refr.snr_db.to_bits(),
+                "{name}: snr_db"
+            );
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Sweep-engine conformance suite (oracle discipline, DESIGN.md §12):
 //!
 //! - **Differential**: the cached re-noise path must be bit-identical to the
-//!   no-cache oracle at every grid point — both against the fused pipeline
-//!   and against the end-to-end scalar reference.
+//!   no-cache oracle at every grid point — both against the production
+//!   pipeline (`FieldOracle::Fused`, every packet rendered afresh) and
+//!   against the end-to-end scalar reference.
 //! - **Refinement**: refined runs are supersets of the coarse grid (coarse
 //!   rows bitwise unchanged, insertions bounded by the budget and strictly
 //!   inside straddling gaps).
@@ -87,9 +88,10 @@ fn canon(rows: &[(GridPoint, BerOut)]) -> String {
 
 /// The tentpole guarantee: for the full-ODE field workload, re-noising the
 /// cached clean renders is bit-identical at every grid point to BOTH
-/// no-cache oracles — the fused production pipeline and the end-to-end
-/// scalar reference. The post-ODE variant curves 2–4 re-noise curve 1's
-/// render, which is what lets Fig. 17a/17b and Tab. 4 run on the engine.
+/// no-cache oracles — the production pipeline rendering every packet
+/// afresh (`FieldOracle::Fused`) and the end-to-end scalar reference. The
+/// post-ODE variant curves 2–4 re-noise curve 1's render, which is what
+/// lets Fig. 17a/17b and Tab. 4 run on the engine.
 #[test]
 fn field_cache_matches_fused_and_scalar_oracles() {
     let distances = [4.0, 8.0];
