@@ -5,20 +5,27 @@
 //! retroturbo-serve [frames] [workers] [snr_db]
 //! ```
 //!
-//! Defaults: 24 frames, 2 workers, 35 dB. A feeder thread synthesizes
-//! frames with the loopback channel recipe and pushes them into the
-//! service's sample ring in small chunks, like a front end delivering ADC
-//! buffers; the main thread consumes in-order decode events and prints a
-//! per-frame line plus the final pipeline stats.
+//! Defaults: 24 frames, 2 workers, 35 dB; an unparsable argument or 0
+//! workers prints the usage line and exits with code 2. A feeder thread
+//! synthesizes frames with the loopback channel recipe and pushes them into
+//! the service's sample ring in small chunks, like a front end delivering
+//! ADC buffers; the main thread consumes in-order decode events and prints
+//! a per-frame line plus the final pipeline stats.
 
 use retroturbo_mac::CodingChoice;
 use retroturbo_service::{loopback_phy, DecodeService, ServiceEvent, Testbed};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let frames: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(24);
-    let workers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2);
-    let snr_db: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(35.0);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let arg = |i: usize, default: &str| args.get(i).map_or(default.to_string(), String::clone);
+    let (Ok(frames), Ok(workers @ 1..), Ok(snr_db)) = (
+        arg(0, "24").parse::<u64>(),
+        arg(1, "2").parse::<usize>(),
+        arg(2, "35").parse::<f64>(),
+    ) else {
+        eprintln!("usage: retroturbo-serve [frames] [workers >= 1] [snr_db]");
+        std::process::exit(2);
+    };
 
     let bed = Testbed::new(
         loopback_phy(2, 4),

@@ -24,9 +24,9 @@ mod ring;
 mod testbed;
 
 pub use pipeline::{
-    DecodeService, DropReason, QueueDepth, ServiceConfig, ServiceEvent, ServiceFrame, ServiceInput,
+    DecodeService, DropReason, ServiceConfig, ServiceEvent, ServiceFrame, ServiceInput,
     ServiceStats,
 };
-pub use queue::Bounded;
+pub use queue::{Bounded, QueueDepth};
 pub use ring::{RingStats, SampleRing};
 pub use testbed::{loopback_phy, FrameScene, Testbed};

@@ -22,7 +22,7 @@
 //! of producer chunking or worker timing — which keeps the telemetry
 //! fingerprint invariant across worker counts.
 
-use crate::queue::Bounded;
+use crate::queue::{Bounded, QueueDepth};
 use crate::ring::SampleRing;
 use retroturbo_core::{PhyConfig, Receiver};
 use retroturbo_dsp::{Signal, C64};
@@ -43,8 +43,6 @@ const TRAINING_BASES: usize = 1;
 const FRAME_QUEUE: usize = 8;
 /// Worker → consumer queue bound (events).
 const OUT_QUEUE: usize = 16;
-/// Frames a worker dequeues per lock acquisition.
-const BATCH: usize = 4;
 /// Detected frames whose window lost more than this fraction of its
 /// samples to ring overruns are dropped instead of decoded.
 const MAX_LOST_FRACTION: f64 = 0.5;
@@ -156,43 +154,12 @@ impl ServiceEvent {
     }
 }
 
-/// Occupancy histogram for a bounded queue: `counts[d]` is how many pushes
-/// left the queue at depth `d` (1 ≤ d ≤ capacity).
-#[derive(Debug, Clone, Default)]
-pub struct QueueDepth {
-    /// Push counts indexed by post-push depth; `counts[0]` is unused.
-    pub counts: Vec<u64>,
-}
-
-impl QueueDepth {
-    fn new(cap: usize) -> Self {
-        Self {
-            counts: vec![0; cap + 1],
-        }
-    }
-
-    fn record(&mut self, depth: usize) {
-        if depth < self.counts.len() {
-            self.counts[depth] += 1;
-        }
-    }
-
-    /// Mean post-push depth (0 when nothing was pushed).
-    pub fn mean(&self) -> f64 {
-        let (mut n, mut sum) = (0u64, 0u64);
-        for (d, &c) in self.counts.iter().enumerate() {
-            n += c;
-            sum += c * d as u64;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
-    }
-}
-
 /// Aggregate pipeline accounting, returned by [`DecodeService::shutdown`].
+///
+/// The frame counts are a tally of the [`ServiceEvent`]s themselves, taken
+/// as each one leaves the event queue (in [`DecodeService::recv`] or
+/// `shutdown`'s drain), so every detected frame is counted exactly once
+/// and by the same event the consumer sees.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Samples the producer pushed into the ring.
@@ -219,19 +186,6 @@ pub struct ServiceStats {
     pub frame_queue_depth: QueueDepth,
     /// Worker → consumer queue occupancy histogram.
     pub out_queue_depth: QueueDepth,
-}
-
-/// Mutable counters shared by the stage threads.
-#[derive(Debug, Default)]
-struct SharedStats {
-    frames_detected: u64,
-    frames_decoded: u64,
-    frames_degraded: u64,
-    dropped_overrun: u64,
-    dropped_demod: u64,
-    dropped_recover: u64,
-    frame_queue_depth: QueueDepth,
-    out_queue_depth: QueueDepth,
 }
 
 /// A cut frame window travelling from the framer to a worker.
@@ -277,11 +231,10 @@ impl ServiceInput {
 /// A running streaming decode service. See the module docs for the stage
 /// graph; [`DecodeService::recv`] yields events in detection order.
 pub struct DecodeService {
-    cfg: ServiceConfig,
     ring: Arc<SampleRing>,
+    frame_q: Arc<Bounded<FrameTask>>,
     out: Arc<Bounded<ServiceEvent>>,
     reorder: Mutex<Reorder>,
-    stats: Arc<Mutex<SharedStats>>,
     framer: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -290,6 +243,8 @@ pub struct DecodeService {
 struct Reorder {
     next: u64,
     held: BTreeMap<u64, ServiceEvent>,
+    /// Every event popped from the out queue, counted by [`tally`].
+    ledger: ServiceStats,
 }
 
 impl DecodeService {
@@ -301,40 +256,33 @@ impl DecodeService {
         let ring = Arc::new(SampleRing::new(cfg.ring_capacity));
         let frame_q = Arc::new(Bounded::<FrameTask>::new(FRAME_QUEUE));
         let out = Arc::new(Bounded::<ServiceEvent>::new(OUT_QUEUE));
-        let stats = Arc::new(Mutex::new(SharedStats {
-            frame_queue_depth: QueueDepth::new(FRAME_QUEUE),
-            out_queue_depth: QueueDepth::new(OUT_QUEUE),
-            ..SharedStats::default()
-        }));
 
         let framer = {
-            let (cfg, ring, frame_q, out, stats) = (
+            let (cfg, ring, frame_q, out) = (
                 cfg.clone(),
                 Arc::clone(&ring),
                 Arc::clone(&frame_q),
                 Arc::clone(&out),
-                Arc::clone(&stats),
             );
             std::thread::Builder::new()
                 .name("rt-framer".into())
-                .spawn(move || run_framer(&cfg, &ring, &frame_q, &out, &stats))
+                .spawn(move || run_framer(&cfg, &ring, &frame_q, &out))
                 .expect("spawn framer")
         };
 
         let live_workers = Arc::new(AtomicUsize::new(cfg.workers));
         let workers = (0..cfg.workers)
             .map(|i| {
-                let (cfg, frame_q, out, stats, live) = (
+                let (cfg, frame_q, out, live) = (
                     cfg.clone(),
                     Arc::clone(&frame_q),
                     Arc::clone(&out),
-                    Arc::clone(&stats),
                     Arc::clone(&live_workers),
                 );
                 std::thread::Builder::new()
                     .name(format!("rt-worker-{i}"))
                     .spawn(move || {
-                        run_worker(&cfg, &frame_q, &out, &stats);
+                        run_worker(&cfg, &frame_q, &out);
                         // Last worker out closes the event queue so the
                         // consumer sees exhaustion.
                         if live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -346,11 +294,10 @@ impl DecodeService {
             .collect();
 
         Self {
-            cfg,
             ring,
+            frame_q,
             out,
             reorder: Mutex::new(Reorder::default()),
-            stats,
             framer: Some(framer),
             workers,
         }
@@ -375,6 +322,7 @@ impl DecodeService {
             }
             match self.out.pop() {
                 Some(ev) => {
+                    tally(&mut r.ledger, &ev);
                     r.held.insert(ev.seq(), ev);
                 }
                 None => {
@@ -395,15 +343,12 @@ impl DecodeService {
     /// discarded), join every stage thread, and return the final stats.
     pub fn shutdown(mut self) -> ServiceStats {
         self.ring.close();
-        let mut discarded = 0u64;
-        {
-            let mut r = self.reorder.lock().unwrap();
-            discarded += r.held.len() as u64;
-            r.held.clear();
-        }
+        let r = self.reorder.get_mut().expect("recv panicked");
+        let mut discarded = r.held.len() as u64;
         // Keep the out queue moving so blocked workers can finish; `pop`
         // returns `None` once the last worker closes it.
-        while self.out.pop().is_some() {
+        while let Some(ev) = self.out.pop() {
+            tally(&mut r.ledger, &ev);
             discarded += 1;
         }
         if let Some(h) = self.framer.take() {
@@ -413,56 +358,45 @@ impl DecodeService {
             h.join().expect("worker panicked");
         }
         let ring = self.ring.stats();
-        let s = self.stats.lock().unwrap();
         ServiceStats {
             samples_pushed: ring.pushed,
             samples_lost: ring.lost,
-            frames_detected: s.frames_detected,
-            frames_decoded: s.frames_decoded,
-            frames_degraded: s.frames_degraded,
-            frames_dropped: s.dropped_overrun + s.dropped_demod + s.dropped_recover,
-            dropped_overrun: s.dropped_overrun,
-            dropped_demod: s.dropped_demod,
-            dropped_recover: s.dropped_recover,
             discarded_at_shutdown: discarded,
-            frame_queue_depth: s.frame_queue_depth.clone(),
-            out_queue_depth: s.out_queue_depth.clone(),
+            frame_queue_depth: self.frame_q.depth(),
+            out_queue_depth: self.out.depth(),
+            ..std::mem::take(&mut r.ledger)
         }
-    }
-
-    /// The configuration this service was spawned with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
     }
 }
 
-/// Emit a drop event (framer- or worker-side) and account it.
-fn emit_drop(
-    out: &Bounded<ServiceEvent>,
-    stats: &Mutex<SharedStats>,
-    seq: u64,
-    offset: u64,
-    reason: DropReason,
-) {
-    {
-        let mut s = stats.lock().unwrap();
-        match reason {
-            DropReason::Overrun => s.dropped_overrun += 1,
-            DropReason::Demod => s.dropped_demod += 1,
-            DropReason::Recover => s.dropped_recover += 1,
+/// Count one event popped from the out queue into `stats` and the
+/// `service.frames.*` telemetry counters: the service's only frame ledger.
+fn tally(stats: &mut ServiceStats, ev: &ServiceEvent) {
+    stats.frames_detected += 1;
+    telemetry::counter_inc("service.frames.detected");
+    match ev {
+        ServiceEvent::Frame(f) => {
+            stats.frames_decoded += 1;
+            telemetry::counter_inc("service.frames.decoded");
+            if f.degraded {
+                stats.frames_degraded += 1;
+                telemetry::counter_inc("service.frames.degraded");
+            }
         }
-    }
-    telemetry::counter_inc(match reason {
-        DropReason::Overrun => "service.frames.dropped.overrun",
-        DropReason::Demod => "service.frames.dropped.demod",
-        DropReason::Recover => "service.frames.dropped.recover",
-    });
-    if let Ok(depth) = out.push(ServiceEvent::Dropped {
-        seq,
-        offset,
-        reason,
-    }) {
-        stats.lock().unwrap().out_queue_depth.record(depth);
+        ServiceEvent::Dropped { reason, .. } => {
+            stats.frames_dropped += 1;
+            let (count, name) = match reason {
+                DropReason::Overrun => {
+                    (&mut stats.dropped_overrun, "service.frames.dropped.overrun")
+                }
+                DropReason::Demod => (&mut stats.dropped_demod, "service.frames.dropped.demod"),
+                DropReason::Recover => {
+                    (&mut stats.dropped_recover, "service.frames.dropped.recover")
+                }
+            };
+            *count += 1;
+            telemetry::counter_inc(name);
+        }
     }
 }
 
@@ -472,7 +406,6 @@ fn run_framer(
     ring: &SampleRing,
     frame_q: &Bounded<FrameTask>,
     out: &Bounded<ServiceEvent>,
-    stats: &Mutex<SharedStats>,
 ) {
     let rx = Receiver::new_cached(cfg.phy, &LcParams::default(), TRAINING_BASES);
     let spt = cfg.phy.samples_per_slot();
@@ -546,8 +479,6 @@ fn run_framer(
                 None => pos = block_end,
                 Some(off) => {
                     let abs_offset = base + (off - head) as u64;
-                    telemetry::counter_inc("service.frames.detected");
-                    stats.lock().unwrap().frames_detected += 1;
 
                     // Cut the window: `lead` samples of back-margin, the
                     // frame body, `slack` samples of forward margin —
@@ -561,7 +492,13 @@ fn run_framer(
                     let degraded = flagged > 0;
 
                     if (flagged as f64) > MAX_LOST_FRACTION * frame_len as f64 {
-                        emit_drop(out, stats, seq, abs_offset, DropReason::Overrun);
+                        // `out` closes only after this thread closes
+                        // `frame_q`, so this push cannot fail.
+                        let _ = out.push(ServiceEvent::Dropped {
+                            seq,
+                            offset: abs_offset,
+                            reason: DropReason::Overrun,
+                        });
                         seq += 1;
                         // Recovery re-scan. When the detection itself sits on
                         // unreliable samples it is likely spurious — garbage
@@ -591,9 +528,8 @@ fn run_framer(
                             degraded,
                             detected_at: Instant::now(),
                         };
-                        match frame_q.push(task) {
-                            Ok(depth) => stats.lock().unwrap().frame_queue_depth.record(depth),
-                            Err(_) => break 'stream,
+                        if frame_q.push(task).is_err() {
+                            break 'stream;
                         }
                         seq += 1;
                         // Skip the frame body: the next preamble cannot
@@ -631,69 +567,50 @@ fn run_framer(
 
 /// Stage two: decode frame windows into events. Runs until the frame queue
 /// is closed and drained.
-fn run_worker(
-    cfg: &ServiceConfig,
-    frame_q: &Bounded<FrameTask>,
-    out: &Bounded<ServiceEvent>,
-    stats: &Mutex<SharedStats>,
-) {
+fn run_worker(cfg: &ServiceConfig, frame_q: &Bounded<FrameTask>, out: &Bounded<ServiceEvent>) {
     // `new_cached` shares the expensive offline-training state process-wide,
     // so a pool of workers costs one receiver construction, not N.
     let rx = Receiver::new_cached(cfg.phy, &LcParams::default(), TRAINING_BASES);
-    let bps = cfg.phy.bits_per_symbol();
-    let mut batch: Vec<FrameTask> = Vec::with_capacity(BATCH);
-    while frame_q.pop_batch(BATCH, &mut batch) > 0 {
-        for task in batch.drain(..) {
-            let sig = Signal::new(task.samples, cfg.phy.fs);
-            let demod = rx.receive_at(&sig, task.rel_off, cfg.n_bits, &task.mask);
-            let r = match demod {
-                Ok(r) => r,
-                Err(_) => {
-                    emit_drop(out, stats, task.seq, task.abs_offset, DropReason::Demod);
-                    continue;
-                }
-            };
-            let bit_mask = r.bit_erasures(bps);
-            let rec = recover_with_quality(
-                &r.bits,
-                &bit_mask,
-                cfg.payload_len,
-                cfg.coding,
-                cfg.scramble_seed,
-            );
-            let rep = match rec {
-                Some(rep) => rep,
-                None => {
-                    emit_drop(out, stats, task.seq, task.abs_offset, DropReason::Recover);
-                    continue;
-                }
-            };
-            telemetry::counter_inc("service.frames.decoded");
-            if task.degraded {
-                telemetry::counter_inc("service.frames.degraded");
-            }
-            {
-                let mut s = stats.lock().unwrap();
-                s.frames_decoded += 1;
-                if task.degraded {
-                    s.frames_degraded += 1;
-                }
-            }
-            let ev = ServiceEvent::Frame(ServiceFrame {
-                seq: task.seq,
-                offset: task.abs_offset,
-                payload: rep.payload,
-                bits: r.bits,
-                symbols_corrected: rep.symbols_corrected,
-                erasures_filled: rep.erasures_filled,
-                erasures_flagged: rep.erasures_flagged,
-                degraded: task.degraded,
-                latency: task.detected_at.elapsed(),
-            });
-            match out.push(ev) {
-                Ok(depth) => stats.lock().unwrap().out_queue_depth.record(depth),
-                Err(_) => return,
-            }
+    while let Some(task) = frame_q.pop() {
+        let (seq, offset) = (task.seq, task.abs_offset);
+        let ev = match decode(&rx, cfg, task) {
+            Ok(frame) => ServiceEvent::Frame(frame),
+            Err(reason) => ServiceEvent::Dropped {
+                seq,
+                offset,
+                reason,
+            },
+        };
+        if out.push(ev).is_err() {
+            return;
         }
     }
+}
+
+/// Decode one frame window: the recovered frame, or why there is none.
+fn decode(rx: &Receiver, cfg: &ServiceConfig, task: FrameTask) -> Result<ServiceFrame, DropReason> {
+    let sig = Signal::new(task.samples, cfg.phy.fs);
+    let r = rx
+        .receive_at(&sig, task.rel_off, cfg.n_bits, &task.mask)
+        .map_err(|_| DropReason::Demod)?;
+    let bit_mask = r.bit_erasures(cfg.phy.bits_per_symbol());
+    let rep = recover_with_quality(
+        &r.bits,
+        &bit_mask,
+        cfg.payload_len,
+        cfg.coding,
+        cfg.scramble_seed,
+    )
+    .ok_or(DropReason::Recover)?;
+    Ok(ServiceFrame {
+        seq: task.seq,
+        offset: task.abs_offset,
+        payload: rep.payload,
+        bits: r.bits,
+        symbols_corrected: rep.symbols_corrected,
+        erasures_filled: rep.erasures_filled,
+        erasures_flagged: rep.erasures_flagged,
+        degraded: task.degraded,
+        latency: task.detected_at.elapsed(),
+    })
 }

@@ -7,6 +7,36 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
+/// Occupancy histogram for a bounded queue: `counts[d]` is how many pushes
+/// left the queue at depth `d` (1 ≤ d ≤ capacity).
+#[derive(Debug, Clone, Default)]
+pub struct QueueDepth {
+    /// Push counts indexed by post-push depth; `counts[0]` is unused.
+    pub counts: Vec<u64>,
+}
+
+impl QueueDepth {
+    fn new(cap: usize) -> Self {
+        Self {
+            counts: vec![0; cap + 1],
+        }
+    }
+
+    /// Mean post-push depth (0 when nothing was pushed).
+    pub fn mean(&self) -> f64 {
+        let (mut n, mut sum) = (0u64, 0u64);
+        for (d, &c) in self.counts.iter().enumerate() {
+            n += c;
+            sum += c * d as u64;
+        }
+        if n == 0 {
+            0.0
+        } else {
+            sum as f64 / n as f64
+        }
+    }
+}
+
 /// A bounded multi-producer multi-consumer queue with blocking push/pop
 /// and an explicit close: after [`Bounded::close`], pushes fail and pops
 /// drain the remaining items before reporting exhaustion.
@@ -22,6 +52,7 @@ pub struct Bounded<T> {
 struct Inner<T> {
     q: VecDeque<T>,
     closed: bool,
+    depth: QueueDepth,
 }
 
 impl<T> Bounded<T> {
@@ -32,6 +63,7 @@ impl<T> Bounded<T> {
             inner: Mutex::new(Inner {
                 q: VecDeque::with_capacity(cap),
                 closed: false,
+                depth: QueueDepth::new(cap),
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -39,25 +71,10 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Current occupancy (racy by nature; for observability only).
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().q.len()
-    }
-
-    /// Whether the queue is currently empty (racy; observability only).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Block until there is room, then enqueue. Returns the occupancy
-    /// *after* the push (for queue-depth accounting), or `Err(item)` if
-    /// the queue was closed.
-    pub fn push(&self, item: T) -> Result<usize, T> {
+    /// Block until there is room, then enqueue and record the occupancy
+    /// after the push in [`Self::depth`]; `Err(item)` if the queue was
+    /// closed.
+    pub fn push(&self, item: T) -> Result<(), T> {
         let mut g = self.inner.lock().unwrap();
         loop {
             if g.closed {
@@ -66,9 +83,10 @@ impl<T> Bounded<T> {
             if g.q.len() < self.cap {
                 g.q.push_back(item);
                 let depth = g.q.len();
+                g.depth.counts[depth] += 1;
                 drop(g);
                 self.not_empty.notify_one();
-                return Ok(depth);
+                return Ok(());
             }
             g = self.not_full.wait(g).unwrap();
         }
@@ -90,33 +108,18 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Pop up to `max` items in one lock acquisition, blocking until at
-    /// least one is available. Returns the number appended to `out`
-    /// (0 only when closed and drained). Batch dequeue is what amortizes
-    /// queue synchronisation across packets in the worker pool.
-    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> usize {
-        let mut g = self.inner.lock().unwrap();
-        loop {
-            if !g.q.is_empty() {
-                let n = max.min(g.q.len()).max(1);
-                out.extend(g.q.drain(..n));
-                drop(g);
-                self.not_full.notify_all();
-                return n;
-            }
-            if g.closed {
-                return 0;
-            }
-            g = self.not_empty.wait(g).unwrap();
-        }
-    }
-
     /// Close the queue: producers start failing, consumers drain what is
     /// left and then see exhaustion.
     pub fn close(&self) {
         self.inner.lock().unwrap().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
+    }
+
+    /// The occupancy histogram of every push so far.
+    pub fn depth(&self) -> QueueDepth {
+        let g = self.inner.lock().expect("queue lock poisoned");
+        g.depth.clone()
     }
 }
 
@@ -129,9 +132,11 @@ mod tests {
     fn fifo_order_and_capacity() {
         let q = Bounded::new(4);
         for i in 0..4 {
-            assert_eq!(q.push(i).unwrap(), i + 1);
+            q.push(i).unwrap();
         }
-        assert_eq!(q.len(), 4);
+        // One push left the queue at each depth 1..=4.
+        assert_eq!(q.depth().counts, vec![0, 1, 1, 1, 1]);
+        assert_eq!(q.depth().mean(), 2.5);
         for i in 0..4 {
             assert_eq!(q.pop(), Some(i));
         }
@@ -147,19 +152,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_batch_takes_up_to_max() {
-        let q = Bounded::new(8);
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(3, &mut out), 3);
-        assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(q.pop_batch(3, &mut out), 2);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

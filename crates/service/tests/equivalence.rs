@@ -9,7 +9,9 @@ use retroturbo_core::{Receiver, RxResult};
 use retroturbo_dsp::{Signal, C64};
 use retroturbo_lcm::LcParams;
 use retroturbo_mac::{recover_with_quality, CodingChoice};
-use retroturbo_service::{loopback_phy, DecodeService, FrameScene, ServiceEvent, Testbed};
+use retroturbo_service::{
+    loopback_phy, DecodeService, FrameScene, ServiceEvent, ServiceStats, Testbed,
+};
 use retroturbo_telemetry as telemetry;
 use std::sync::Mutex;
 
@@ -58,6 +60,54 @@ fn direct_decode(bed: &Testbed, scene: &FrameScene) -> (usize, Vec<bool>, Vec<u8
     (r.offset, r.bits, rep.payload)
 }
 
+/// Drain `svc`'s events and shut it down, checking that its stats count
+/// exactly those events: one detected frame per event, split by outcome
+/// and drop reason.
+fn drain_checked(svc: DecodeService) -> (Vec<ServiceEvent>, ServiceStats) {
+    let events: Vec<ServiceEvent> = std::iter::from_fn(|| svc.recv()).collect();
+    let stats = svc.shutdown();
+    // [detected, decoded, degraded, dropped, overrun, demod, recover]:
+    // the drop counts follow `DropReason`'s declaration order.
+    let mut tally = [events.len() as u64, 0, 0, 0, 0, 0, 0];
+    for ev in &events {
+        match ev {
+            ServiceEvent::Frame(f) => {
+                tally[1] += 1;
+                tally[2] += u64::from(f.degraded);
+            }
+            ServiceEvent::Dropped { reason, .. } => {
+                tally[3] += 1;
+                tally[4 + *reason as usize] += 1;
+            }
+        }
+    }
+    let s = &stats;
+    let counts = [
+        s.frames_detected,
+        s.frames_decoded,
+        s.frames_degraded,
+        s.frames_dropped,
+        s.dropped_overrun,
+        s.dropped_demod,
+        s.dropped_recover,
+    ];
+    assert_eq!(counts, tally, "ledger vs events: {events:?}");
+    (events, stats)
+}
+
+/// A run's digest: its events, each a decoded frame, and the telemetry
+/// fingerprint it left.
+fn digest(events: Vec<ServiceEvent>, run: &str) -> RunDigest {
+    let frames = events
+        .into_iter()
+        .map(|ev| match ev {
+            ServiceEvent::Frame(f) => (f.seq, f.offset, f.payload),
+            other => panic!("{run}: unexpected {other:?}"),
+        })
+        .collect();
+    (frames, telemetry::snapshot().deterministic_fingerprint())
+}
+
 /// Push `frames` scenes through a service with `workers` workers, chunking
 /// pushes at `chunk` samples; returns the in-order events.
 fn run_service(bed: &Testbed, frames: u64, workers: usize, chunk: usize) -> Vec<ServiceEvent> {
@@ -77,12 +127,8 @@ fn run_service(bed: &Testbed, frames: u64, workers: usize, chunk: usize) -> Vec<
         input.push(&feeder_bed.idle(tail), None);
         input.close();
     });
-    let mut events = Vec::new();
-    while let Some(ev) = svc.recv() {
-        events.push(ev);
-    }
+    let (events, stats) = drain_checked(svc);
     feeder.join().unwrap();
-    let stats = svc.shutdown();
     assert_eq!(stats.samples_lost, 0, "lossless run lost samples");
     events
 }
@@ -141,14 +187,7 @@ fn worker_count_is_invisible_in_results_and_telemetry() {
     for &workers in &[1usize, 2, 8] {
         telemetry::reset();
         let events = run_service(&bed, frames, workers, 333);
-        let got: Vec<(u64, u64, Vec<u8>)> = events
-            .iter()
-            .map(|ev| match ev {
-                ServiceEvent::Frame(f) => (f.seq, f.offset, f.payload.clone()),
-                other => panic!("workers={workers}: unexpected {other:?}"),
-            })
-            .collect();
-        let fp = telemetry::snapshot().deterministic_fingerprint();
+        let (got, fp) = digest(events, &format!("workers={workers}"));
         match &baseline {
             None => baseline = Some((got, fp)),
             Some((events0, fp0)) => {
@@ -173,14 +212,7 @@ fn producer_chunking_is_invisible() {
     for &chunk in &[64usize, 1021, 1 << 20] {
         telemetry::reset();
         let events = run_service(&bed, frames, 2, chunk);
-        let got: Vec<(u64, u64, Vec<u8>)> = events
-            .iter()
-            .map(|ev| match ev {
-                ServiceEvent::Frame(f) => (f.seq, f.offset, f.payload.clone()),
-                other => panic!("chunk={chunk}: unexpected {other:?}"),
-            })
-            .collect();
-        let fp = telemetry::snapshot().deterministic_fingerprint();
+        let (got, fp) = digest(events, &format!("chunk={chunk}"));
         match &baseline {
             None => baseline = Some((got, fp)),
             Some((events0, fp0)) => {
@@ -220,21 +252,11 @@ fn one_push_capture_matches_small_chunks() {
             }
             input.close();
         });
-        let mut got = Vec::new();
-        while let Some(ev) = svc.recv() {
-            match ev {
-                ServiceEvent::Frame(f) => got.push((f.seq, f.offset, f.payload)),
-                other => panic!("chunk={chunk}: unexpected {other:?}"),
-            }
-        }
+        let (events, stats) = drain_checked(svc);
         feeder.join().unwrap();
-        assert_eq!(
-            svc.shutdown().samples_lost,
-            0,
-            "chunk={chunk}: lost samples"
-        );
+        assert_eq!(stats.samples_lost, 0, "chunk={chunk}: lost samples");
+        let (got, fp) = digest(events, &format!("chunk={chunk}"));
         assert_eq!(got.len(), 16, "chunk={chunk}: event count");
-        let fp = telemetry::snapshot().deterministic_fingerprint();
         match &baseline {
             None => baseline = Some((got, fp)),
             Some((events0, fp0)) => {
@@ -283,9 +305,10 @@ fn unreliable_spans_degrade_to_erasures_and_match_direct() {
     input.push(&scene.samples, Some(&mask));
     input.push(&bed.idle(2 * scene.samples.len()), None);
     input.close();
-    let ev = svc.recv().expect("no event");
-    match ev {
-        ServiceEvent::Frame(f) => {
+    let (events, stats) = drain_checked(svc);
+    assert_eq!(stats.frames_degraded, 1);
+    match &events[..] {
+        [ServiceEvent::Frame(f)] => {
             assert_eq!(f.bits, r.bits, "bits diverged from direct call");
             assert_eq!(f.payload, direct.payload);
             assert_eq!(f.payload, scene.payload);
@@ -294,8 +317,6 @@ fn unreliable_spans_degrade_to_erasures_and_match_direct() {
         }
         other => panic!("unexpected {other:?}"),
     }
-    assert!(svc.recv().is_none());
-    svc.shutdown();
 }
 
 /// Overload: a ring far smaller than the backlog forces overruns. The
@@ -324,15 +345,14 @@ fn ring_overrun_degrades_then_drops_but_never_skews() {
     let expected_len = stream.len();
     input.push(&stream, None);
     input.close();
-    let mut decoded_at = Vec::new();
-    let mut events = 0u64;
-    while let Some(ev) = svc.recv() {
-        events += 1;
-        if let ServiceEvent::Frame(f) = ev {
-            decoded_at.push((f.seq, f.offset, f.payload, f.degraded));
-        }
-    }
-    let stats = svc.shutdown();
+    let (events, stats) = drain_checked(svc);
+    let decoded_at: Vec<_> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            ServiceEvent::Frame(f) => Some((f.seq, f.offset, &f.payload, f.degraded)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
         stats.samples_lost as usize,
         3 * scene_len,
@@ -346,7 +366,7 @@ fn ring_overrun_degrades_then_drops_but_never_skews() {
         assert_eq!(rel, 177, "frame seq {seq}: decoded at a skewed offset");
         let index = offset / scene_len as u64;
         assert_eq!(
-            payload,
+            *payload,
             &bed.payload_for(index),
             "frame seq {seq}: wrong payload for its position"
         );
@@ -357,6 +377,7 @@ fn ring_overrun_degrades_then_drops_but_never_skews() {
         decoded_at
             .iter()
             .any(|(_, off, _, _)| off / scene_len as u64 == frames - 1),
-        "final frame did not survive the overload (events={events}, stats={stats:?})"
+        "final frame did not survive the overload (events={}, stats={stats:?})",
+        events.len()
     );
 }

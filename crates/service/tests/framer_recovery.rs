@@ -10,16 +10,54 @@
 use retroturbo_core::Receiver;
 use retroturbo_lcm::LcParams;
 use retroturbo_mac::CodingChoice;
-use retroturbo_service::{loopback_phy, DecodeService, ServiceEvent, Testbed};
+use retroturbo_service::{
+    loopback_phy, DecodeService, DropReason, ServiceEvent, ServiceStats, Testbed,
+};
 
 const CODING: CodingChoice = CodingChoice { n: 44, k: 22 };
 const SCRAMBLE: u8 = 0x5B;
 const PAYLOAD_LEN: usize = 20;
 const RUN_SEED: u64 = 0xD5;
 
+/// Drain `svc`'s events and shut it down, checking that its stats count
+/// exactly those events: one detected frame per event, split by outcome
+/// and drop reason.
+fn drain_checked(svc: DecodeService) -> (Vec<ServiceEvent>, ServiceStats) {
+    let events: Vec<ServiceEvent> = std::iter::from_fn(|| svc.recv()).collect();
+    let stats = svc.shutdown();
+    // [detected, decoded, degraded, dropped, overrun, demod, recover]:
+    // the drop counts follow `DropReason`'s declaration order.
+    let mut tally = [events.len() as u64, 0, 0, 0, 0, 0, 0];
+    for ev in &events {
+        match ev {
+            ServiceEvent::Frame(f) => {
+                tally[1] += 1;
+                tally[2] += u64::from(f.degraded);
+            }
+            ServiceEvent::Dropped { reason, .. } => {
+                tally[3] += 1;
+                tally[4 + *reason as usize] += 1;
+            }
+        }
+    }
+    let s = &stats;
+    let counts = [
+        s.frames_detected,
+        s.frames_decoded,
+        s.frames_degraded,
+        s.frames_dropped,
+        s.dropped_overrun,
+        s.dropped_demod,
+        s.dropped_recover,
+    ];
+    assert_eq!(counts, tally, "ledger vs events: {events:?}");
+    (events, stats)
+}
+
 /// A flagged fragment containing a real-looking preamble (the outage junk)
 /// is dropped as an overrun — and the genuine frame whose preamble starts
-/// *inside* the range the framer used to skip is still decoded.
+/// *inside* the range the framer used to skip is still decoded. A frame
+/// cut short by the end of the stream is a demod drop.
 #[test]
 fn spurious_hit_in_outage_does_not_shadow_next_preamble() {
     let bed = Testbed::new(loopback_phy(2, 4), PAYLOAD_LEN, Some(CODING), SCRAMBLE)
@@ -53,17 +91,26 @@ fn spurious_hit_in_outage_does_not_shadow_next_preamble() {
     input.push(&bed.idle(gap), None);
     input.push(&scene_b.samples, None);
     input.push(&bed.idle(2 * (pad + frame_len)), None);
+    // The stream ends halfway through a third frame's body.
+    let scene_c = bed.frame(2, RUN_SEED);
+    input.push(&scene_c.samples[..pad + frame_len / 2], None);
     input.close();
 
-    let mut events = Vec::new();
-    while let Some(ev) = svc.recv() {
-        events.push(ev);
-    }
-    let stats = svc.shutdown();
+    let (events, stats) = drain_checked(svc);
 
     assert!(
         stats.dropped_overrun >= 1,
         "the flagged junk should surface as an overrun drop (events={events:?})"
+    );
+    assert!(
+        matches!(
+            events.last(),
+            Some(ServiceEvent::Dropped {
+                reason: DropReason::Demod,
+                ..
+            })
+        ),
+        "the truncated final frame should surface as a demod drop (events={events:?})"
     );
 
     let junk_hit = (lead_in + pad) as u64;
@@ -126,11 +173,7 @@ fn adjacent_frames_decode_like_the_direct_receiver() {
     let input = svc.input();
     input.push(&stream, None);
     input.close();
-    let mut events = Vec::new();
-    while let Some(ev) = svc.recv() {
-        events.push(ev);
-    }
-    svc.shutdown();
+    let (events, _) = drain_checked(svc);
 
     let direct = retroturbo_dsp::Signal::new(stream, cfg.fs);
     assert_eq!(events.len(), frames as usize, "events={events:?}");
@@ -181,11 +224,7 @@ fn nan_burst_at_block_start_does_not_hide_the_frame() {
     let input = svc.input();
     input.push(&stream, None);
     input.close();
-    let mut events = Vec::new();
-    while let Some(ev) = svc.recv() {
-        events.push(ev);
-    }
-    svc.shutdown();
+    let (events, _) = drain_checked(svc);
 
     assert_eq!(events.len(), 1, "events={events:?}");
     match &events[0] {

@@ -7,6 +7,7 @@
 //! retroturbo range   [--rate 8k]
 //! ```
 
+use retroturbo::mac::RateTable;
 use retroturbo::phy::PhyConfig;
 use retroturbo::sim::{EmulatedLink, LinkBudget, LinkSimulator, Scene};
 use std::collections::HashMap;
@@ -23,15 +24,15 @@ fn parse_rate(s: &str) -> Option<PhyConfig> {
     }
 }
 
-/// Our own measured 1 %-BER thresholds (EXPERIMENTS.md, Fig. 18a sweep).
-fn threshold_db(rate: &str) -> f64 {
-    match rate {
-        "1k" | "1kbps" => -1.6,
-        "4k" | "4kbps" => 15.7,
-        "8k" | "8kbps" => 23.4,
-        "16k" | "16kbps" => 37.9,
-        _ => 48.3,
-    }
+/// The 1 %-BER threshold of `cfg`'s bit rate, uncoded, from the rate
+/// table the MAC adapts with.
+fn rate_table_threshold_db(cfg: &PhyConfig) -> f64 {
+    RateTable::profiled_default()
+        .options()
+        .iter()
+        .find(|o| o.coding.is_none() && (o.bit_rate - cfg.data_rate()).abs() < 0.5)
+        .expect("every preset's bit rate has an uncoded rate-table option")
+        .min_snr_db
 }
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -86,7 +87,7 @@ fn run() -> Result<(), String> {
 
     match cmd.as_str() {
         "info" => {
-            println!("preset\tL\tP\tT_ms\trate_kbps\tthreshold_dB(1% BER, measured)");
+            println!("preset\tL\tP\tT_ms\trate_kbps\tthreshold_dB(1% BER, rate table)");
             for name in ["1k", "4k", "8k", "16k", "32k"] {
                 let c = parse_rate(name).unwrap();
                 println!(
@@ -95,7 +96,7 @@ fn run() -> Result<(), String> {
                     c.pqam_order,
                     c.t_slot * 1e3,
                     c.data_rate() / 1e3,
-                    threshold_db(name)
+                    rate_table_threshold_db(&c)
                 );
             }
             Ok(())
@@ -144,7 +145,7 @@ fn run() -> Result<(), String> {
         }
         "range" => {
             let b = LinkBudget::fov10();
-            let th = threshold_db(&rate_name);
+            let th = rate_table_threshold_db(&cfg);
             println!(
                 "{} needs {th} dB -> working range ≈ {:.1} m (FoV ±10°, 4 W)",
                 rate_name,
