@@ -652,12 +652,23 @@ fn main() {
         });
     }
 
+    // --- RS encode: one RS(255, 223) block ------------------------------
+    let rs = RsCode::new(255, 223);
+    let msg: Vec<u8> = (0..223).map(|i| (i as u8).wrapping_mul(31)).collect();
+    let rs_encode_ns = time_ns(if quick { 200 } else { 1000 }, reps, || {
+        std::hint::black_box(rs.encode(std::hint::black_box(&msg)));
+    });
+    records.push(Record {
+        kernel: "rs_encode".into(),
+        ns_per_iter: rs_encode_ns,
+        ns_per_symbol: None,
+        speedup: 1.0,
+    });
+
     // --- RS decode: errors-only vs errors-and-erasures (same damage) ------
     // Ten damaged symbols, all flagged: both decoders must recover the same
     // message (a cheap cross-check of the errata path), and the timing pair
     // shows what the erasure machinery costs per block.
-    let rs = RsCode::new(255, 223);
-    let msg: Vec<u8> = (0..223).map(|i| (i as u8).wrapping_mul(31)).collect();
     let mut damaged = rs.encode(&msg);
     let flagged: Vec<usize> = (0..10).map(|k| k * 19).collect();
     for &p in &flagged {

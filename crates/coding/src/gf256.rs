@@ -2,42 +2,53 @@
 //!
 //! Field defined by the primitive polynomial x⁸+x⁴+x³+x²+1 (0x11D) with
 //! generator α = 2, the conventional choice for RS(255, k). Multiplication
-//! and division go through exp/log tables built once at startup.
+//! and division go through exp/log tables built at compile time.
 
 /// The primitive polynomial (with the x⁸ term) defining the field.
 pub const PRIMITIVE_POLY: u16 = 0x11D;
 
-/// Exp/log tables for GF(2⁸).
-#[derive(Debug, Clone)]
-pub struct Gf256 {
-    exp: [u8; 512], // doubled to avoid a mod in mul
-    log: [u8; 256],
+/// The exp/log tables. `exp` is doubled so a sum of two logs indexes it
+/// without a reduction mod 255.
+pub(crate) struct Tables {
+    pub(crate) exp: [u8; 512],
+    pub(crate) log: [u8; 256],
 }
 
-impl Default for Gf256 {
-    fn default() -> Self {
-        Self::new()
+/// The field tables, built once by the compiler.
+pub(crate) static TABLES: Tables = build_tables();
+
+const fn build_tables() -> Tables {
+    let mut exp = [0u8; 512];
+    let mut log = [0u8; 256];
+    let mut x: u16 = 1;
+    let mut i = 0;
+    while i < 255 {
+        exp[i] = x as u8;
+        log[x as usize] = i as u8;
+        x <<= 1;
+        if x & 0x100 != 0 {
+            x ^= PRIMITIVE_POLY;
+        }
+        i += 1;
     }
+    while i < 512 {
+        exp[i] = exp[i - 255];
+        i += 1;
+    }
+    Tables { exp, log }
+}
+
+/// Handle on the GF(2⁸) arithmetic. The tables are a compile-time
+/// `static`, so constructing a handle costs nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Gf256 {
+    _private: (),
 }
 
 impl Gf256 {
-    /// Build the field tables.
-    pub fn new() -> Self {
-        let mut exp = [0u8; 512];
-        let mut log = [0u8; 256];
-        let mut x: u16 = 1;
-        for (i, e) in exp.iter_mut().enumerate().take(255) {
-            *e = x as u8;
-            log[x as usize] = i as u8;
-            x <<= 1;
-            if x & 0x100 != 0 {
-                x ^= PRIMITIVE_POLY;
-            }
-        }
-        for i in 255..512 {
-            exp[i] = exp[i - 255];
-        }
-        Self { exp, log }
+    /// A handle on the field (free: the tables are built at compile time).
+    pub const fn new() -> Self {
+        Self { _private: () }
     }
 
     /// Addition (= subtraction) in GF(2⁸).
@@ -52,7 +63,7 @@ impl Gf256 {
         if a == 0 || b == 0 {
             0
         } else {
-            self.exp[self.log[a as usize] as usize + self.log[b as usize] as usize]
+            TABLES.exp[TABLES.log[a as usize] as usize + TABLES.log[b as usize] as usize]
         }
     }
 
@@ -66,7 +77,7 @@ impl Gf256 {
         if a == 0 {
             0
         } else {
-            self.exp[self.log[a as usize] as usize + 255 - self.log[b as usize] as usize]
+            TABLES.exp[TABLES.log[a as usize] as usize + 255 - TABLES.log[b as usize] as usize]
         }
     }
 
@@ -77,27 +88,21 @@ impl Gf256 {
     #[inline]
     pub fn inv(&self, a: u8) -> u8 {
         assert!(a != 0, "GF(256): inverse of zero");
-        self.exp[255 - self.log[a as usize] as usize]
+        TABLES.exp[255 - TABLES.log[a as usize] as usize]
     }
 
     /// `α^i` for any integer exponent (reduced mod 255).
     #[inline]
     pub fn alpha_pow(&self, i: i32) -> u8 {
         let e = i.rem_euclid(255) as usize;
-        self.exp[e]
+        TABLES.exp[e]
     }
 
     /// Discrete log base α. Undefined (panics) for zero.
     #[inline]
     pub fn log_alpha(&self, a: u8) -> u8 {
         assert!(a != 0, "GF(256): log of zero");
-        self.log[a as usize]
-    }
-
-    /// Evaluate polynomial `poly` (coefficients highest-degree-first) at `x`
-    /// by Horner's rule.
-    pub fn poly_eval(&self, poly: &[u8], x: u8) -> u8 {
-        poly.iter().fold(0u8, |acc, &c| self.mul(acc, x) ^ c)
+        TABLES.log[a as usize]
     }
 
     /// Multiply two polynomials (highest-degree-first coefficients).
@@ -186,25 +191,16 @@ mod tests {
     }
 
     #[test]
-    fn poly_eval_horner() {
-        let gf = Gf256::new();
-        // p(x) = x² + 1 at x = 2 → 4 ^ 1 = 5.
-        assert_eq!(gf.poly_eval(&[1, 0, 1], 2), 5);
-        // Constant polynomial.
-        assert_eq!(gf.poly_eval(&[42], 17), 42);
-    }
-
-    #[test]
     fn poly_mul_matches_eval() {
         let gf = Gf256::new();
+        // Horner evaluation, highest-degree-first.
+        let eval = |p: &[u8], x: u8| p.iter().fold(0u8, |acc, &c| gf.mul(acc, x) ^ c);
+        assert_eq!(eval(&[1, 0, 1], 2), 5); // x² + 1 at 2
         let a = [3u8, 0, 7];
         let b = [1u8, 5];
         let prod = gf.poly_mul(&a, &b);
         for x in [1u8, 2, 3, 100, 200] {
-            assert_eq!(
-                gf.poly_eval(&prod, x),
-                gf.mul(gf.poly_eval(&a, x), gf.poly_eval(&b, x))
-            );
+            assert_eq!(eval(&prod, x), gf.mul(eval(&a, x), eval(&b, x)));
         }
     }
 }

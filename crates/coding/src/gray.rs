@@ -25,21 +25,28 @@ pub fn from_gray(g: u32) -> u32 {
 
 /// Pack bits (MSB-first) into bytes, zero-padding the final byte.
 pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
-    bits.chunks(8)
-        .map(|c| {
-            c.iter()
-                .enumerate()
-                .fold(0u8, |acc, (i, &b)| acc | ((b as u8) << (7 - i)))
-        })
-        .collect()
+    let mut out = Vec::with_capacity(bits.len().div_ceil(8));
+    let mut chunks = bits.chunks_exact(8);
+    for c in &mut chunks {
+        out.push(c.iter().fold(0u8, |acc, &b| (acc << 1) | b as u8));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let byte = tail.iter().fold(0u8, |acc, &b| (acc << 1) | b as u8);
+        out.push(byte << (8 - tail.len()));
+    }
+    out
 }
 
 /// Unpack bytes into bits, MSB-first.
 pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
-    bytes
-        .iter()
-        .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))
-        .collect()
+    let mut out = vec![false; bytes.len() * 8];
+    for (bits, &b) in out.chunks_exact_mut(8).zip(bytes) {
+        for (i, bit) in bits.iter_mut().enumerate() {
+            *bit = (b >> (7 - i)) & 1 == 1;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Reed–Solomon codes over GF(2⁸).
 //!
 //! Systematic RS(n, k) with n ≤ 255, correcting up to t = (n−k)/2 symbol
-//! errors: generator-polynomial encoder, and a Berlekamp–Massey +
+//! errors: a table-driven LFSR encoder, and a Berlekamp–Massey +
 //! Chien-search + Forney decoder. Shortened codes (n < 255) are supported
 //! directly — the Fig. 18b coding-gain sweep uses RS(255, 251)-, (255, 223)-
 //! and (255, 127)-class codes on 128-byte packets.
@@ -11,7 +11,7 @@
 //! `e` unknown errors are corrected whenever `2e + f ≤ n − k`, doubling the
 //! budget for losses the PHY can point at.
 
-use crate::gf256::Gf256;
+use crate::gf256::{Gf256, TABLES};
 use retroturbo_telemetry as telemetry;
 
 /// Errors returned by the decoder.
@@ -47,13 +47,18 @@ impl std::fmt::Display for RsError {
 impl std::error::Error for RsError {}
 
 /// A systematic Reed–Solomon code RS(n, k) over GF(2⁸).
+///
+/// Construction precomputes a 256 × (n−k) table of generator-row products,
+/// so build a code once and reuse it for every block.
 #[derive(Debug, Clone)]
 pub struct RsCode {
     gf: Gf256,
     n: usize,
     k: usize,
-    /// Generator polynomial, highest-degree-first, monic, degree n−k.
-    gen: Vec<u8>,
+    /// `rows[c·(n−k) + j] = c · g_{j+1}`: the generator's n−k non-leading
+    /// coefficients (g is monic, highest-degree-first) scaled by every
+    /// feedback symbol c, so one LFSR step XORs one row.
+    rows: Vec<u8>,
 }
 
 impl RsCode {
@@ -70,7 +75,10 @@ impl RsCode {
         for i in 0..(n - k) as i32 {
             gen = gf.poly_mul(&gen, &[1, gf.alpha_pow(i)]);
         }
-        Self { gf, n, k, gen }
+        let rows = (0..=255u8)
+            .flat_map(|c| gen[1..].iter().map(move |&g| gf.mul(c, g)))
+            .collect();
+        Self { gf, n, k, rows }
     }
 
     /// Codeword length n (symbols).
@@ -105,30 +113,58 @@ impl RsCode {
     /// Panics if `msg.len() != k`.
     pub fn encode(&self, msg: &[u8]) -> Vec<u8> {
         assert_eq!(msg.len(), self.k, "encode: message must be k symbols");
-        let np = self.parity();
-        // Long division of msg·x^{n−k} by g(x); remainder is the parity.
-        let mut rem = vec![0u8; np];
-        for &m in msg {
-            let coef = m ^ rem[0];
-            rem.rotate_left(1);
-            rem[np - 1] = 0;
-            if coef != 0 {
-                for (j, r) in rem.iter_mut().enumerate() {
-                    // gen[0] is the monic leading 1; gen[j+1] are the rest.
-                    *r ^= self.gf.mul(self.gen[j + 1], coef);
-                }
-            }
-        }
-        let mut out = msg.to_vec();
-        out.extend_from_slice(&rem);
+        let mut out = Vec::with_capacity(self.n);
+        out.extend_from_slice(msg);
+        out.resize(self.n, 0);
+        self.lfsr(msg, &mut out[self.k..]);
         out
     }
 
+    /// Long division of `data(x)·x^{n−k}` by g(x): XOR the remainder into
+    /// `rem` (n−k symbols, highest-degree-first, zero on entry). Each step
+    /// shifts the register and XORs the row of its feedback symbol.
+    fn lfsr(&self, data: &[u8], rem: &mut [u8]) {
+        let np = rem.len();
+        for &d in data {
+            let row = &self.rows[(d ^ rem[0]) as usize * np..][..np];
+            for j in 0..np - 1 {
+                rem[j] = rem[j + 1] ^ row[j];
+            }
+            rem[np - 1] = row[np - 1];
+        }
+    }
+
+    /// `recv(x) mod g(x)`, n−k symbols highest-degree-first: the LFSR
+    /// remainder of the message part XOR the received parity. It is zero
+    /// exactly when `recv` is a codeword.
+    fn word_remainder(&self, recv: &[u8]) -> Vec<u8> {
+        let mut rem = vec![0u8; self.parity()];
+        self.lfsr(&recv[..self.k], &mut rem);
+        for (r, &p) in rem.iter_mut().zip(&recv[self.k..]) {
+            *r ^= p;
+        }
+        rem
+    }
+
+    /// The 2t syndromes S_i = r(α^i), i = 0..n−k, of a word with remainder
+    /// `rem` = r: g(α^i) = 0, so S_i equals the received word evaluated at
+    /// α^i, from (n−k)² log-domain products instead of n·(n−k).
+    fn remainder_syndromes(rem: &[u8]) -> Vec<u8> {
+        let np = rem.len();
+        let mut synd = vec![0u8; np];
+        for (j, &c) in rem.iter().enumerate() {
+            if c != 0 {
+                // c·x^{np−1−j} at x = α^i is α^{log c + i·(np−1−j)}.
+                add_power_series(&mut synd, c, np - 1 - j);
+            }
+        }
+        synd
+    }
+
     /// Compute the 2t syndromes of a received word.
+    #[cfg(test)]
     fn syndromes(&self, recv: &[u8]) -> Vec<u8> {
-        (0..self.parity() as i32)
-            .map(|i| self.gf.poly_eval(recv, self.gf.alpha_pow(i)))
-            .collect()
+        Self::remainder_syndromes(&self.word_remainder(recv))
     }
 
     /// Berlekamp–Massey over a syndrome sequence: returns the minimal
@@ -287,8 +323,8 @@ impl RsCode {
             return Err(RsError::TooManyErrors);
         }
 
-        let synd = self.syndromes(recv);
-        if synd.iter().all(|&s| s == 0) {
+        let rem = self.word_remainder(recv);
+        if rem.iter().all(|&r| r == 0) {
             // Already a codeword: any flagged symbols happened to be correct.
             return Ok(ErasureDecode {
                 msg: recv[..self.k].to_vec(),
@@ -297,6 +333,7 @@ impl RsCode {
                 erasures_validated: f,
             });
         }
+        let synd = Self::remainder_syndromes(&rem);
 
         // Locator root for received index idx: codeword position p = n−1−idx,
         // X = α^p.
@@ -336,10 +373,28 @@ impl RsCode {
         // Chien search for all errata positions: roots of Ψ(X⁻¹). The f
         // erasure positions are roots by construction; the search must find
         // exactly deg Ψ = e + f of them or the locator is inconsistent.
+        // In the log domain the term Ψ_j·X⁻ʲ at index idx is
+        // α^{log Ψ_j − j·(n−1−idx)}, so each step adds j to its exponent.
+        let mut terms: Vec<(usize, usize)> = psi
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(j, &c)| {
+                let lead = j * (self.n - 1) % 255;
+                ((TABLES.log[c as usize] as usize + 255 - lead) % 255, j)
+            })
+            .collect();
         let mut errata_pos = Vec::with_capacity(e + f);
         for idx in 0..self.n {
-            let x_inv = gf.alpha_pow(-((self.n - 1 - idx) as i32));
-            if self.eval_lowest_first(&psi, x_inv) == 0 {
+            let mut v = 0u8;
+            for (exp, step) in terms.iter_mut() {
+                v ^= TABLES.exp[*exp];
+                *exp += *step;
+                if *exp >= 255 {
+                    *exp -= 255;
+                }
+            }
+            if v == 0 {
                 errata_pos.push(idx);
             }
         }
@@ -365,6 +420,9 @@ impl RsCode {
             .collect();
 
         let mut out = recv.to_vec();
+        // Syndromes of the corrected word: S ⊕ the syndromes of each
+        // correction (mag at position p adds mag·α^{i·p} to S_i).
+        let mut residual = synd;
         let mut errors_corrected = 0usize;
         let mut erasures_filled = 0usize;
         for &idx in &errata_pos {
@@ -378,6 +436,9 @@ impl RsCode {
             // e = X^{1−fcr} · Ω(X⁻¹) / Ψ'(X⁻¹); with fcr = 0: e = X·Ω/Ψ'.
             let mag = gf.mul(gf.alpha_pow(p), gf.div(om, ld));
             out[idx] ^= mag;
+            if mag != 0 {
+                add_power_series(&mut residual, mag, p as usize);
+            }
             if erase.binary_search(&idx).is_ok() {
                 if mag != 0 {
                     erasures_filled += 1;
@@ -388,7 +449,7 @@ impl RsCode {
         }
 
         // Verify: corrected word must have zero syndromes.
-        if self.syndromes(&out).iter().any(|&s| s != 0) {
+        if residual.iter().any(|&s| s != 0) {
             return Err(RsError::DecodeFailure);
         }
         Ok(ErasureDecode {
@@ -397,6 +458,20 @@ impl RsCode {
             erasures_filled,
             erasures_validated: f,
         })
+    }
+}
+
+/// `out[i] ^= c·α^{i·step}` for every i: the term c·x^step evaluated at
+/// the roots α^0, α^1, …, stepping its exponent in the log domain.
+fn add_power_series(out: &mut [u8], c: u8, step: usize) {
+    let step = step % 255;
+    let mut e = TABLES.log[c as usize] as usize;
+    for o in out {
+        *o ^= TABLES.exp[e];
+        e += step;
+        if e >= 255 {
+            e -= 255;
+        }
     }
 }
 
@@ -414,6 +489,9 @@ pub struct ErasureDecode {
     /// raw flag count — is the `f` the decode actually paid for.
     pub erasures_validated: usize,
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -6,9 +6,32 @@
 //! a failed CRC triggers a retransmission request in the next downlink
 //! message (modelled here as an immediate retry).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use crate::rate_table::CodingChoice;
 use retroturbo_coding::{check_crc16, frame_with_crc16, RsCode, Scrambler};
 use retroturbo_telemetry as telemetry;
+
+thread_local! {
+    /// The RS codes this thread has used, each built once: construction
+    /// precomputes the code's multiply table, which costs more than coding
+    /// a frame.
+    static CODES: RefCell<Vec<Rc<RsCode>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// This thread's RS(n, k) for `c`, built on first use.
+fn rs_code(c: CodingChoice) -> Rc<RsCode> {
+    CODES.with(|codes| {
+        let mut codes = codes.borrow_mut();
+        if let Some(rs) = codes.iter().find(|rs| rs.n() == c.n && rs.k() == c.k) {
+            return Rc::clone(rs);
+        }
+        let rs = Rc::new(RsCode::new(c.n, c.k));
+        codes.push(Rc::clone(&rs));
+        rs
+    })
+}
 
 /// The abstract physical link the ARQ runs over: one shot of a bit vector
 /// through the channel, returning what the receiver demodulated (always the
@@ -46,7 +69,7 @@ pub fn protect(payload: &[u8], coding: Option<CodingChoice>, scramble_seed: u8) 
     let bytes = match coding {
         None => framed,
         Some(c) => {
-            let rs = RsCode::new(c.n, c.k);
+            let rs = rs_code(c);
             let mut out = Vec::with_capacity(framed.len().div_ceil(c.k) * c.n);
             for chunk in framed.chunks(c.k) {
                 let mut msg = chunk.to_vec();
@@ -159,7 +182,7 @@ fn recover_with_quality_impl(
             bytes[..framed_len].to_vec()
         }
         Some(c) => {
-            let rs = RsCode::new(c.n, c.k);
+            let rs = rs_code(c);
             let n_blocks = framed_len.div_ceil(c.k);
             if bytes.len() < n_blocks * c.n {
                 return None;

@@ -5,8 +5,9 @@
 //! retroturbo-serve [frames] [workers] [snr_db]
 //! ```
 //!
-//! Defaults: 24 frames, 2 workers, 35 dB; an unparsable argument or 0
-//! workers prints the usage line and exits with code 2. A feeder thread
+//! Defaults: 24 frames, 2 workers, 35 dB. An unparsable argument, a
+//! worker count outside 1..=64, a non-finite `snr_db` or an extra argument
+//! prints the usage line and exits with code 2 before anything is spawned. A feeder thread
 //! synthesizes frames with the loopback channel recipe and pushes them into
 //! the service's sample ring in small chunks, like a front end delivering
 //! ADC buffers; the main thread consumes in-order decode events and prints
@@ -15,15 +16,19 @@
 use retroturbo_mac::CodingChoice;
 use retroturbo_service::{loopback_phy, DecodeService, ServiceEvent, Testbed};
 
+/// Most decode workers the demo starts: each is an OS thread.
+const MAX_WORKERS: usize = 64;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg = |i: usize, default: &str| args.get(i).map_or(default.to_string(), String::clone);
-    let (Ok(frames), Ok(workers @ 1..), Ok(snr_db)) = (
+    let (Ok(frames), Ok(workers @ 1..=MAX_WORKERS), Some(snr_db), None) = (
         arg(0, "24").parse::<u64>(),
         arg(1, "2").parse::<usize>(),
-        arg(2, "35").parse::<f64>(),
+        arg(2, "35").parse::<f64>().ok().filter(|x| x.is_finite()),
+        args.get(3),
     ) else {
-        eprintln!("usage: retroturbo-serve [frames] [workers >= 1] [snr_db]");
+        eprintln!("usage: retroturbo-serve [frames] [workers 1..={MAX_WORKERS}] [snr_db (finite)]");
         std::process::exit(2);
     };
 

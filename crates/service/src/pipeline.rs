@@ -250,6 +250,12 @@ struct Reorder {
 impl DecodeService {
     /// Start the pipeline: one framer thread plus `cfg.workers` decode
     /// workers, all persistent until [`Self::shutdown`].
+    ///
+    /// # Panics
+    /// Panics if `cfg.workers` is 0 or `cfg.n_bits` is 0, and if the
+    /// operating system refuses to start a thread. Threads started before a
+    /// refused one keep running, so bound `cfg.workers` before calling
+    /// (`retroturbo-serve` accepts at most 64).
     pub fn spawn(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "DecodeService: need at least one worker");
         assert!(cfg.n_bits > 0, "DecodeService: n_bits must be positive");

@@ -10,9 +10,14 @@
 //!   byte-identical at 1/2/8 threads, and sessions are pure functions of
 //!   their seed.
 //! - **Rate-region sweep**: cached (plan-replay) vs no-cache oracle
-//!   bit-identity, 1/2/8-thread byte-identity, and ONE committed fixture
-//!   (`tests/fixtures/fleet_rate_region.txt`); regenerate with
-//!   `FLEET_REGEN=1` after intentional changes.
+//!   bit-identity, 1/2/8-thread byte-identity, and a committed fixture
+//!   (`tests/fixtures/fleet_rate_region.txt`).
+//! - **Session fixture**: the `run_fleet` aggregate of 500 eight-tag
+//!   sessions at three seeds (`tests/fixtures/fleet_sessions.txt`), which
+//!   pins every MAC decision of the sessions — RS coding included.
+//!
+//! Regenerate either fixture with `FLEET_REGEN=1` after an intentional
+//! change.
 
 use std::path::Path;
 
@@ -262,9 +267,17 @@ fn rate_region_cache_modes_and_threads_match_committed_fixture() {
     assert_eq!(t1, cached, "1-thread run diverged");
     assert_eq!(t8, cached, "8-thread run diverged");
 
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fleet_rate_region.txt");
+    assert_fixture("fleet_rate_region.txt", &cached);
+}
+
+/// Compare `got` with the committed fixture `name` byte-for-byte, or
+/// rewrite the fixture under `FLEET_REGEN=1`.
+fn assert_fixture(name: &str, got: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
     if std::env::var_os("FLEET_REGEN").is_some() {
-        std::fs::write(&path, &cached).unwrap();
+        std::fs::write(&path, got).unwrap();
         eprintln!("regenerated {}", path.display());
         return;
     }
@@ -274,7 +287,21 @@ fn rate_region_cache_modes_and_threads_match_committed_fixture() {
             path.display()
         )
     });
-    assert_eq!(cached, want, "rate-region sweep drifted from fixture");
+    assert_eq!(got, want, "{name}: output drifted from fixture");
+}
+
+/// The aggregate of 500 eight-tag sessions (the `fleet` benchmark's
+/// configuration) at three seeds matches the committed fixture: any change
+/// to a MAC decision — discovery, TDMA, stop-and-wait, CRC or the RS codec
+/// — moves a percentile, the delivery rate or the attempt count.
+#[test]
+fn fleet_sessions_match_committed_fixture() {
+    let cfg = FleetConfig::new(8);
+    let got: String = [0u64, 0x5EED, 0xF1EE7]
+        .iter()
+        .map(|&seed| run_fleet(&cfg, 500, seed).canon())
+        .collect();
+    assert_fixture("fleet_sessions.txt", &got);
 }
 
 /// Rate-region shape sanity: handing the primary tag more priority weight
