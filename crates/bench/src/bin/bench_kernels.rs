@@ -33,7 +33,7 @@ use retroturbo_coding::RsCode;
 use retroturbo_core::training::{OfflineTraining, OnlineTrainer};
 use retroturbo_core::{Equalizer, Modulator, PhyConfig, PreambleDetector, PreambleMatch, TagModel};
 use retroturbo_dsp::backend;
-use retroturbo_dsp::noise::NoiseSource;
+use retroturbo_dsp::noise::{sigma_for_snr, NoiseSource};
 use retroturbo_dsp::{Signal, C64};
 use retroturbo_lcm::fingerprint::{relative_error, relative_error_with_energy};
 use retroturbo_lcm::{FingerprintSet, Heterogeneity, LcParams, LcPixel, Panel, PanelKernel};
@@ -207,6 +207,36 @@ fn main() {
     let mut wave_4k = model_4k.render_levels(&frame_4k.levels);
     NoiseSource::new(2).add_awgn(&mut wave_4k, 0.01);
     let known_4k = frame_4k.levels[..frame_4k.payload_start()].to_vec();
+    // The replay workload's shape: the streaming service's L = 2, 4-PQAM
+    // loopback PHY at K = 8, one RS(44, 22) codeword (352 bits, 176
+    // payload slots) at 35 dB, equalized under the model trained on the
+    // frame itself, as the service's workers decode it.
+    let cfg_lb = PhyConfig {
+        l_order: 2,
+        pqam_order: 4,
+        t_slot: 0.5e-3,
+        fs: 40_000.0,
+        v_memory: 3,
+        k_branches: 8,
+        preamble_slots: 12,
+        training_rounds: 2,
+    };
+    // Scrambled-looking payload bits (a Weyl sequence's top bit), as an
+    // RS codeword under the service's scrambler is.
+    let bits_lb: Vec<bool> = (1..=352u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63 == 1)
+        .collect();
+    let frame_lb = Modulator::new(cfg_lb).modulate(&bits_lb);
+    let mut wave_lb = TagModel::nominal(&cfg_lb, &params).render_levels(&frame_lb.levels);
+    NoiseSource::new(3).add_awgn(&mut wave_lb, sigma_for_snr(35.0, 1.0));
+    let offline_lb = OfflineTraining::collect(
+        &cfg_lb,
+        &params,
+        &OfflineTraining::default_variants(&params),
+        1,
+    );
+    let model_lb = OnlineTrainer::new(cfg_lb, &offline_lb).train(&wave_lb);
+    let known_lb = frame_lb.levels[..frame_lb.payload_start()].to_vec();
 
     for (c, (mdl, wv, kn, n_pay), k, kernel_ref, kernel_opt, check) in [
         (
@@ -232,6 +262,14 @@ fn main() {
             "dfe_equalize_4kbps_k16_reference",
             "dfe_equalize_4kbps_k16_gram",
             "dfe_decisions_4kbps_k16",
+        ),
+        (
+            cfg_lb,
+            (&model_lb, &wave_lb, &known_lb, frame_lb.payload_slots),
+            8,
+            "dfe_equalize_loopback_k8_reference",
+            "dfe_equalize_loopback_k8_gram",
+            "dfe_decisions_loopback_k8",
         ),
     ] {
         let eq = Equalizer::new(c).with_branches(k);

@@ -25,6 +25,7 @@ use retroturbo_dsp::backend;
 use retroturbo_dsp::C64;
 use retroturbo_telemetry as telemetry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Decision trace node (persistent list; branches share prefixes). Used only
@@ -255,16 +256,97 @@ fn plan_module(
     }
 }
 
-/// Fill `ops` with `terms` read from one branch's register file.
+/// A slot's fold order, group-key mask and prediction terms (DESIGN.md
+/// §11), a pure function of the global slot `g`, whether the slot is
+/// grouped, and the call's model weights. Once every module has fired
+/// (`g ≥ l`) it depends on `g` only through the phase `g % l`, so the
+/// steady state of an untracked beam reuses one plan per phase.
+struct SlotPlan {
+    /// Modules in fold order. Grouped: every module except the pair at
+    /// phase (g−1) % l in natural order, then that dependent pair (I, Q):
+    /// the only modules whose key reads slot g−1, where sibling branches
+    /// differ. Otherwise the natural module order, whole.
+    fold: Vec<usize>,
+    /// Length of the group-key prefix of `fold`.
+    n_prefix: usize,
+    /// The group-key mask, one little-endian word per 8 registers: a byte
+    /// per register keeping exactly the key bits the prefix reads (none
+    /// for the dependent pair or unfired modules).
+    kmask: Vec<u64>,
+    /// The slot's prediction terms in fold order; the prefix's come first.
+    terms: Vec<Term>,
+    /// Length of the prefix's share of `terms`.
+    n_prefix_terms: usize,
+}
+
+impl SlotPlan {
+    fn with_capacity(l: usize, bits: usize) -> Self {
+        Self {
+            fold: Vec::with_capacity(2 * l),
+            n_prefix: 0,
+            kmask: Vec::with_capacity((2 * l * bits).div_ceil(8)),
+            terms: Vec::with_capacity(2 * l * bits),
+            n_prefix_terms: 0,
+        }
+    }
+
+    /// Rebuild the plan for global slot `g` of an `l`-phase, `v`-memory
+    /// model with `weights.len()` bit-planes.
+    fn build(&mut self, g: usize, grouped: bool, l: usize, v: usize, weights: &[f64]) {
+        let bits = weights.len();
+        let vmask = (1usize << v) - 1;
+        let phase = g % l;
+        let dep = (g + l - 1) % l;
+        // `module % l` without a division: modules are `0..2l`.
+        let phase_of = |m: usize| if m < l { m } else { m - l };
+        // Slots since a module's latest firing (`None` before its first).
+        let tau_of = |m: usize| {
+            let p = phase_of(m);
+            (g >= p).then(|| if phase >= p { phase - p } else { phase + l - p })
+        };
+        self.fold.clear();
+        self.fold
+            .extend((0..2 * l).filter(|&m| !grouped || phase_of(m) != dep));
+        self.n_prefix = self.fold.len();
+        if grouped {
+            self.fold.extend([dep, l + dep]);
+        }
+        self.kmask.clear();
+        self.kmask.resize((2 * l * bits).div_ceil(8), 0);
+        for m in 0..2 * l {
+            let keep = match tau_of(m) {
+                _ if grouped && phase_of(m) == dep => 0,
+                None => 0,
+                Some(0) => (vmask >> 1) as u64,
+                Some(_) => vmask as u64,
+            };
+            for r in m * bits..(m + 1) * bits {
+                self.kmask[r / 8] |= keep << (8 * (r % 8));
+            }
+        }
+        self.terms.clear();
+        for &m in &self.fold[..self.n_prefix] {
+            plan_module(&mut self.terms, weights, m, tau_of(m), l, v);
+        }
+        self.n_prefix_terms = self.terms.len();
+        for &m in &self.fold[self.n_prefix..] {
+            plan_module(&mut self.terms, weights, m, tau_of(m), l, v);
+        }
+    }
+}
+
+/// Fill `ops` with `terms` read from one branch's register file. A plain
+/// loop: an iterator adaptor here is a generic instance the optimiser may
+/// place in another codegen unit and then call, once per group and class.
 #[inline]
 fn fill_ops<'m>(ops: &mut Vec<(&'m [C64], f64)>, segs: &[&'m [C64]], terms: &[Term], regs: &[u8]) {
     ops.clear();
-    ops.extend(terms.iter().map(|t| {
-        (
+    for t in terms {
+        ops.push((
             segs[t.base + ((regs[t.reg] as usize) << t.shift & t.mask)],
             t.w,
-        )
-    }));
+        ));
+    }
 }
 
 /// Order-preserving image of [`f64::total_cmp`] in `u64`: a negative
@@ -287,6 +369,36 @@ fn from_ord_key(k: u64) -> f64 {
 #[inline]
 fn reg_word(regs: &[u8], w: usize) -> u64 {
     u64::from_le_bytes(regs[w * 8..][..8].try_into().expect("8-byte chunk"))
+}
+
+/// Hasher of the energy-table memo. Its keys are `u128`s the call packs
+/// itself from `(phase, fire_h)`, so SipHash's flooding resistance buys
+/// nothing; a multiply per word and a fold of the high half into the low
+/// (the table indexes buckets by the low bits) is enough, and
+/// deterministic.
+#[derive(Default)]
+struct MemoHasher(u64);
+
+impl Hasher for MemoHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0.rotate_left(26) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ h >> 32;
+    }
+
+    fn write_u128(&mut self, x: u128) {
+        self.write_u64(x as u64);
+        self.write_u64((x >> 64) as u64);
+    }
 }
 
 /// The four stages of `dfe.score`, timed per call.
@@ -474,10 +586,24 @@ impl Equalizer {
         // twins, a class with one prediction (`pred_flat[c*spt..]`),
         // residual energy, cross dots and level sums (`class_c`); only the
         // accumulated cost stays per branch.
-        let mut fold: Vec<usize> = Vec::with_capacity(2 * l);
-        let mut tau_of: Vec<Option<usize>> = vec![None; 2 * l];
-        let mut kmask = vec![0u64; n_words];
-        let mut kmask_bytes = vec![0u8; stride];
+        //
+        // A slot's plan (fold order, key mask, terms) is rebuilt per slot
+        // only where it still varies: the first `l` slots, a single-branch
+        // beam, L = 1 and tracked calls. An untracked beam's steady state
+        // (grouped, every module fired) reads one prebuilt plan per phase;
+        // like the memo below, they hold this call's weights.
+        let mut slot_plan = SlotPlan::with_capacity(l, bits);
+        let phase_plans: Vec<SlotPlan> = if !tracked && l >= 2 && self.k > 1 {
+            (0..l)
+                .map(|p| {
+                    let mut plan = SlotPlan::with_capacity(l, bits);
+                    plan.build(l + p, true, l, v, &model.weights);
+                    plan
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let mut gkeys: Vec<u64> = Vec::with_capacity(self.k * n_words);
         let mut order: Vec<(u64, u64, usize)> = Vec::with_capacity(self.k);
         let mut class_of: Vec<usize> = Vec::with_capacity(self.k);
@@ -485,7 +611,6 @@ impl Equalizer {
         let mut group_fire: Vec<usize> = Vec::with_capacity(self.k * na);
         let mut group_deltas: Vec<&[C64]> = Vec::with_capacity(self.k * na);
         let mut ops: Vec<(&[C64], f64)> = Vec::with_capacity(2 * l * bits);
-        let mut plan: Vec<Term> = Vec::with_capacity(2 * l * bits);
         let mut pred_common = vec![C64::default(); spt];
         let mut pred_flat = vec![C64::default(); self.k * spt];
         let mut pred_gain = vec![C64::default(); if tracked { spt } else { 0 }];
@@ -500,7 +625,7 @@ impl Equalizer {
         // Energy tables, memoised for the call by `(phase, fire_h)`: the
         // table is a pure function of that key under this call's basis.
         // `group_tab[gi]` is group `gi`'s table in `tables` (P entries each).
-        let mut memo: HashMap<u128, usize> = HashMap::new();
+        let mut memo: HashMap<u128, usize, BuildHasherDefault<MemoHasher>> = HashMap::default();
         let mut tables: Vec<f64> = Vec::new();
         let mut group_tab: Vec<usize> = Vec::with_capacity(self.k);
         let mut cand = vec![0.0f64; p_count];
@@ -522,8 +647,6 @@ impl Equalizer {
         let mut predictions = 0u64;
         let mut energy_tables = 0u64;
 
-        // `module % l` without a division: modules are `0..2l`.
-        let phase_of = |m: usize| if m < l { m } else { m - l };
         let score_span = telemetry::span("dfe.score");
         let mut split = telemetry::Laps::start(SCORE_STAGES);
         for j in 0..n_payload {
@@ -536,49 +659,17 @@ impl Equalizer {
             let unit_gain = gain.re == 1.0 && gain.im == 0.0;
             let g2 = gain.norm_sqr();
 
-            // Fold order. Grouped: every module except the pair at phase
-            // (g−1) % l in natural order, then that dependent pair (I, Q):
-            // the only modules whose key reads slot g−1, where sibling
-            // branches differ. Otherwise (tracked, L = 1, first slot, single
-            // branch) the natural module order, whole.
+            // Grouped slots split the dependent pair off the fold (see
+            // `SlotPlan::fold`); tracked calls, L = 1, the first slot and a
+            // single branch fold whole.
             let grouped = !tracked && l >= 2 && g >= 1 && n_branches > 1;
-            let dep = (g + l - 1) % l;
-            fold.clear();
-            fold.extend((0..2 * l).filter(|&m| !grouped || phase_of(m) != dep));
-            let n_prefix = fold.len();
-            if grouped {
-                fold.extend([dep, l + dep]);
-            }
-            // Slots since each module's latest firing (`None` before its
-            // first), and the group-key mask: a byte per register keeping
-            // exactly the key bits the prefix reads (none for the dependent
-            // pair or unfired modules).
-            for (m, t) in tau_of.iter_mut().enumerate() {
-                let p = phase_of(m);
-                *t = (g >= p).then(|| if phase >= p { phase - p } else { phase + l - p });
-            }
-            for m in 0..2 * l {
-                let keep = match tau_of[m] {
-                    _ if grouped && phase_of(m) == dep => 0,
-                    None => 0,
-                    Some(0) => (vmask >> 1) as u8,
-                    Some(_) => vmask as u8,
-                };
-                kmask_bytes[m * bits..][..bits].fill(keep);
-            }
-            for (w, k) in kmask.iter_mut().enumerate() {
-                *k = reg_word(&kmask_bytes, w);
-            }
-            // The slot's prediction terms in fold order; the prefix's come
-            // first.
-            plan.clear();
-            for &m in &fold[..n_prefix] {
-                plan_module(&mut plan, &model.weights, m, tau_of[m], l, v);
-            }
-            let n_prefix_terms = plan.len();
-            for &m in &fold[n_prefix..] {
-                plan_module(&mut plan, &model.weights, m, tau_of[m], l, v);
-            }
+            let plan = if grouped && g >= l {
+                &phase_plans[phase]
+            } else {
+                slot_plan.build(g, grouped, l, v, &model.weights);
+                &slot_plan
+            };
+            let (prefix_terms, dep_terms) = plan.terms.split_at(plan.n_prefix_terms);
             // Sort branches by a hash of their group key, then their
             // dependent pair's registers (at most 8 bytes, exact), so equal
             // keys sit together; a group or class is a run of *equal* keys
@@ -588,14 +679,14 @@ impl Equalizer {
             for bi in 0..n_branches {
                 let r = &regs[bi * stride..][..stride];
                 let mut h = 0u64;
-                for (w, k) in kmask.iter().enumerate() {
+                for (w, k) in plan.kmask.iter().enumerate() {
                     let word = reg_word(r, w) & k;
                     gkeys.push(word);
                     h = (h ^ word)
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                         .rotate_left(29);
                 }
-                let dep_key = fold[n_prefix..].iter().fold(0u64, |acc, &m| {
+                let dep_key = plan.fold[plan.n_prefix..].iter().fold(0u64, |acc, &m| {
                     r[m * bits..][..bits]
                         .iter()
                         .fold(acc, |a, &x| a << 8 | x as u64)
@@ -603,7 +694,15 @@ impl Equalizer {
                 order.push((h, dep_key, bi));
             }
             order.sort_unstable();
-            let gkey = |bi: usize| &gkeys[bi * n_words..][..n_words];
+            // Word by word: a slice `==` here calls out to `bcmp`.
+            let same_gkey = |a: usize, b: usize| {
+                for w in 0..n_words {
+                    if gkeys[a * n_words + w] != gkeys[b * n_words + w] {
+                        return false;
+                    }
+                }
+                true
+            };
 
             // Predict: one fused kernel per key group for the shared sum,
             // one per grouped twin class for its dependent pair.
@@ -616,11 +715,11 @@ impl Equalizer {
             while start < n_branches {
                 let rep = order[start].2;
                 let mut end = start + 1;
-                while end < n_branches && gkey(order[end].2) == gkey(rep) {
+                while end < n_branches && same_gkey(order[end].2, rep) {
                     end += 1;
                 }
                 let r = &regs[rep * stride..][..stride];
-                fill_ops(&mut ops, &segs, &plan[..n_prefix_terms], r);
+                fill_ops(&mut ops, &segs, prefix_terms, r);
                 pred_common.fill(C64::default());
                 backend::axpy_wr_many(&mut pred_common, &ops);
                 predictions += 1;
@@ -640,7 +739,7 @@ impl Equalizer {
                     pred.copy_from_slice(&pred_common);
                     if grouped {
                         let rt = &regs[rep_t * stride..][..stride];
-                        fill_ops(&mut ops, &segs, &plan[n_prefix_terms..], rt);
+                        fill_ops(&mut ops, &segs, dep_terms, rt);
                         backend::axpy_wr_many(pred, &ops);
                         predictions += 1;
                     }
@@ -773,11 +872,9 @@ impl Equalizer {
                     }
                 }
                 let idx0 = bi * p_count;
-                extensions.extend(
-                    cand.iter()
-                        .enumerate()
-                        .map(|(si, &c)| (ord_key(c) as u128) << 32 | (idx0 + si) as u128),
-                );
+                for (si, &c) in cand.iter().enumerate() {
+                    extensions.push((ord_key(c) as u128) << 32 | (idx0 + si) as u128);
+                }
             }
             scored += (n_branches * p_count) as u64;
             split.lap(2);
@@ -1471,6 +1568,83 @@ mod tests {
         }
     }
 
+    /// The slots that still build their plan per slot must match the
+    /// reference too: an empty known prefix (no module has fired when the
+    /// payload starts), a known prefix shorter than L (some have not), a
+    /// single branch (never grouped) and tracking (natural fold order), on
+    /// the 8 kbps and loopback shapes, under a model trained on the frame.
+    /// Their decisions and winning-cost bits are also pinned to values
+    /// captured before the steady state got its per-call phase plans: an
+    /// unfired module's relaxed term and a fired one's all-zero history
+    /// are close, so only the bits tell the two plans apart.
+    #[test]
+    fn gram_path_matches_reference_on_per_slot_plans() {
+        const PINNED: [(u64, u64); 10] = [
+            (0x4359c4cc1729252e, 0x4037d4eab4811d93),
+            (0x0993e0b6b7e73c90, 0x4014bd77389ed2b6),
+            (0x593f0add9f5a6916, 0x4015167ab10502ff),
+            (0xd9c1edf14159e126, 0x40146107c716c298),
+            (0xc2e0314d932fd2f4, 0x4015c2556b1eb7da),
+            (0xe19dd82d3d6c3ebf, 0x4044f6f3d25b1e4c),
+            (0xe19dd82d3d6c3ebf, 0x404573d22c08dcaa),
+            (0xa94b126ac22da604, 0x402883aa50a49154),
+            (0xa94b126ac22da604, 0x4028967dd6feff78),
+            (0xf610355cdda0e774, 0x407420a840231399),
+        ];
+        let mut got = Vec::new();
+        use crate::training::{OfflineTraining, OnlineTrainer};
+        let nominal = LcParams::default();
+        for c in [PhyConfig::default_8kbps(), loopback_phy()] {
+            let bits: Vec<bool> = (0..192).map(|i| (i * 7) % 5 < 2).collect();
+            let frame = Modulator::new(c).modulate(&bits);
+            let mut wave = TagModel::nominal(&c, &nominal).render_levels(&frame.levels);
+            NoiseSource::new(31).add_awgn(&mut wave, 0.05);
+            // A trained model: its never-fired segments differ per `tau`,
+            // unlike the nominal model's rest level.
+            let variants = OfflineTraining::default_variants(&nominal);
+            let off = OfflineTraining::collect(&c, &nominal, &variants, 2);
+            let model = OnlineTrainer::new(c, &off).train(&wave);
+            let (spt, l, start) = (c.samples_per_slot(), c.l_order, frame.payload_start());
+            // (prefix slots kept, branches, tracking block)
+            let cases = [
+                (0, c.k_branches, None),
+                (l - 1, c.k_branches, None),
+                (start, 1, None),
+                (start, c.k_branches, Some(4)),
+                (l - 1, c.k_branches, Some(4)),
+            ];
+            for (kept, k, track) in cases {
+                let first = start - kept;
+                let rx = &wave[first * spt..];
+                let known = &frame.levels[first..start];
+                let mut eq = Equalizer::new(c).with_branches(k);
+                if let Some(b) = track {
+                    eq = eq.with_tracking(b);
+                }
+                let ctx = format!(
+                    "L={l} P={} prefix={kept} k={k} track={track:?}",
+                    c.pqam_order
+                );
+                let (fast, cf) = eq.equalize_with_cost(rx, &model, known, frame.payload_slots);
+                let (slow, cs) =
+                    eq.equalize_reference_with_cost(rx, &model, known, frame.payload_slots);
+                assert_eq!(fast, slow, "{ctx}");
+                assert_cost_close(cf, cs, &ctx);
+                got.push((decision_sum(&fast), cf.to_bits()));
+            }
+        }
+        assert_eq!(got, PINNED, "decisions or winning-cost bits moved");
+    }
+
+    /// FNV-1a over decided `(i, q)` levels.
+    fn decision_sum(syms: &[PqamSymbol]) -> u64 {
+        syms.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
+            [s.i, s.q]
+                .iter()
+                .fold(h, |h, &x| (h ^ x as u64).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
     /// `(decision checksum, winning-cost bits)` of one frame: `n_bits`
     /// payload bits rendered through the nominal model, rotated and scaled,
     /// with AWGN of `sigma`, then trained on and equalized at the config's K.
@@ -1500,13 +1674,7 @@ mod tests {
         let known = &frame.levels[..frame.payload_start()];
         let (syms, cost) =
             Equalizer::new(c).equalize_with_cost(&rx, &trained, known, frame.payload_slots);
-        // FNV-1a over the decided (i, q) levels.
-        let sum = syms.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
-            [s.i, s.q]
-                .iter()
-                .fold(h, |h, &x| (h ^ x as u64).wrapping_mul(0x100_0000_01b3))
-        });
-        (sum, cost.to_bits())
+        (decision_sum(&syms), cost.to_bits())
     }
 
     /// The winning cost is pinned bit for bit, not only to 1e-9 of the

@@ -55,12 +55,35 @@ impl PreambleCorrection {
     /// unchanged rather than amplifying noise.
     #[inline]
     pub fn apply(&self, z: C64) -> C64 {
-        let d = self.alpha.norm_sqr() - self.beta.norm_sqr();
-        if d.abs() < 1e-12 {
-            return z;
+        match self.determinant() {
+            Some(d) => self.invert(self.alpha.conj(), 1.0 / d, z),
+            None => z,
         }
+    }
+
+    /// The map's determinant `|α|² − |β|²`, or `None` when the map is
+    /// degenerate: `|d|` below `1e-12` of `|α|² + |β|²`. The test is
+    /// relative so that it does not depend on the capture's scale (an
+    /// absolute cut would call every fit of a faint enough capture
+    /// degenerate). The floor keeps the all-zero fit degenerate; a
+    /// non-finite fit is not degenerate, and its inverse carries the NaNs.
+    fn determinant(&self) -> Option<f64> {
+        let a2 = self.alpha.norm_sqr();
+        let b2 = self.beta.norm_sqr();
+        let d = a2 - b2;
+        if d.abs() < 1e-12 * (a2 + b2).max(f64::MIN_POSITIVE) {
+            None
+        } else {
+            Some(d)
+        }
+    }
+
+    /// The inverse map at one sample, given `conj(α)` and `1 / d`
+    /// (`C64 / f64` scales by the reciprocal, so this is the division).
+    #[inline]
+    fn invert(&self, alpha_conj: C64, inv_d: f64, z: C64) -> C64 {
         let zp = z - self.gamma;
-        (self.alpha.conj() * zp - self.beta * zp.conj()) / d
+        (alpha_conj * zp - self.beta * zp.conj()).scale(inv_d)
     }
 }
 
@@ -520,9 +543,19 @@ struct Scratch {
 }
 
 /// Apply a preamble correction to a sample slice, producing the corrected
-/// waveform in the reference frame.
+/// waveform in the reference frame: [`PreambleCorrection::apply`] at every
+/// sample, bit for bit, with the determinant, the degeneracy test and
+/// `conj(α)` computed once.
 pub fn correct(fit: &PreambleCorrection, x: &[C64]) -> Vec<C64> {
-    x.iter().map(|&z| fit.apply(z)).collect()
+    match fit.determinant() {
+        Some(d) => {
+            let (alpha_conj, inv_d) = (fit.alpha.conj(), 1.0 / d);
+            x.iter()
+                .map(|&z| fit.invert(alpha_conj, inv_d, z))
+                .collect()
+        }
+        None => x.to_vec(),
+    }
 }
 
 #[cfg(test)]
@@ -870,6 +903,54 @@ mod tests {
         }
         let short = Signal::new(vec![C64::real(1.0); 10], cfg().fs);
         assert!(det.detect_in(&short, 0, 10).is_none());
+    }
+
+    /// `correct` hoists the determinant, the degeneracy test and `conj(α)`
+    /// out of the sample loop; it must still equal [`PreambleCorrection::apply`]
+    /// at every sample bit for bit: for an ordinary fit, a degenerate one,
+    /// the all-zero fit and non-finite fits, over finite, NaN and ±Inf
+    /// samples.
+    #[test]
+    fn correct_matches_per_sample_apply_bit_for_bit() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut x: Vec<C64> = (0..64)
+            .map(|i| C64::from_polar(0.1 + i as f64 * 0.37, i as f64 * 1.3))
+            .collect();
+        x.extend([
+            C64::new(nan, 0.5),
+            C64::new(0.5, nan),
+            C64::new(inf, -1.0),
+            C64::new(-inf, 2.0),
+            C64::new(1.0, inf),
+            C64::new(-inf, -inf),
+            C64::new(0.0, -0.0),
+            C64::new(1e-300, -1e300),
+        ]);
+        let fits = [
+            (
+                C64::new(0.8, -0.6),
+                C64::new(0.05, 0.02),
+                C64::new(0.1, -0.2),
+            ),
+            (C64::real(0.5), C64::real(0.5), C64::new(0.3, 0.1)),
+            (C64::default(), C64::default(), C64::default()),
+            (
+                C64::new(3e-13, 1e-13),
+                C64::new(1e-14, 0.0),
+                C64::new(-1e-13, 0.0),
+            ),
+            (C64::new(inf, 0.0), C64::real(0.1), C64::default()),
+            (C64::new(nan, 1.0), C64::real(0.1), C64::default()),
+        ];
+        let bits = |z: C64| (z.re.to_bits(), z.im.to_bits());
+        for (alpha, beta, gamma) in fits {
+            let fit = PreambleCorrection { alpha, beta, gamma };
+            let got = correct(&fit, &x);
+            assert_eq!(got.len(), x.len());
+            for (i, (&z, &y)) in x.iter().zip(&got).enumerate() {
+                assert_eq!(bits(y), bits(fit.apply(z)), "{fit:?}, sample {i} = {z:?}");
+            }
+        }
     }
 
     #[test]

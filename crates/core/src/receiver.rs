@@ -546,6 +546,52 @@ mod tests {
         }
     }
 
+    /// The preamble correction's degeneracy test is relative to the fit's
+    /// own scale. A capture scaled by a power of two (exact in floating
+    /// point) is found at the same offset with the same score and decodes
+    /// to the same bits, however faint or strong; an absolute cut called
+    /// every fit of the 2^-24 and 2^-40 captures degenerate and left them
+    /// uncorrected. The L = 2, 4-PQAM loopback PHY of the streaming
+    /// service.
+    #[test]
+    fn power_of_two_scaled_capture_decodes_like_the_original() {
+        let c = PhyConfig {
+            l_order: 2,
+            pqam_order: 4,
+            training_rounds: 2,
+            ..cfg()
+        };
+        let bits: Vec<bool> = (0..120).map(|i| (i * 5) % 7 < 3).collect();
+        let frame = Modulator::new(c).modulate(&bits);
+        let model = TagModel::nominal(&c, &LcParams::default());
+        let (g, dc) = (C64::from_polar(0.7, 0.9), C64::new(0.05, -0.03));
+        let mut samples = vec![g * C64::new(-1.0, -1.0) + dc; 57];
+        samples.extend(
+            model
+                .render_levels(&frame.levels)
+                .iter()
+                .map(|&z| g * z + dc),
+        );
+        NoiseSource::new(4).add_awgn(&mut samples, 0.01);
+        let rx = Receiver::new(c, &LcParams::default(), 2);
+        let receive = |scale: f64| {
+            let sig = Signal::new(samples.iter().map(|&z| z.scale(scale)).collect(), c.fs);
+            rx.receive_window(&sig, 0, sig.len(), bits.len()).unwrap()
+        };
+        let base = receive(1.0);
+        assert_eq!(base.bits, bits);
+        for e in [-24, -40, 24] {
+            let r = receive(2f64.powi(e));
+            assert_eq!(r.offset, base.offset, "2^{e}: offset");
+            assert_eq!(
+                r.preamble_residual.to_bits(),
+                base.preamble_residual.to_bits(),
+                "2^{e}: score"
+            );
+            assert_eq!(r.bits, base.bits, "2^{e}: bits");
+        }
+    }
+
     #[test]
     fn empty_mask_means_no_erasures_and_matches_plain_receive() {
         let c = cfg();

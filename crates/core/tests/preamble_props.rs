@@ -114,6 +114,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The streaming framer skips its one-slot refinement rescan when a
+    /// block hit lies at least one slot inside the block. That is sound
+    /// because the rescan's range is then a subset of the block containing
+    /// the hit, so the block's first minimum is the subset's first minimum:
+    /// the rescan returns the same offset with the same score bits.
+    #[test]
+    fn interior_hit_survives_its_one_slot_rescan(
+        l in prop_oneof_l(),
+        frames in 1usize..3,
+        adjacent in any::<bool>(),
+        pad in 0usize..700,
+        gain in 0.05f64..3.0,
+        rot in 0.0f64..6.3,
+        snr_pick in 0usize..4,
+        seed in any::<u64>(),
+        back in 0usize..BLOCK,
+    ) {
+        let c = cfg(l);
+        let spt = c.samples_per_slot();
+        // Blocks opening `back` samples before the first frame start: the
+        // hit sits inside the block, or within a slot of either edge.
+        let from = (pad.div_ceil(spt) * spt).saturating_sub(back);
+        let det = PreambleDetector::new(&c, &TagModel::nominal(&c, &LcParams::default()));
+        let alpha = C64::from_polar(gain, rot);
+        let sigma = [0.0, 0.003, 0.05, 0.3][snr_pick] * gain;
+        let rx = stream(&c, pad, frames, adjacent, alpha, C64::default(), C64::new(0.3, -0.1), sigma, seed);
+        let to = from + BLOCK;
+        if let Some(hit) = det.detect_in(&rx, from, to) {
+            let off = hit.offset;
+            if from + spt <= off && off + spt < to {
+                let again = det.detect_in(&rx, off - spt, off + spt + 1);
+                prop_assert!(same(&Some(hit), &again), "[{from}, {to}): block {hit:?} vs rescan {again:?}");
+            }
+        }
+    }
+}
+
 /// The L orders under test (two reference lengths and skips).
 fn prop_oneof_l() -> impl Strategy<Value = usize> {
     (0usize..2).prop_map(|i| [2, 4][i])

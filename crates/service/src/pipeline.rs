@@ -20,7 +20,9 @@
 //! every sample a hit in that block could need. The number and arguments of
 //! detector calls are therefore a pure function of the sample stream — not
 //! of producer chunking or worker timing — which keeps the telemetry
-//! fingerprint invariant across worker counts.
+//! fingerprint invariant across worker counts. That includes the one-slot
+//! refinement rescan, which runs only for a hit within one slot of its
+//! block's edge.
 
 use crate::queue::{Bounded, QueueDepth};
 use crate::ring::SampleRing;
@@ -467,6 +469,11 @@ fn run_framer(
             let sig = Signal::new(std::mem::take(&mut assembly), cfg.phy.fs);
             let hit = rx.detect_preamble(&sig, from, to);
             let hit = match hit {
+                // A hit at least one slot inside its block needs no
+                // refinement: the rescan's range would be a subset of the
+                // block containing `off`, and `off` is the block's first
+                // minimum, so it is the subset's first minimum too.
+                Some((off, _)) if from + lead <= off && off + lead < to => Some(off),
                 // Refine: the block argmin can land on a shoulder when the
                 // block boundary splits the correlation peak, so re-search
                 // one slot around the hit and keep that argmin. This is

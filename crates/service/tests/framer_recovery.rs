@@ -200,6 +200,84 @@ fn adjacent_frames_decode_like_the_direct_receiver() {
     }
 }
 
+/// Preambles that start within one slot of a scan block's edge: the block
+/// argmin may land on a shoulder of a peak the edge splits, so the framer
+/// re-searches one slot around such a hit (a hit further inside skips that
+/// rescan). Each frame starts `pads[i]` samples into the first block
+/// scanned after the previous frame's body: two samples past its end
+/// (the block's argmin is its last offset, a shoulder only the rescan
+/// moves to the true start), and on both sides of the one-slot margin at
+/// either edge. Every frame must decode at its exact offset, bit for bit
+/// as the direct receiver decodes it there.
+#[test]
+fn preambles_near_block_edges_decode_like_the_direct_receiver() {
+    const BLOCK: usize = 512; // the framer's scan block
+    let bed = Testbed::new(loopback_phy(2, 4), PAYLOAD_LEN, Some(CODING), SCRAMBLE).with_snr(35.0);
+    let cfg = *bed.phy();
+    let spt = cfg.samples_per_slot();
+    let rx = Receiver::new_cached(cfg, &LcParams::default(), 1);
+    let n_bits = bed.frame(0, RUN_SEED).bits.len();
+    let frame_len = rx.frame_slots(n_bits) * spt;
+    // Rescanned: BLOCK + 2, 3, 505, spt − 1 and BLOCK − spt; interior: spt
+    // and BLOCK − spt − 1.
+    let pads = [
+        BLOCK + 2,
+        3,
+        BLOCK - 7,
+        spt - 1,
+        spt,
+        BLOCK - spt,
+        BLOCK - spt - 1,
+    ];
+
+    // Blocks tile the stream from 0 until a hit; after a hit at `start`
+    // the next block opens at `start + frame_len`.
+    let mut stream = Vec::new();
+    let mut starts = Vec::new();
+    let mut payloads = Vec::new();
+    for (i, &pad) in pads.iter().enumerate() {
+        let scene = bed.frame(i as u64, RUN_SEED);
+        let block_start = starts.last().map_or(0, |&s| s + frame_len);
+        stream.extend(bed.idle(block_start + pad - stream.len()));
+        starts.push(stream.len());
+        stream.extend_from_slice(&scene.samples[scene.offset..]);
+        payloads.push(scene.payload);
+    }
+    stream.extend(bed.idle(2 * frame_len));
+
+    let svc = DecodeService::spawn(bed.service_config());
+    let input = svc.input();
+    input.push(&stream, None);
+    input.close();
+    let (events, _) = drain_checked(svc);
+
+    let direct = retroturbo_dsp::Signal::new(stream, cfg.fs);
+    assert_eq!(events.len(), pads.len(), "events={events:?}");
+    for (i, ev) in events.iter().enumerate() {
+        let f = match ev {
+            ServiceEvent::Frame(f) => f,
+            other => panic!("frame {i}: unexpected {other:?}"),
+        };
+        assert_eq!(
+            f.offset, starts[i] as u64,
+            "frame {i} (pad {}): offset",
+            pads[i]
+        );
+        assert_eq!(f.payload, payloads[i], "frame {i}: payload");
+        let (off, _) = rx
+            .detect_preamble(&direct, starts[i] - spt, starts[i] + spt + 1)
+            .expect("direct detect failed");
+        assert_eq!(off, starts[i], "frame {i}: direct offset");
+        let want = rx
+            .receive_at(&direct, off, n_bits, &[])
+            .expect("direct decode failed");
+        assert_eq!(
+            f.bits, want.bits,
+            "frame {i}: bits diverge from the direct receiver"
+        );
+    }
+}
+
 /// A NaN burst inside the first fit window of a scan block used to become
 /// the block's running best (`score < NaN` is never true) and hide a real
 /// preamble later in the same block. The burst's windows now score
